@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or IO error, 2 a checker found a violation,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -25,10 +24,9 @@ from .core import (
     classical_from_json,
     classical_to_object,
     object_from_json,
-    object_to_classical,
 )
 from .divergences import BetaContext, delta_F_alpha
-from .feasibility import decide_catalytic, decide_free
+from .feasibility import _as_classical, decide_catalytic, decide_free
 from .quantifiers import (
     CheckReport,
     MeanEnergy,
@@ -132,17 +130,7 @@ def cmd_scenario(args) -> int:
     print(HEADER)
     cfg = _validate_run_config(_load_json(args.config)) if args.config else None
     outdir = _output_dir(args, cfg)
-    blocks = _scenario_blocks(args, cfg)
-    jobs = max(1, int(args.jobs))
-    results = []
-    if jobs == 1 or len(blocks) == 1:
-        for name, body in blocks:
-            results.append(_run_scenario(name, body, outdir))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_scenario, name, body, outdir)
-                       for name, body in blocks]
-            results = [f.result() for f in futures]
+    results = [_run_scenario(name, body, outdir) for name, body in _scenario_blocks(args, cfg)]
     breached = False
     for report, target in results:
         print(f"scenario {report.scenario_name}: report written to {target}")
@@ -191,6 +179,8 @@ def _sample_free_pairs(args, rng):
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise SystemExit2(f"--samples must be at least 1, got {args.samples}")
     print(HEADER)
     ctx = BetaContext(args.beta)
     rng = rng_from_seed(args.seed)
@@ -257,17 +247,20 @@ def _merge_reports(name: str, reports) -> CheckReport:
     return merged
 
 
-def _load_classical(path: str) -> ClassicalObject:
+def _load_object(path: str):
+    """A classical object if the document has a classical block, else a thermal one."""
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise SystemExit2(f"{path} must hold a JSON object, got {type(doc).__name__}")
     if "classical" in doc or "probs" in doc:
         return classical_from_json(doc)
-    return object_to_classical(object_from_json(doc))
+    return object_from_json(doc)
 
 
 def cmd_feasible(args) -> int:
     print(HEADER)
-    src = _load_classical(args.src)
-    dst = _load_classical(args.dst)
+    src = _as_classical(_load_object(args.src))
+    dst = _as_classical(_load_object(args.dst))
     ctx = BetaContext(args.beta)
     if args.catalytic:
         verdict = decide_catalytic(src, dst, ctx, max_cat_dim=args.max_cat_dim,
@@ -282,13 +275,9 @@ def cmd_feasible(args) -> int:
 
 def cmd_divergence(args) -> int:
     print(HEADER)
-    doc = _load_json(args.object)
+    obj = _load_object(args.object)
     ctx = BetaContext(args.beta)
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
-    if "classical" in doc or "probs" in doc:
-        obj = classical_from_json(doc)
-    else:
-        obj = object_from_json(doc)
     value = delta_F_alpha(obj, ctx, alpha)
     print(f"delta_F_alpha(alpha={args.alpha}, beta={args.beta}) = {value!r}")
     return EXIT_OK
@@ -313,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--spacing", type=float, default=None)
     sc.add_argument("--grid-steps", dest="grid_steps", type=int, default=None)
     sc.add_argument("--seed", type=int, default=None)
-    sc.add_argument("--jobs", type=int, default=1)
+    sc.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; scenarios run one after another")
     sc.add_argument("--output-dir", dest="output_dir", default=None)
     sc.set_defaults(func=cmd_scenario)
 

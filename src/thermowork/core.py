@@ -23,6 +23,7 @@ PROB_CLAMP = 1e-12
 # itself fixes no such tolerance; this is a configuration choice.
 OBJECT_EQ_TOL = 1e-8
 GIBBS_TOL = 1e-8
+UNITARITY_TOL = 1e-9
 # Dense matrices only; tensor products beyond this dimension are refused.
 MAX_TENSOR_DIM = 4096
 
@@ -40,6 +41,15 @@ def _check_hermitian(mat: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian: anti-Hermitian part {dev:.3e} > {tol:.1e}")
     return 0.5 * (mat + mat.conj().T)
+
+
+def check_unitary(mat, name: str) -> np.ndarray:
+    """The square complex matrix ``mat``, rejected unless |U+U - 1| <= UNITARITY_TOL."""
+    u = _as_square(mat, name)
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if dev > UNITARITY_TOL:
+        raise ValueError(f"{name} is not unitary: |U+U - 1| = {dev:.3e}")
+    return u
 
 
 def trace_norm(mat: np.ndarray) -> float:
@@ -218,7 +228,7 @@ def tensor(p: ThermoObject, q: ThermoObject) -> ThermoObject:
     if d > MAX_TENSOR_DIM:
         raise ValueError(f"tensor product dimension {d} exceeds cap {MAX_TENSOR_DIM}")
     state = np.kron(p.state, q.state)
-    ham = np.kron(p.hamiltonian.matrix, np.eye(q.dim)) + np.kron(np.eye(p.dim), q.hamiltonian.matrix)
+    ham = local_sum([p.hamiltonian.matrix, q.hamiltonian.matrix])
     return ThermoObject(state, HamiltonianClass(ham))
 
 
@@ -229,6 +239,14 @@ def classical_tensor(a: ClassicalObject, b: ClassicalObject) -> ClassicalObject:
     probs = np.outer(a.probs, b.probs).ravel()
     energies = (a.energies[:, None] + b.energies[None, :]).ravel()
     return ClassicalObject(probs, energies)
+
+
+def local_sum(hams: Sequence[np.ndarray]) -> np.ndarray:
+    """Non-interacting total H_1 (x) 1 (x) ... (x) 1 + ... + 1 (x) ... (x) 1 (x) H_n."""
+    total = np.zeros((1, 1))
+    for h in hams:
+        total = np.kron(total, np.eye(h.shape[0])) + np.kron(np.eye(total.shape[0]), h)
+    return total
 
 
 def _ptrace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -262,9 +280,7 @@ class NonInteractingObject:
         for h, d in zip(locals_, part):
             if h.dim != d:
                 raise ValueError(f"local Hamiltonian dimension {h.dim} != subsystem dimension {d}")
-        total = np.zeros((self.obj.dim, self.obj.dim), dtype=complex)
-        for i, h in enumerate(locals_):
-            total += _lift(h.matrix, part, i)
+        total = local_sum([h.matrix for h in locals_])
         if HamiltonianClass(total) != self.obj.hamiltonian:
             raise ValueError("object is interacting: Hamiltonian is not the sum of the local terms")
         object.__setattr__(self, "partition", part)
@@ -296,13 +312,6 @@ class NonInteractingObject:
         return partial_trace(self, keep)
 
 
-def _lift(local: np.ndarray, partition: Sequence[int], index: int) -> np.ndarray:
-    """Embed a local operator as 1 (x) ... (x) A (x) ... (x) 1."""
-    before = int(np.prod(partition[:index])) if index > 0 else 1
-    after = int(np.prod(partition[index + 1:])) if index + 1 < len(partition) else 1
-    return np.kron(np.kron(np.eye(before), local), np.eye(after))
-
-
 def non_interacting(p: ThermoObject, q: ThermoObject) -> NonInteractingObject:
     """Tensor two objects and keep track of the bipartition."""
     joint = tensor(p, q)
@@ -323,10 +332,7 @@ def partial_trace(p: NonInteractingObject, keep: Iterable[int]) -> ThermoObject:
     if not keep:
         return EMPTY
     state = _ptrace_matrix(p.obj.state, p.partition, keep)
-    kept_dims = [p.partition[i] for i in keep]
-    ham = np.zeros((int(np.prod(kept_dims)),) * 2, dtype=complex)
-    for pos, i in enumerate(keep):
-        ham += _lift(p.local_hamiltonians[i].matrix, kept_dims, pos)
+    ham = local_sum([p.local_hamiltonians[i].matrix for i in keep])
     return ThermoObject(state, HamiltonianClass(ham))
 
 
@@ -338,11 +344,8 @@ def gibbs_state(hamiltonian, beta: float) -> ThermoObject:
     """
     if not isinstance(hamiltonian, HamiltonianClass):
         hamiltonian = HamiltonianClass(hamiltonian)
-    if not (beta > 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
     evals, vecs = np.linalg.eigh(hamiltonian.matrix)
-    w = np.exp(-beta * (evals - np.min(evals)))
-    w /= np.sum(w)
+    w = gibbs_weights(evals, beta)
     rho = (vecs * w) @ vecs.conj().T
     rho /= np.real(np.trace(rho))
     return ThermoObject(rho, hamiltonian)
@@ -409,10 +412,7 @@ def object_to_json(p: ThermoObject) -> dict:
     except ValueError:
         pass
     else:
-        doc["classical"] = {
-            "probs": [float(x) for x in c.probs],
-            "energies": [float(x) for x in c.energies],
-        }
+        doc["classical"] = classical_to_json(c)
     return doc
 
 
@@ -421,6 +421,11 @@ def object_from_json(doc: dict) -> ThermoObject:
     state = _pairs_to_matrix(doc["state"], dim)
     ham = _pairs_to_matrix(doc["hamiltonian"], dim)
     return ThermoObject(state, HamiltonianClass(ham))
+
+
+def classical_to_json(c: ClassicalObject) -> dict:
+    return {"probs": [float(x) for x in c.probs],
+            "energies": [float(x) for x in c.energies]}
 
 
 def classical_from_json(doc: dict) -> ClassicalObject:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassicalObject, classical_to_object, gibbs_state, gibbs_weights
+from .core import ClassicalObject, _ptrace_matrix, classical_to_object, gibbs_state
 
 INF = float("inf")
 # Eigenvalues below this are treated as exact zeros in entropy sums.
@@ -57,12 +57,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
-def shannon_entropy(probs) -> float:
-    p = np.asarray(probs, dtype=float)
-    p = p[p > EIG_ZERO]
-    return float(-np.sum(p * np.log(p)))
-
-
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy Tr(rho ln rho - rho ln sigma).
 
@@ -75,10 +69,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     s_evals, s_vecs = np.linalg.eigh(sigma)
     kernel = s_evals < SUPPORT_TOL
-    if np.any(kernel):
-        leak = float(np.real(np.einsum("ij,ji->", rho, s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T)))
-        if leak > SUPPORT_TOL:
-            return INF
+    if _support_leak(rho, s_vecs, kernel) > SUPPORT_TOL:
+        return INF
     r_evals = np.linalg.eigvalsh(rho)
     pos = r_evals[r_evals > EIG_ZERO]
     tr_rho_ln_rho = float(np.sum(pos * np.log(pos)))
@@ -213,23 +205,7 @@ def mutual_information(rho_ab: np.ndarray, partition) -> float:
     da, db = (int(d) for d in partition)
     if rho_ab.shape != (da * db, da * db):
         raise ValueError(f"state shape {rho_ab.shape} does not match partition ({da}, {db})")
-    resh = rho_ab.reshape(da, db, da, db)
-    rho_a = np.trace(resh, axis1=1, axis2=3)
-    rho_b = np.trace(resh, axis1=0, axis2=2)
+    rho_a = _ptrace_matrix(rho_ab, (da, db), [0])
+    rho_b = _ptrace_matrix(rho_ab, (da, db), [1])
     return relative_entropy(rho_ab, np.kron(rho_a, rho_b))
 
-
-def classical_mutual_information(joint: np.ndarray) -> float:
-    """Mutual information of a joint probability table (rows: A, cols: B)."""
-    joint = np.asarray(joint, dtype=float)
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    return classical_relative_entropy(joint.ravel(), np.outer(pa, pb).ravel())
-
-
-def delta_F_of_classical_pair(probs, energies, ctx, alpha: float) -> float:
-    """Convenience wrapper: delta_F_alpha for raw classical data."""
-    beta = as_beta(ctx)
-    return classical_renyi_divergence(
-        np.asarray(probs, dtype=float), gibbs_weights(energies, beta), alpha
-    ) / beta

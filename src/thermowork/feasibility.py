@@ -25,8 +25,11 @@ from .core import (
     HamiltonianClass,
     NonInteractingObject,
     ThermoObject,
+    _ptrace_matrix,
+    check_unitary,
     classical_tensor,
     gibbs_state,
+    local_sum,
     object_to_classical,
     partial_trace,
     tensor,
@@ -36,7 +39,6 @@ from .divergences import INF, as_beta, delta_F_alpha
 MAJORIZE_TOL = 1e-10
 LP_FEAS_TOL = 1e-9
 MONOTONE_TOL = 1e-9
-UNITARITY_TOL = 1e-9
 COMMUTATION_TOL = 1e-9
 MAX_CAT_DIM = 4
 MAX_GRID_STEPS = 64
@@ -297,13 +299,7 @@ class ThermalOperationSpec:
     unitary: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"unitary must be square, got {u.shape}")
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if dev > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary: |U+U - 1| = {dev:.3e}")
-        u = u.copy()
+        u = check_unitary(self.unitary, "ThermalOperationSpec.unitary").copy()
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
 
@@ -314,8 +310,7 @@ class ThermalOperationSpec:
             raise ValueError(
                 f"unitary dimension {self.unitary.shape[0]} != system*bath {d_s * d_b}"
             )
-        h_tot = (np.kron(system_hamiltonian.matrix, np.eye(d_b))
-                 + np.kron(np.eye(d_s), self.bath_hamiltonian.matrix))
+        h_tot = local_sum([system_hamiltonian.matrix, self.bath_hamiltonian.matrix])
         comm = self.unitary @ h_tot - h_tot @ self.unitary
         dev = float(np.max(np.abs(comm)))
         if dev > COMMUTATION_TOL:
@@ -331,11 +326,9 @@ def apply_thermal_operation(p: ThermoObject, spec: ThermalOperationSpec, ctx) ->
     """
     beta = as_beta(ctx)
     spec.validate_for(p.hamiltonian)
-    d_s, d_b = p.dim, spec.bath_hamiltonian.dim
     omega_b = gibbs_state(spec.bath_hamiltonian, beta).state
     joint = spec.unitary @ np.kron(p.state, omega_b) @ spec.unitary.conj().T
-    resh = joint.reshape(d_s, d_b, d_s, d_b)
-    out = np.trace(resh, axis1=1, axis2=3)
+    out = _ptrace_matrix(joint, (p.dim, spec.bath_hamiltonian.dim), [0])
     out = 0.5 * (out + out.conj().T)
     out /= np.real(np.trace(out))
     return ThermoObject(out, p.hamiltonian)

@@ -25,14 +25,16 @@ from .core import (
     ThermoObject,
     classical_gibbs,
     classical_tensor,
+    classical_to_json,
     gibbs_state,
-    object_to_classical,
     partial_trace,
     trace_norm,
 )
 from .divergences import BetaContext, INF, as_beta, delta_F_alpha
 from .feasibility import (
+    MONOTONE_TOL,
     FeasibilityVerdict,
+    _as_classical,
     _json_safe,
     decide_catalytic,
     thermo_majorizes,
@@ -41,7 +43,6 @@ from .feasibility import (
 CYCLE_TOL_PER_STEP = 1e-10
 ADDITIVITY_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
-MONOTONE_TOL = 1e-9
 SUPERADD_TOL = 1e-9
 FREE_WORK_TOL = 1e-10
 
@@ -167,25 +168,36 @@ class RestrictionSet:
         raise NotImplementedError
 
 
+def _eigenstate_distances(obj) -> tuple:
+    """(gap, distance to the ground state, distance to the excited state) of
+    a qubit object, distances in trace norm."""
+    if not isinstance(obj, (ClassicalObject, ThermoObject)):
+        raise TypeError(f"unsupported object type {type(obj).__name__}")
+    if obj.dim != 2:
+        raise ValueError("wbit states are qubits")
+    if isinstance(obj, ClassicalObject):
+        order = np.argsort(obj.energies)
+        p_ground = float(obj.probs[order[0]])
+        gap = float(obj.energies[order[1]] - obj.energies[order[0]])
+        return gap, 2.0 * (1.0 - p_ground), 2.0 * p_ground
+    evals, evecs = np.linalg.eigh(obj.hamiltonian.matrix)
+    ground = np.outer(evecs[:, 0], evecs[:, 0].conj())
+    excited = np.outer(evecs[:, 1], evecs[:, 1].conj())
+    return (float(evals[1] - evals[0]), trace_norm(obj.state - ground),
+            trace_norm(obj.state - excited))
+
+
 def _qubit_distances(obj, delta: float):
     """Trace-norm distances of a qubit object to the two energy eigenstates,
     or None if the object is not a qubit with Hamiltonian diag(0, delta)."""
     if isinstance(obj, ClassicalObject):
-        if obj.dim != 2:
-            return None
         e = np.sort(obj.energies - np.min(obj.energies))
-        if not np.allclose(e, [0.0, delta], atol=1e-9):
-            return None
-        p_ground = obj.probs[int(np.argmin(obj.energies))]
-        return 2.0 * (1.0 - p_ground), 2.0 * p_ground
-    if isinstance(obj, ThermoObject):
-        if obj.dim != 2 or obj.hamiltonian != HamiltonianClass(np.diag([0.0, delta])):
-            return None
-        evecs = np.linalg.eigh(obj.hamiltonian.matrix)[1]
-        ground = np.outer(evecs[:, 0], evecs[:, 0].conj())
-        excited = np.outer(evecs[:, 1], evecs[:, 1].conj())
-        return trace_norm(obj.state - ground), trace_norm(obj.state - excited)
-    return None
+        ok = obj.dim == 2 and np.allclose(e, [0.0, delta], atol=1e-9)
+    elif isinstance(obj, ThermoObject):
+        ok = obj.dim == 2 and obj.hamiltonian == HamiltonianClass(np.diag([0.0, delta]))
+    else:
+        ok = False
+    return _eigenstate_distances(obj)[1:] if ok else None
 
 
 def _epsilon_grid(epsilon: float, delta: float, grid: int, closed: bool) -> list:
@@ -219,9 +231,7 @@ class Unrestricted(RestrictionSet):
 
     def candidates(self, anchors=(), grid: int = 32) -> list:
         out = [EMPTY_CLASSICAL]
-        for a in anchors:
-            if isinstance(a, ThermoObject):
-                a = object_to_classical(a)
+        for a in map(_as_classical, anchors):
             out.append(a)
             out.append(classical_gibbs(a.energies, self.beta))
         for t in np.linspace(0.0, 1.0, grid):
@@ -230,11 +240,14 @@ class Unrestricted(RestrictionSet):
 
 
 @dataclass(frozen=True)
-class EpsilonDet(RestrictionSet):
-    """Qubits with H = delta |1><1| within (strictly) 2 epsilon of an eigenstate."""
+class _EpsilonBall(RestrictionSet):
+    """Qubits with H = delta |1><1| within 2 epsilon of an energy eigenstate;
+    the class attribute ``closed`` says whether the boundary belongs to it."""
 
     epsilon: float
     delta: float
+
+    closed = False
 
     def __post_init__(self):
         if not 0 <= self.epsilon < 0.5:
@@ -247,31 +260,21 @@ class EpsilonDet(RestrictionSet):
         if dists is None:
             return False
         d = min(dists)
-        return d < 2.0 * self.epsilon or d <= 1e-12
+        radius = 2.0 * self.epsilon
+        return d <= 1e-12 or (d <= radius + 1e-12 if self.closed else d < radius)
 
     def candidates(self, anchors=(), grid: int = 32) -> list:
-        return [EMPTY_CLASSICAL] + _epsilon_grid(self.epsilon, self.delta, grid, closed=False)
+        return [EMPTY_CLASSICAL] + _epsilon_grid(self.epsilon, self.delta, grid, self.closed)
 
 
-@dataclass(frozen=True)
-class WbitSet(RestrictionSet):
+class EpsilonDet(_EpsilonBall):
+    """Qubits with H = delta |1><1| within (strictly) 2 epsilon of an eigenstate."""
+
+
+class WbitSet(_EpsilonBall):
     """The wbit set: like EpsilonDet but with the closed 2-epsilon ball."""
 
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0 <= self.epsilon < 0.5:
-            raise ValueError(f"epsilon must lie in [0, 1/2), got {self.epsilon}")
-
-    def contains(self, obj) -> bool:
-        if _is_empty(obj):
-            return True
-        dists = _qubit_distances(obj, self.delta)
-        return dists is not None and min(dists) <= 2.0 * self.epsilon + 1e-12
-
-    def candidates(self, anchors=(), grid: int = 32) -> list:
-        return [EMPTY_CLASSICAL] + _epsilon_grid(self.epsilon, self.delta, grid, closed=True)
+    closed = True
 
 
 @dataclass(frozen=True)
@@ -334,8 +337,7 @@ class TransitionRecord:
     def to_json(self) -> dict:
         def describe(obj):
             if isinstance(obj, ClassicalObject):
-                return {"probs": list(map(float, obj.probs)),
-                        "energies": list(map(float, obj.energies))}
+                return classical_to_json(obj)
             return {"dim": obj.dim}
         return _json_safe({
             "src": describe(self.src),
@@ -482,9 +484,10 @@ def check_lemma2(monotone: Monotone, ctx, transitions=(), pairs=(), objects=(),
     and positivity on single objects."""
     beta = as_beta(ctx)
     oracle = oracle or (lambda s, d: decide_catalytic(s, d, beta))
+    transitions, pairs, objects = list(transitions), list(pairs), list(objects)
     report = CheckReport(
         checker="lemma2",
-        samples=len(list(transitions)) + len(list(pairs)) + len(list(objects)),
+        samples=len(transitions) + len(pairs) + len(objects),
         tolerances={"monotone": MONOTONE_TOL, "additivity": ADDITIVITY_TOL,
                     "positivity": POSITIVITY_TOL},
     )
@@ -575,8 +578,8 @@ def work_of_transition(quantifier: WorkQuantifier, restriction: RestrictionSet,
     grid certifies.
     """
     beta = as_beta(ctx)
-    src_m = src_m if isinstance(src_m, ClassicalObject) else object_to_classical(src_m)
-    dst_m = dst_m if isinstance(dst_m, ClassicalObject) else object_to_classical(dst_m)
+    src_m = _as_classical(src_m)
+    dst_m = _as_classical(dst_m)
     oracle = oracle or (lambda s, d: decide_catalytic(s, d, beta))
     cands = restriction.candidates(anchors=(src_m, dst_m), grid=grid)
     pairs = []
@@ -607,7 +610,7 @@ def work_value(quantifier: WorkQuantifier, restriction: RestrictionSet, p_m,
                ctx, oracle=None, grid: int = 32) -> dict:
     """Certified lower bound on the work extractable from the fuel object."""
     beta = as_beta(ctx)
-    p_m = p_m if isinstance(p_m, ClassicalObject) else object_to_classical(p_m)
+    p_m = _as_classical(p_m)
     omega = classical_gibbs(p_m.energies, beta)
     res = work_of_transition(quantifier, restriction, p_m, omega, beta,
                              oracle=oracle, grid=grid)
@@ -623,7 +626,7 @@ def work_cost(quantifier: WorkQuantifier, restriction: RestrictionSet, p_m,
     +inf when nothing in the grid certifies.
     """
     beta = as_beta(ctx)
-    p_m = p_m if isinstance(p_m, ClassicalObject) else object_to_classical(p_m)
+    p_m = _as_classical(p_m)
     omega = classical_gibbs(p_m.energies, beta)
     res = work_of_transition(quantifier, restriction, omega, p_m, beta,
                              oracle=oracle, grid=grid)
@@ -675,25 +678,7 @@ class WdetUndefinedError(ValueError):
 def wdet_value(obj) -> float:
     """f = gap for states nearer the excited state, 0 nearer the ground state
     (1-norm, strict radii); undefined exactly in between."""
-    if isinstance(obj, ClassicalObject):
-        if obj.dim != 2:
-            raise ValueError("wbit states are qubits")
-        order = np.argsort(obj.energies)
-        gap = float(obj.energies[order[1]] - obj.energies[order[0]])
-        p_ground = float(obj.probs[order[0]])
-        dist_excited = 2.0 * p_ground
-        dist_ground = 2.0 * (1.0 - p_ground)
-    elif isinstance(obj, ThermoObject):
-        if obj.dim != 2:
-            raise ValueError("wbit states are qubits")
-        evals, evecs = np.linalg.eigh(obj.hamiltonian.matrix)
-        gap = float(evals[1] - evals[0])
-        ground = np.outer(evecs[:, 0], evecs[:, 0].conj())
-        excited = np.outer(evecs[:, 1], evecs[:, 1].conj())
-        dist_ground = trace_norm(obj.state - ground)
-        dist_excited = trace_norm(obj.state - excited)
-    else:
-        raise TypeError(f"unsupported object type {type(obj).__name__}")
+    gap, dist_ground, dist_excited = _eigenstate_distances(obj)
     if dist_excited < 1.0:
         return gap
     if dist_ground < 1.0:

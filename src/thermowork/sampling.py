@@ -63,11 +63,6 @@ def random_channel(rng: np.random.Generator, d: int, env: int = 2):
     return channel
 
 
-def random_stochastic(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
-    """Column-stochastic matrix with Dirichlet columns."""
-    return rng.dirichlet(np.ones(d_out), size=d_in).T
-
-
 def random_gibbs_stochastic(rng: np.random.Generator, energies, beta: float,
                             n_mixes: int = 3) -> np.ndarray:
     """Random column-stochastic matrix fixing the Gibbs vector of ``energies``.

@@ -21,16 +21,19 @@ from .core import (
     HamiltonianClass,
     NonInteractingObject,
     ThermoObject,
+    _ptrace_matrix,
+    check_unitary,
     classical_gibbs,
     classical_is_gibbs,
+    classical_to_json,
     classical_to_object,
     gibbs_state,
+    local_sum,
 )
 from .divergences import BetaContext, as_beta, delta_F_alpha
 from .feasibility import (
     FeasibilityVerdict,
     _json_safe,
-    decide_catalytic,
     thermo_curve,
     thermo_majorizes,
 )
@@ -211,8 +214,7 @@ def run_irreversibility(beta: float, p_m: ClassicalObject, delta: float = 1.0,
         raise ValueError("fuel object must be full rank")
     report = ScenarioReport("irreversibility", {
         "beta": beta, "delta": delta,
-        "p_m": {"probs": [float(x) for x in p_m.probs],
-                "energies": [float(x) for x in p_m.energies]},
+        "p_m": classical_to_json(p_m),
     })
     ctx = BetaContext(beta)
     restriction = EpsilonDet(0.0, delta)
@@ -401,12 +403,9 @@ def run_lifted_weight(levels: int, spacing: float, protocol, beta: float,
 
     for k, step in enumerate(protocol):
         d_b = 1 if step.bath_hamiltonian is None else step.bath_hamiltonian.dim
-        u = np.asarray(step.unitary, dtype=complex)
+        u = check_unitary(step.unitary, f"step {k} ({step.label})")
         if u.shape[0] != levels * d_b:
             raise ValueError(f"step {k}: unitary dimension {u.shape[0]} != {levels * d_b}")
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if dev > 1e-9:
-            raise ValueError(f"step {k}: not unitary ({dev:.3e})")
         comm = u @ np.kron(t_op, np.eye(d_b)) - np.kron(t_op, np.eye(d_b)) @ u
         cov = float(np.max(np.abs(comm)))
         if cov > COVARIANCE_TOL:
@@ -422,11 +421,9 @@ def run_lifted_weight(levels: int, spacing: float, protocol, beta: float,
             omega_b = gibbs_state(step.bath_hamiltonian, beta).state
             joint_before = np.kron(state, omega_b)
             joint_after = u @ joint_before @ u.conj().T
-            h_tot = (np.kron(np.diag(energies), np.eye(d_b))
-                     + np.kron(np.eye(levels), step.bath_hamiltonian.matrix))
+            h_tot = local_sum([np.diag(energies), step.bath_hamiltonian.matrix])
             balance = float(np.real(np.trace((joint_after - joint_before) @ h_tot)))
-            new_state = np.trace(joint_after.reshape(levels, d_b, levels, d_b),
-                                 axis1=1, axis2=3)
+            new_state = _ptrace_matrix(joint_after, (levels, d_b), [0])
         new_state = 0.5 * (new_state + new_state.conj().T)
         new_state /= np.real(np.trace(new_state))
         w_mean = mean(new_state) - e_before
@@ -463,10 +460,7 @@ class TwoPointProcess:
     ladder: ClassicalObject
 
     def __post_init__(self):
-        u = np.asarray(self.process_unitary, dtype=complex)
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if dev > 1e-9:
-            raise ValueError(f"process unitary deviates from unitarity by {dev:.3e}")
+        check_unitary(self.process_unitary, "TwoPointProcess.process_unitary")
         diffs = np.diff(self.ladder.energies)
         if np.any(diffs <= 0):
             raise ValueError("ladder energies must be strictly increasing")
@@ -549,8 +543,7 @@ def run_cyclic_free_sequence(objects, beta: float) -> ScenarioReport:
         cycle = cycle + [cycle[0]]
     report = ScenarioReport("cyclic_free_sequence", {
         "beta": beta,
-        "cycle": [{"probs": [float(x) for x in c.probs],
-                   "energies": [float(x) for x in c.energies]} for c in cycle],
+        "cycle": [classical_to_json(c) for c in cycle],
     })
     seq, verdicts = swap_cycle_sequence(cycle, beta)
     all_free = all(v.is_feasible for v in verdicts)

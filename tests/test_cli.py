@@ -204,3 +204,28 @@ class TestVersion:
     def test_version_prints(self, capsys):
         assert main(["version"]) == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestMalformedInput:
+    def test_feasible_src_json_list_is_usage_error(self, outdir, capsys):
+        src = outdir / "list.json"
+        src.write_text("[1, 2]")
+        dst = _write_object(outdir / "dst.json", ClassicalObject([0.5, 0.5], [0.0, 1.0]))
+        code = main(["feasible", "--src", str(src), "--dst", dst, "--beta", "1"])
+        assert code == 1
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_divergence_object_json_string_is_usage_error(self, outdir, capsys):
+        path = outdir / "string.json"
+        path.write_text('"x"')
+        code = main(["divergence", "--object", str(path), "--beta", "1"])
+        assert code == 1
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_check_samples_below_one_is_usage_error(self, outdir, capsys, samples):
+        code = main(["check", "axiom1", "--samples", samples,
+                     "--output-dir", str(outdir / "chk")])
+        assert code == 1
+        assert "--samples" in capsys.readouterr().err
+        assert not (outdir / "chk").exists()

@@ -255,6 +255,19 @@ class TestLemma2:
         assert not report.passed
         assert report.violations[0]["kind"] == "additivity"
 
+    def test_generators_are_checked_like_lists(self):
+        a = ClassicalObject([0.9, 0.1], [0.0, 1.0])
+        b = ClassicalObject([0.2, 0.8], [0.0, 1.0])
+        heat = (a, ClassicalObject([0.0, 1.0], [0.0, 1.0]))  # not free: skipped
+        mono = RenyiFreeEnergy(2.0, CTX)
+        as_lists = check_lemma2(mono, CTX, [heat], [(a, b)], [a])
+        as_gens = check_lemma2(mono, CTX, (t for t in [heat]), (p for p in [(a, b)]),
+                               (o for o in [a]))
+        assert (as_lists.samples, as_lists.skipped) == (3, 1)
+        assert (as_gens.samples, as_gens.skipped) == (3, 1)
+        bad = CustomTable([(a, 0.5), (b, 0.25), (classical_tensor(a, b), 1.5)])
+        assert not check_lemma2(bad, CTX, pairs=(p for p in [(a, b)])).passed
+
 
 class TestSuperadditivity:
     def test_product_state_zero_gap(self):
