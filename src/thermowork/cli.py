@@ -252,9 +252,12 @@ def _load_object(path: str):
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise SystemExit2(f"{path} must hold a JSON object, got {type(doc).__name__}")
-    if "classical" in doc or "probs" in doc:
-        return classical_from_json(doc)
-    return object_from_json(doc)
+    try:
+        if "classical" in doc or "probs" in doc:
+            return classical_from_json(doc)
+        return object_from_json(doc)
+    except (KeyError, TypeError, ValueError) as err:
+        raise SystemExit2(f"{path} does not hold a valid object: {err}")
 
 
 def cmd_feasible(args) -> int:

@@ -32,6 +32,8 @@ def _as_square(mat, name: str) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return arr
 
 
@@ -128,14 +130,6 @@ class ThermoObject:
     def dim(self) -> int:
         return self.state.shape[0]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.dim == 1
-
-    def mean_energy(self) -> float:
-        """Tr(rho H) for the canonical representative plus its shift."""
-        return float(np.real(np.trace(self.state @ self.hamiltonian.original_matrix())))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThermoObject):
             return NotImplemented
@@ -171,6 +165,8 @@ class ClassicalObject:
         e = np.asarray(self.energies, dtype=float).copy()
         if p.ndim != 1 or e.ndim != 1 or p.shape != e.shape:
             raise ValueError(f"probs {p.shape} and energies {e.shape} must be equal-length vectors")
+        if not (np.isfinite(p).all() and np.isfinite(e).all()):
+            raise ValueError("probs and energies must be finite")
         if np.min(p) < -PROB_CLAMP:
             raise ValueError(f"negative probability {np.min(p):.3e} below clamp {PROB_CLAMP:.1e}")
         p = np.clip(p, 0.0, None)
@@ -307,9 +303,6 @@ class NonInteractingObject:
     @property
     def dim(self) -> int:
         return self.obj.dim
-
-    def marginal(self, keep) -> ThermoObject:
-        return partial_trace(self, keep)
 
 
 def non_interacting(p: ThermoObject, q: ThermoObject) -> NonInteractingObject:

@@ -158,25 +158,14 @@ def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     g = c.gibbs_weights(beta)
     ratios = c.probs / g
     order = np.argsort(-ratios, kind="stable")
-    gx = g[order]
-    py = c.probs[order]
     rs = ratios[order]
-    points = [(0.0, 0.0)]
-    acc_x, acc_y = 0.0, 0.0
-    i = 0
-    n = len(rs)
-    while i < n:
-        j = i
-        while j + 1 < n and np.isclose(rs[j + 1], rs[i], rtol=1e-9, atol=1e-12):
-            j += 1
-        acc_x += float(np.sum(gx[i:j + 1]))
-        acc_y += float(np.sum(py[i:j + 1]))
-        points.append((acc_x, acc_y))
-        i = j + 1
-    # close numerically to (1, 1)
-    last = points[-1]
-    points[-1] = (1.0, 1.0) if abs(last[0] - 1) < 1e-9 and abs(last[1] - 1) < 1e-9 else last
-    return ThermoCurve(tuple(points))
+    # Each run of ratios tied with their predecessor gives one breakpoint.
+    starts = np.flatnonzero(np.r_[True, ~np.isclose(rs[1:], rs[:-1], rtol=1e-9, atol=1e-12)])
+    xs = np.r_[0.0, np.cumsum(np.add.reduceat(g[order], starts))]
+    ys = np.r_[0.0, np.cumsum(np.add.reduceat(c.probs[order], starts))]
+    if abs(xs[-1] - 1) < 1e-9 and abs(ys[-1] - 1) < 1e-9:  # close numerically to (1, 1)
+        xs[-1] = ys[-1] = 1.0
+    return ThermoCurve(tuple(zip(xs.tolist(), ys.tolist())))
 
 
 def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
@@ -212,27 +201,13 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
 
 def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
     ds, dd = src.dim, dst.dim
-    n = dd * ds
-    g_src = src.gibbs_weights(beta)
-    g_dst = dst.gibbs_weights(beta)
-    rows = []
-    rhs = []
-    for j in range(ds):  # column stochasticity
-        row = np.zeros(n)
-        row[j::ds] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for i in range(dd):  # Gibbs preservation
-        row = np.zeros(n)
-        row[i * ds:(i + 1) * ds] = g_src
-        rows.append(row)
-        rhs.append(g_dst[i])
-    for i in range(dd):  # state mapping
-        row = np.zeros(n)
-        row[i * ds:(i + 1) * ds] = src.probs
-        rows.append(row)
-        rhs.append(dst.probs[i])
-    return np.array(rows), np.array(rhs)
+    i, j = np.arange(dd), np.arange(ds)
+    a_eq = np.zeros((ds + 2 * dd, dd, ds))  # row, then G[i, j] at column i * ds + j
+    a_eq[j, :, j] = 1.0  # column stochasticity
+    a_eq[ds + i, i] = src.gibbs_weights(beta)  # Gibbs preservation
+    a_eq[ds + dd + i, i] = src.probs  # state mapping
+    b_eq = np.concatenate([np.ones(ds), dst.gibbs_weights(beta), dst.probs])
+    return a_eq.reshape(ds + 2 * dd, dd * ds), b_eq
 
 
 def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:

@@ -408,10 +408,6 @@ class CheckReport:
 # Axiom checkers
 # ---------------------------------------------------------------------------
 
-def _work_fn(quantifier):
-    return quantifier.work if isinstance(quantifier, WorkQuantifier) else quantifier
-
-
 def check_axiom1_cycle(quantifier, cycle, tol_per_step: float = CYCLE_TOL_PER_STEP) -> CheckReport:
     """Sum the work around a closed cycle of work-storage objects.
 
@@ -419,12 +415,11 @@ def check_axiom1_cycle(quantifier, cycle, tol_per_step: float = CYCLE_TOL_PER_ST
     sum beyond n * tol flags a non-difference (hence axiom-violating)
     quantifier.
     """
-    wf = _work_fn(quantifier)
     cycle = list(cycle)
     if len(cycle) < 2 or not (cycle[0] == cycle[-1]):
         raise ValueError("cycle must close (last object equal to first)")
     steps = list(zip(cycle[:-1], cycle[1:]))
-    works = [wf(a, b) for a, b in steps]
+    works = [quantifier(a, b) for a, b in steps]
     total = float(np.sum(works))
     tol = len(steps) * tol_per_step
     report = CheckReport(
@@ -532,7 +527,6 @@ def check_free_nonpositivity(quantifier, restriction: RestrictionSet, oracle,
     oracle certifies Feasible, asserts W <= tol and collects violations with
     their witnesses.
     """
-    wf = _work_fn(quantifier)
     name = quantifier.name if hasattr(quantifier, "name") else getattr(
         quantifier, "__name__", "work")
     report = CheckReport(
@@ -549,7 +543,7 @@ def check_free_nonpositivity(quantifier, restriction: RestrictionSet, oracle,
         if not verdict.is_feasible:
             report.skipped += 1
             continue
-        w = wf(src, dst)
+        w = quantifier(src, dst)
         if w > tol:
             report.violations.append({
                 "kind": "positive_work_on_free_transition",

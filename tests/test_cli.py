@@ -222,6 +222,24 @@ class TestMalformedInput:
         assert code == 1
         assert "JSON object" in capsys.readouterr().err
 
+    def test_feasible_non_finite_probability_is_usage_error(self, outdir, capsys):
+        src = outdir / "nan.json"
+        src.write_text('{"probs": [NaN, 1.0], "energies": [0.0, 1.0]}')
+        dst = _write_object(outdir / "dst.json", ClassicalObject([0.5, 0.5], [0.0, 1.0]))
+        code = main(["feasible", "--src", str(src), "--dst", dst, "--beta", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "finite" in captured.err
+        assert "Feasible" not in captured.out
+
+    def test_feasible_wrong_typed_field_names_the_file(self, outdir, capsys):
+        src = outdir / "typed.json"
+        src.write_text('{"probs": {"a": 1}, "energies": [0.0]}')
+        dst = _write_object(outdir / "dst.json", ClassicalObject([0.5, 0.5], [0.0, 1.0]))
+        code = main(["feasible", "--src", str(src), "--dst", dst, "--beta", "1"])
+        assert code == 1
+        assert str(src) in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_check_samples_below_one_is_usage_error(self, outdir, capsys, samples):
         code = main(["check", "axiom1", "--samples", samples,

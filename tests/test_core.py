@@ -9,6 +9,7 @@ from thermowork.core import (
     HamiltonianClass,
     NonInteractingObject,
     ThermoObject,
+    check_unitary,
     classical_from_json,
     classical_gibbs,
     classical_tensor,
@@ -222,6 +223,24 @@ class TestClassical:
         joint = classical_tensor(a, b)
         assert np.allclose(joint.probs, np.kron(a.probs, b.probs))
         assert np.allclose(joint.energies, [0.0, 2.0, 1.0, 3.0])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_classical_object_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalObject([bad, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalObject([0.5, 0.5], [0.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_matrices_reject_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            HamiltonianClass(np.diag([0.0, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            ThermoObject(np.diag([bad, 1.0]), HamiltonianClass(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="non-finite"):
+            check_unitary(np.diag([1.0, bad]), "u")
 
 
 class TestIsGibbs:

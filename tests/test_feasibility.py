@@ -45,6 +45,45 @@ JP_SRC = ClassicalObject([0.5, 0.25, 0.25, 0.0], np.zeros(4))
 JP_DST = ClassicalObject([0.4, 0.4, 0.1, 0.1], np.zeros(4))
 
 
+def _loop_curve(c, beta):
+    """Breakpoints grouped element by element: the reference for thermo_curve."""
+    g = c.gibbs_weights(beta)
+    ratios = c.probs / g
+    order = np.argsort(-ratios, kind="stable")
+    points, acc_x, acc_y, i = [(0.0, 0.0)], 0.0, 0.0, 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and np.isclose(ratios[order[j + 1]], ratios[order[i]],
+                                                rtol=1e-9, atol=1e-12):
+            j += 1
+        acc_x += float(np.sum(g[order[i:j + 1]]))
+        acc_y += float(np.sum(c.probs[order[i:j + 1]]))
+        points.append((acc_x, acc_y))
+        i = j + 1
+    if abs(acc_x - 1) < 1e-9 and abs(acc_y - 1) < 1e-9:
+        points[-1] = (1.0, 1.0)
+    return points
+
+
+def _loop_constraints(src, dst, beta):
+    """LP constraint rows built one at a time: the reference for _stack_constraints."""
+    ds, dd = src.dim, dst.dim
+    rows, rhs = [], []
+    for j in range(ds):
+        row = np.zeros(dd * ds)
+        row[j::ds] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for vec, target in ((src.gibbs_weights(beta), dst.gibbs_weights(beta)),
+                        (src.probs, dst.probs)):
+        for i in range(dd):
+            row = np.zeros(dd * ds)
+            row[i * ds:(i + 1) * ds] = vec
+            rows.append(row)
+            rhs.append(target[i])
+    return np.array(rows), np.array(rhs)
+
+
 class TestVerdictInvariants:
     def test_decisive_requires_witness(self):
         with pytest.raises(ValueError):
@@ -88,6 +127,35 @@ class TestThermoCurve:
             curve = thermo_curve(c, 1.0)
             assert curve.breakpoints[0] == (0.0, 0.0)
             assert curve.breakpoints[-1] == (1.0, 1.0)
+
+    def test_matches_element_by_element_grouping(self):
+        rng = rng_from_seed(11)
+        objects = [random_classical_object(rng, int(rng.integers(1, 9)), energy_scale=3.0)
+                   for _ in range(200)]
+        objects += [ClassicalObject(np.r_[0.0, np.full(d, 1.0 / d)], np.r_[0.0, np.ones(d)])
+                    for d in range(1, 40)]
+        objects += [classical_tensor(random_classical_object(rng, 3),
+                                     ClassicalObject(np.full(k, 1.0 / k), np.zeros(k)))
+                    for k in range(2, 10)]
+        for c in objects:
+            want = np.array(_loop_curve(c, 1.0))
+            got = np.array(thermo_curve(c, 1.0).breakpoints)
+            assert got.shape == want.shape
+            # a run of 8 or more tied terms may be summed in another order
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_uniform_trivial_catalyst_keeps_breakpoints(self, k):
+        rng = rng_from_seed(k)
+        u = ClassicalObject(np.full(k, 1.0 / k), np.zeros(k))
+        for _ in range(50):
+            c = random_classical_object(rng, int(rng.integers(2, 6)), energy_scale=2.0)
+            beta = float(rng.uniform(0.3, 3.0))
+            want = np.array(thermo_curve(c, beta).breakpoints)
+            for joint in (classical_tensor(c, u), classical_tensor(u, c)):
+                got = np.array(thermo_curve(joint, beta).breakpoints)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_csv_rows(self):
         curve = thermo_curve(ClassicalObject([1.0, 0.0], [0.0, 1.0]), 1.0)
@@ -188,6 +256,14 @@ class TestGibbsStochasticLP:
             a_eq, b_eq = _constraints_for(omega, target, 1.0)
             assert float(np.max(a_eq.T @ y)) <= 1e-7
             assert float(b_eq @ y) > 0
+
+    def test_constraints_match_row_by_row_build(self):
+        rng = rng_from_seed(12)
+        for _ in range(50):
+            src = random_classical_object(rng, int(rng.integers(1, 7)))
+            dst = random_classical_object(rng, int(rng.integers(1, 7)))
+            for got, want in zip(_constraints_for(src, dst, 0.7), _loop_constraints(src, dst, 0.7)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_agreement_with_curve_oracle(self):
         rng = rng_from_seed(7)

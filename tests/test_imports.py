@@ -1,17 +1,20 @@
-"""Every top-level import in a library module is used by that module.
+"""Every top-level import in a library module is used by that module, and
+every private module-level function or class is used somewhere in the package.
 
 No linter ships with the test dependencies, so this walks the syntax tree
-with the standard library instead.  ``__init__.py`` is exempt: its imports
-are the package's public re-exports.
+with the standard library instead.  ``__init__.py`` is exempt from the import
+check: its imports are the package's public re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thermowork"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_imports(source: str) -> list:
@@ -36,3 +39,45 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _references(node) -> Counter:
+    """Names used under ``node``: variables, attributes and imported names."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            refs[n.name] += 1
+    return refs
+
+
+def _orphaned_private_definitions(sources: dict) -> list:
+    """``module:name`` of each private top-level function or class that no
+    code outside its own definition refers to."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, DEFINITIONS) and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and total[node.name] <= _references(node)[node.name]):
+                orphans.append(f"{module}:{node.name}")
+    return sorted(orphans)
+
+
+def test_detects_an_orphaned_private_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _orphan():\n    return _orphan()\n\n"
+             "class _Shape:\n    pass\n",
+        "b": "from a import _used\n\nclass Box(a._Shape):\n    pass\n",
+    }
+    assert _orphaned_private_definitions(sources) == ["a:_orphan"]
+
+
+def test_no_orphaned_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _orphaned_private_definitions(sources) == []
