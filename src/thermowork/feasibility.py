@@ -158,9 +158,18 @@ def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     g = c.gibbs_weights(beta)
     ratios = c.probs / g
     order = np.argsort(-ratios, kind="stable")
-    rs = ratios[order]
-    # Each run of ratios tied with their predecessor gives one breakpoint.
-    starts = np.flatnonzero(np.r_[True, ~np.isclose(rs[1:], rs[:-1], rtol=1e-9, atol=1e-12)])
+    rs, n = ratios[order], len(ratios)
+    # One breakpoint per run of ratios tied (np.isclose, rtol 1e-9, atol 1e-12) with
+    # the run's first; ties of rs[i] follow it, so binary lifting finds all run ends.
+    tol = np.where(np.isfinite(rs), 1e-12 + 1e-9 * np.abs(rs), 0.0)
+    end = np.arange(1, n + 1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for step in 2 ** np.arange((n - 1).bit_length())[::-1]:
+            x = rs[np.minimum(end + step - 1, n - 1)]  # x <= rs, so |x - rs| = rs - x
+            end = np.where((end + step <= n) & ((rs - x <= tol) | (x == rs)), end + step, end)
+    ends, starts = end.tolist(), [0]
+    while ends[starts[-1]] < n:  # one step per breakpoint
+        starts.append(ends[starts[-1]])
     xs = np.r_[0.0, np.cumsum(np.add.reduceat(g[order], starts))]
     ys = np.r_[0.0, np.cumsum(np.add.reduceat(c.probs[order], starts))]
     if abs(xs[-1] - 1) < 1e-9 and abs(ys[-1] - 1) < 1e-9:  # close numerically to (1, 1)

@@ -137,6 +137,9 @@ class TestThermoCurve:
         objects += [classical_tensor(random_classical_object(rng, 3),
                                      ClassicalObject(np.full(k, 1.0 / k), np.zeros(k)))
                     for k in range(2, 10)]
+        # neighbours within the tolerance, ends 1000 times beyond it: runs of two
+        objects.append(ClassicalObject((1 + 0.9e-9 * (np.arange(1024) - 511.5)) / 1024,
+                                       np.zeros(1024)))
         for c in objects:
             want = np.array(_loop_curve(c, 1.0))
             got = np.array(thermo_curve(c, 1.0).breakpoints)

@@ -5,7 +5,8 @@
 ``decide_catalytic(max_cat_dim=3, grid_steps=16)``.  The corpus covers
 random pairs at d = 1..6, degenerate levels and tied ratios, fig1-style
 spiked Hamiltonians, products with a trivial-Hamiltonian uniform catalyst in
-both orders, the Jonathan-Plenio pair and one pair at d = 1024.  Statuses,
+both orders, the Jonathan-Plenio pair, one pair at d = 1024 in both directions
+and, at d = 1024, a chain of near-tied ratios whose ends are not tied.  Statuses,
 witness kinds, ``checked_points`` and catalyst probabilities must match
 exactly; every other number within 1e-9.
 
@@ -98,6 +99,10 @@ def corpus() -> list:
     mixed = ClassicalObject(0.7 * big.probs + 0.3 * big.gibbs_weights(1.0), big.energies)
     cases.append(("d1024-thermalize", big, mixed, 1.0))
     cases.append(("d1024-reverse", mixed, big, 1.0))
+    # neighbouring ratios tied, the chain's ends far apart: the Gibbs state
+    # cannot reach it
+    chain = ClassicalObject((1 + 0.9e-9 * (np.arange(1024) - 511.5)) / 1024, np.zeros(1024))
+    cases.append(("d1024-near-tie-chain", _uniform(1024), chain, 1.0))
     return cases
 
 
