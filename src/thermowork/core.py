@@ -165,6 +165,8 @@ class ClassicalObject:
         e = np.asarray(self.energies, dtype=float).copy()
         if p.ndim != 1 or e.ndim != 1 or p.shape != e.shape:
             raise ValueError(f"probs {p.shape} and energies {e.shape} must be equal-length vectors")
+        if p.size == 0:
+            raise ValueError("a classical object needs at least one level")
         if not (np.isfinite(p).all() and np.isfinite(e).all()):
             raise ValueError("probs and energies must be finite")
         if np.min(p) < -PROB_CLAMP:

@@ -13,6 +13,7 @@ reachability problem is out of scope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -125,11 +126,16 @@ class ThermoCurve:
 
     breakpoints: tuple
 
+    def __post_init__(self):
+        points = np.array(self.breakpoints, dtype=float).reshape(-1, 2)
+        points.flags.writeable = False
+        object.__setattr__(self, "_points", points)
+
     def xs(self) -> np.ndarray:
-        return np.array([b[0] for b in self.breakpoints])
+        return self._points[:, 0]
 
     def ys(self) -> np.ndarray:
-        return np.array([b[1] for b in self.breakpoints])
+        return self._points[:, 1]
 
     def value(self, x) -> np.ndarray:
         return np.interp(x, self.xs(), self.ys())
@@ -156,22 +162,23 @@ def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     beta = as_beta(ctx)
     c = _as_classical(c)
     g = c.gibbs_weights(beta)
-    ratios = c.probs / g
-    order = np.argsort(-ratios, kind="stable")
-    rs, n = ratios[order], len(ratios)
-    # One breakpoint per run of ratios tied (np.isclose, rtol 1e-9, atol 1e-12) with
-    # the run's first; ties of rs[i] follow it, so binary lifting finds all run ends.
-    tol = np.where(np.isfinite(rs), 1e-12 + 1e-9 * np.abs(rs), 0.0)
-    end = np.arange(1, n + 1)
-    with np.errstate(invalid="ignore"):  # inf - inf
+    # Underflowed Gibbs weights: p/0 = inf, and 0/0 = nan sorts last; inf - inf below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = c.probs / g
+        order = np.argsort(-ratios, kind="stable")
+        rs, n = ratios[order], len(ratios)
+        # One breakpoint per run of ratios tied (np.isclose, rtol 1e-9, atol 1e-12) with
+        # the run's first; ties of rs[i] follow it, so binary lifting finds all run ends.
+        tol = np.where(np.isfinite(rs), 1e-12 + 1e-9 * np.abs(rs), 0.0)
+        end = np.arange(1, n + 1)
         for step in 2 ** np.arange((n - 1).bit_length())[::-1]:
             x = rs[np.minimum(end + step - 1, n - 1)]  # x <= rs, so |x - rs| = rs - x
             end = np.where((end + step <= n) & ((rs - x <= tol) | (x == rs)), end + step, end)
     ends, starts = end.tolist(), [0]
     while ends[starts[-1]] < n:  # one step per breakpoint
         starts.append(ends[starts[-1]])
-    xs = np.r_[0.0, np.cumsum(np.add.reduceat(g[order], starts))]
-    ys = np.r_[0.0, np.cumsum(np.add.reduceat(c.probs[order], starts))]
+    xs = np.concatenate(([0.0], np.cumsum(np.add.reduceat(g[order], starts))))
+    ys = np.concatenate(([0.0], np.cumsum(np.add.reduceat(c.probs[order], starts))))
     if abs(xs[-1] - 1) < 1e-9 and abs(ys[-1] - 1) < 1e-9:  # close numerically to (1, 1)
         xs[-1] = ys[-1] = 1.0
     return ThermoCurve(tuple(zip(xs.tolist(), ys.tolist())))
@@ -185,8 +192,10 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
     first crossing point.
     """
     beta = as_beta(ctx)
-    src_c = thermo_curve(_as_classical(src), beta)
-    dst_c = thermo_curve(_as_classical(dst), beta)
+    return _curve_dominance(thermo_curve(src, beta), thermo_curve(dst, beta))
+
+
+def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdict:
     xs = np.unique(np.concatenate([src_c.xs(), dst_c.xs()]))
     sv = src_c.value(xs)
     dv = dst_c.value(xs)
@@ -206,6 +215,32 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
         "min_margin": float(np.min(sv - dv)),
         "checked_points": int(len(xs)),
     })
+
+
+class _Prepared:
+    """An object with what the deciders ask of it, each computed once: its
+    curve, its free energy at each order asked for, and its curve in tensor
+    with each catalyst."""
+
+    def __init__(self, obj, beta: float):
+        self.obj, self.beta = obj, beta
+        self._curve, self._free, self._joint = None, {}, {}
+
+    @property
+    def curve(self) -> ThermoCurve:
+        if self._curve is None:
+            self._curve = thermo_curve(self.obj, self.beta)
+        return self._curve
+
+    def delta_F(self, alpha: float) -> float:
+        if alpha not in self._free:
+            self._free[alpha] = delta_F_alpha(self.obj, self.beta, alpha)
+        return self._free[alpha]
+
+    def with_catalyst(self, comp: tuple, cat: ClassicalObject) -> ThermoCurve:
+        if comp not in self._joint:
+            self._joint[comp] = thermo_curve(classical_tensor(self.obj, cat), self.beta)
+        return self._joint[comp]
 
 
 def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
@@ -337,9 +372,12 @@ def catalytic_necessary(src, dst, ctx, alpha_grid=None) -> FeasibilityVerdict:
         _as_classical(dst)
     except (ValueError, TypeError):
         grid = tuple(a for a in grid if a >= 0.5)
+    return _monotone_increase(_Prepared(src, beta), _Prepared(dst, beta), grid)
+
+
+def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdict:
     for alpha in grid:
-        f_src = delta_F_alpha(src, beta, alpha)
-        f_dst = delta_F_alpha(dst, beta, alpha)
+        f_src, f_dst = src.delta_F(alpha), dst.delta_F(alpha)
         if f_dst > f_src + MONOTONE_TOL:
             return infeasible({
                 "kind": "monotone_increase",
@@ -363,6 +401,21 @@ def _descending_compositions(total: int, parts: int):
                 yield (first,) + rest
 
 
+@functools.cache
+def _catalysts(cat_dim: int, grid_steps: int) -> tuple:
+    """(composition, catalyst) pairs of the catalyst search, in search order."""
+    return tuple((comp, ClassicalObject(np.array(comp, dtype=float) / grid_steps,
+                                        np.zeros(cat_dim)))
+                 for comp in _descending_compositions(grid_steps, cat_dim))
+
+
+def _check_cost_guards(max_cat_dim: int, grid_steps: int) -> None:
+    if max_cat_dim > MAX_CAT_DIM:
+        raise ValueError(f"max_cat_dim {max_cat_dim} exceeds cost guard {MAX_CAT_DIM}")
+    if grid_steps > MAX_GRID_STEPS:
+        raise ValueError(f"grid_steps {grid_steps} exceeds cost guard {MAX_GRID_STEPS}")
+
+
 def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
                          grid_steps: int = 32) -> FeasibilityVerdict:
     """Grid search for a catalyst making dst (x) c thermomajorized by src (x) c.
@@ -374,13 +427,14 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
     it never claims Infeasible.
     """
     beta = as_beta(ctx)
-    if max_cat_dim > MAX_CAT_DIM:
-        raise ValueError(f"max_cat_dim {max_cat_dim} exceeds cost guard {MAX_CAT_DIM}")
-    if grid_steps > MAX_GRID_STEPS:
-        raise ValueError(f"grid_steps {grid_steps} exceeds cost guard {MAX_GRID_STEPS}")
-    src = _as_classical(src)
-    dst = _as_classical(dst)
-    direct = thermo_majorizes(src, dst, beta)
+    _check_cost_guards(max_cat_dim, grid_steps)
+    return _bruteforce(_Prepared(_as_classical(src), beta), _Prepared(_as_classical(dst), beta),
+                       max_cat_dim, grid_steps)
+
+
+def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
+                grid_steps: int) -> FeasibilityVerdict:
+    direct = _curve_dominance(src.curve, dst.curve)
     if direct.is_feasible:
         return feasible({
             "kind": "catalyst",
@@ -390,16 +444,13 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
             "direct": direct.witness,
         })
     for cat_dim in range(2, max_cat_dim + 1):
-        for comp in _descending_compositions(grid_steps, cat_dim):
-            probs = np.array(comp, dtype=float) / grid_steps
-            cat = ClassicalObject(probs, np.zeros(cat_dim))
-            verdict = thermo_majorizes(classical_tensor(src, cat),
-                                       classical_tensor(dst, cat), beta)
+        for comp, cat in _catalysts(cat_dim, grid_steps):
+            verdict = _curve_dominance(src.with_catalyst(comp, cat), dst.with_catalyst(comp, cat))
             if verdict.is_feasible:
                 return feasible({
                     "kind": "catalyst",
-                    "catalyst_probs": probs,
-                    "catalyst_energies": np.zeros(cat_dim),
+                    "catalyst_probs": cat.probs,
+                    "catalyst_energies": cat.energies,
                     "joint_margin": verdict.witness["min_margin"],
                 })
     return UNDETERMINED
@@ -460,17 +511,22 @@ def decide_catalytic(src, dst, ctx, max_cat_dim: int = 2, grid_steps: int = 32,
         dst_c = _as_classical(dst)
     except (ValueError, TypeError):
         return catalytic_necessary(src, dst, beta, alpha_grid)
-    direct = thermo_majorizes(src_c, dst_c, beta)
+    return _decide(_Prepared(src_c, beta), _Prepared(dst_c, beta), max_cat_dim, grid_steps,
+                   alpha_grid)
+
+
+def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = 2, grid_steps: int = 32,
+            alpha_grid=None) -> FeasibilityVerdict:
+    """decide_catalytic on prepared classical objects."""
+    direct = _curve_dominance(src.curve, dst.curve)
     if direct.is_feasible:
         return direct
-    necessary = catalytic_necessary(src_c, dst_c, beta, alpha_grid)
+    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
+    necessary = _monotone_increase(src, dst, grid)
     if necessary.is_infeasible:
         return necessary
-    brute = catalytic_bruteforce(src_c, dst_c, beta, max_cat_dim=max_cat_dim,
-                                 grid_steps=grid_steps)
-    if brute.is_feasible:
-        return brute
-    return UNDETERMINED
+    _check_cost_guards(max_cat_dim, grid_steps)
+    return _bruteforce(src, dst, max_cat_dim, grid_steps)
 
 
 def decide_free(src, dst, ctx) -> FeasibilityVerdict:

@@ -30,11 +30,13 @@ from .core import (
     partial_trace,
     trace_norm,
 )
-from .divergences import BetaContext, INF, as_beta, delta_F_alpha
+from .divergences import BetaContext, INF, _check_alpha, as_beta, delta_F_alpha
 from .feasibility import (
     MONOTONE_TOL,
     FeasibilityVerdict,
+    _Prepared,
     _as_classical,
+    _decide,
     _json_safe,
     decide_catalytic,
     thermo_majorizes,
@@ -72,6 +74,9 @@ class RenyiFreeEnergy(Monotone):
 
     alpha: float
     ctx: BetaContext
+
+    def __post_init__(self):
+        _check_alpha(self.alpha)
 
     @property
     def name(self) -> str:
@@ -574,23 +579,30 @@ def work_of_transition(quantifier: WorkQuantifier, restriction: RestrictionSet,
     beta = as_beta(ctx)
     src_m = _as_classical(src_m)
     dst_m = _as_classical(dst_m)
-    oracle = oracle or (lambda s, d: decide_catalytic(s, d, beta))
     cands = restriction.candidates(anchors=(src_m, dst_m), grid=grid)
-    pairs = []
-    for a in cands:
-        for b in cands:
-            try:
-                w = quantifier.work(a, b)
-            except (ValueError, KeyError):
-                continue
-            if math.isfinite(w):
-                pairs.append((w, a, b))
-    pairs.sort(key=lambda t: -t[0])
-    if search_budget is not None:
-        pairs = pairs[:search_budget]
+    m = np.empty(len(cands))
+    for k, c in enumerate(cands):
+        try:
+            m[k] = quantifier.monotone(c)
+        except (ValueError, KeyError):
+            m[k] = np.nan
+    with np.errstate(invalid="ignore"):  # inf - inf: work undefined
+        works = (m[None, :] - m[:, None]).ravel()  # row: storage before, column: after
+    order = np.flatnonzero(np.isfinite(works))
+    order = order[np.argsort(-works[order], kind="stable")][:search_budget]
+    before, after = {}, {}  # candidate index -> src_m or dst_m (x) candidate, prepared
     tested = []
-    for w, a, b in pairs:
-        verdict = oracle(classical_tensor(src_m, a), classical_tensor(dst_m, b))
+    for k in order.tolist():
+        i, j = divmod(k, len(cands))
+        w, a, b = float(works[k]), cands[i], cands[j]
+        if oracle is None:
+            if i not in before:
+                before[i] = _Prepared(classical_tensor(src_m, a), beta)
+            if j not in after:
+                after[j] = _Prepared(classical_tensor(dst_m, b), beta)
+            verdict = _decide(before[i], after[j])
+        else:
+            verdict = oracle(classical_tensor(src_m, a), classical_tensor(dst_m, b))
         tested.append({"work": w, "status": verdict.status.value})
         if verdict.is_feasible:
             record = TransitionRecord(a, b, w, verdict)

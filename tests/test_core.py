@@ -217,6 +217,10 @@ class TestClassical:
         c = ClassicalObject([1.0, -1e-13, 1e-13], [0.0, 1.0, 2.0])
         assert c.probs[1] == 0.0
 
+    def test_rejects_empty_object(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            ClassicalObject([], [])
+
     def test_classical_tensor_layout_matches_kron(self):
         a = ClassicalObject([0.3, 0.7], [0.0, 1.0])
         b = ClassicalObject([0.9, 0.1], [0.0, 2.0])

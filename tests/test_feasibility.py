@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ class TestThermoCurve:
                 got = np.array(thermo_curve(joint, beta).breakpoints)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_xs_ys_are_breakpoint_columns(self):
+        curve = thermo_curve(ClassicalObject([0.5, 0.3, 0.2], [0.0, 1.0, 0.5]), 1.0)
+        assert curve.xs().tolist() == [x for x, _ in curve.breakpoints]
+        assert curve.ys().tolist() == [y for _, y in curve.breakpoints]
+
+    def test_underflowed_gibbs_weight_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = thermo_curve(ClassicalObject([0.5, 0.5, 0.0], [0.0, 800.0, 900.0]), 1.0)
+        # the 0/0 level sorts last
+        assert curve.breakpoints == ((0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (1.0, 1.0))
 
     def test_csv_rows(self):
         curve = thermo_curve(ClassicalObject([1.0, 0.0], [0.0, 1.0]), 1.0)

@@ -14,7 +14,7 @@ from thermowork.core import (
     classical_to_object,
 )
 from thermowork.divergences import BetaContext, INF, delta_F_alpha
-from thermowork.feasibility import decide_catalytic, decide_free, thermo_majorizes
+from thermowork.feasibility import UNDETERMINED, decide_catalytic, decide_free, thermo_majorizes
 from thermowork.quantifiers import (
     AssistedSequence,
     CustomTable,
@@ -82,6 +82,11 @@ class TestMonotones:
             CustomTable([(EMPTY_CLASSICAL, 0.7)])
         table = CustomTable([(classical_gibbs([0.0, 1.0], 1.0), 0.3)])
         assert table(EMPTY_CLASSICAL) == 0.0
+
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0])
+    def test_renyi_refuses_invalid_order(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            RenyiFreeEnergy(alpha, CTX)
 
     def test_custom_table_raises_on_unknown(self):
         table = CustomTable([])
@@ -320,6 +325,37 @@ class TestWorkOfTransition:
         assert res["lower_bound"] > 0
         assert res["lower_bound"] <= delta_F_alpha(fuel, 1.0, 1.0) + 1e-9
         assert res["certificate"].feasibility.is_feasible
+
+
+    @staticmethod
+    def outcome(res, key):
+        cert = res["certificate"]
+        return res[key], res["tested"], None if cert is None else cert.to_json()
+
+    @pytest.mark.parametrize("restriction", [Unrestricted(), EpsilonDet(0.1, 1.0),
+                                             WbitSet(0.1, 1.0), MeanLadder(4, 0.5)],
+                             ids=["Unrestricted", "EpsilonDet", "WbitSet", "MeanLadder"])
+    def test_prepared_objects_match_a_per_pair_oracle(self, restriction):
+        fuel = ClassicalObject([0.3, 0.7], [0.0, 1.0])  # some pairs reach the catalyst search
+        for alpha in (0.5, 1.0, 2.0, INF):
+            quantifier = WorkQuantifier(RenyiFreeEnergy(alpha, CTX))
+            for fn, key in ((work_value, "value"), (work_cost, "cost")):
+                want = fn(quantifier, restriction, fuel, 1.0,
+                          oracle=lambda s, d: decide_catalytic(s, d, 1.0), grid=8)
+                got = fn(quantifier, restriction, fuel, 1.0, grid=8)
+                assert self.outcome(got, key) == self.outcome(want, key)
+
+    def test_candidates_outside_a_custom_table_are_skipped(self):
+        q1, q2, q3 = (ClassicalObject([p, 1.0 - p], [0.0, 1.0]) for p in (0.9, 0.6, 0.3))
+        quantifier = WorkQuantifier(CustomTable([(q1, 0.4), (q2, 0.1)]))  # KeyError on q3
+        fuel = ClassicalObject([0.8, 0.2], [0.0, 1.0])
+        omega = classical_gibbs(fuel.energies, 1.0)
+        args = (quantifier, FiniteList((q1, q2, q3)), fuel, omega, 1.0)
+        # every pair of the empty object, q1 and q2, and none with q3
+        assert len(work_of_transition(*args, oracle=lambda s, d: UNDETERMINED)["tested"]) == 9
+        want = work_of_transition(*args, oracle=lambda s, d: decide_catalytic(s, d, 1.0))
+        assert self.outcome(work_of_transition(*args), "lower_bound") == self.outcome(
+            want, "lower_bound")
 
 
 class TestWorkValueAndCost:
