@@ -219,12 +219,16 @@ def gibbs_weights(energies, beta: float) -> np.ndarray:
     return w / np.sum(w)
 
 
+def check_tensor_dim(d: int) -> None:
+    """Refuse a tensor product of more than MAX_TENSOR_DIM levels."""
+    if d > MAX_TENSOR_DIM:
+        raise ValueError(f"tensor product dimension {d} exceeds cap {MAX_TENSOR_DIM}")
+
+
 def tensor(p: ThermoObject, q: ThermoObject) -> ThermoObject:
     """Tensor product of objects: states by Kronecker product, Hamiltonians
     as H (x) 1 + 1 (x) H'."""
-    d = p.dim * q.dim
-    if d > MAX_TENSOR_DIM:
-        raise ValueError(f"tensor product dimension {d} exceeds cap {MAX_TENSOR_DIM}")
+    check_tensor_dim(p.dim * q.dim)
     state = np.kron(p.state, q.state)
     ham = local_sum([p.hamiltonian.matrix, q.hamiltonian.matrix])
     return ThermoObject(state, HamiltonianClass(ham))
@@ -232,8 +236,7 @@ def tensor(p: ThermoObject, q: ThermoObject) -> ThermoObject:
 
 def classical_tensor(a: ClassicalObject, b: ClassicalObject) -> ClassicalObject:
     """Tensor product of classical objects (outer probabilities, summed energies)."""
-    if a.dim * b.dim > MAX_TENSOR_DIM:
-        raise ValueError(f"tensor product dimension {a.dim * b.dim} exceeds cap {MAX_TENSOR_DIM}")
+    check_tensor_dim(a.dim * b.dim)
     probs = np.outer(a.probs, b.probs).ravel()
     energies = (a.energies[:, None] + b.energies[None, :]).ravel()
     return ClassicalObject(probs, energies)

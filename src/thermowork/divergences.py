@@ -117,6 +117,45 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
     return math.log(total) / (alpha - 1.0)
 
 
+def classical_renyi_divergences(p, q, alphas) -> list:
+    """classical_renyi_divergence at each order of ``alphas``, bit for bit.
+
+    The orders other than 0, 0.5, 1, 2 and inf share one (orders, levels)
+    power sum; each sum gets its own math.log, and a sum that overflows to inf
+    or NaN gives inf or NaN, as in the scalar formula, without a RuntimeWarning.
+    The other orders go through classical_renyi_divergence: 0, 1 and inf have
+    their own formulas, and numpy computes x ** 0.5, x ** 2 and x ** -1 with
+    sqrt, square and reciprocal rather than pow.
+    """
+    orders = np.array(alphas, dtype=float).reshape(-1)
+    if not np.all(orders >= 0):
+        _check_alpha(orders[~(orders >= 0)][0])  # raises
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
+    sup_p = p > EIG_ZERO
+    sup_q = q > EIG_ZERO
+    leak = bool(np.any(sup_p & ~sup_q))
+    both = sup_p & sup_q
+    listed = orders.tolist()
+    generic = [a not in (0.0, 0.5, 1.0, 2.0) and a != INF for a in listed]
+    a = orders[generic][:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = iter(np.sum(p[both] ** a * q[both] ** (1.0 - a), axis=1).tolist())
+    values = []
+    for alpha, batched in zip(listed, generic):
+        if not batched:
+            values.append(classical_renyi_divergence(p, q, alpha))
+            continue
+        total = next(totals)
+        if (alpha > 1.0 and leak) or total <= 0.0:
+            values.append(INF)
+        else:
+            values.append(math.log(total) / (alpha - 1.0))
+    return values
+
+
 def _support_leak(rho: np.ndarray, s_vecs: np.ndarray, kernel: np.ndarray) -> float:
     if not np.any(kernel):
         return 0.0

@@ -28,14 +28,23 @@ from .core import (
     ThermoObject,
     _ptrace_matrix,
     check_unitary,
+    check_tensor_dim,
     classical_tensor,
     gibbs_state,
+    gibbs_weights,
     local_sum,
     object_to_classical,
     partial_trace,
     tensor,
 )
-from .divergences import INF, as_beta, delta_F_alpha
+from .divergences import (
+    INF,
+    _check_alpha,
+    as_beta,
+    classical_renyi_divergence,
+    classical_renyi_divergences,
+    delta_F_alpha,
+)
 
 MAJORIZE_TOL = 1e-10
 LP_FEAS_TOL = 1e-9
@@ -43,6 +52,11 @@ MONOTONE_TOL = 1e-9
 COMMUTATION_TOL = 1e-9
 MAX_CAT_DIM = 4
 MAX_GRID_STEPS = 64
+#: The catalyst search confirms a catalyst with _curve_dominance unless its
+#: screened deficit exceeds MAJORIZE_TOL by more than this (see _screen).
+_SCREEN_SLACK = 1e-8
+#: Joint levels per object screened at once, which bounds the screen's arrays.
+_SCREEN_LEVELS = 1 << 16
 
 #: Default alpha grid for monotone certificates: log-spaced plus the two
 #: dedicated limit points.
@@ -159,12 +173,15 @@ def _as_classical(obj) -> ClassicalObject:
 
 def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     """Thermomajorization curve of a classical object at inverse temperature beta."""
-    beta = as_beta(ctx)
     c = _as_classical(c)
-    g = c.gibbs_weights(beta)
+    return _curve(c.probs, c.gibbs_weights(as_beta(ctx)))
+
+
+def _curve(probs: np.ndarray, g: np.ndarray) -> ThermoCurve:
+    """thermo_curve of the levels with probabilities ``probs`` and Gibbs weights ``g``."""
     # Underflowed Gibbs weights: p/0 = inf, and 0/0 = nan sorts last; inf - inf below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = c.probs / g
+        ratios = probs / g
         order = np.argsort(-ratios, kind="stable")
         rs, n = ratios[order], len(ratios)
         # One breakpoint per run of ratios tied (np.isclose, rtol 1e-9, atol 1e-12) with
@@ -178,7 +195,7 @@ def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     while ends[starts[-1]] < n:  # one step per breakpoint
         starts.append(ends[starts[-1]])
     xs = np.concatenate(([0.0], np.cumsum(np.add.reduceat(g[order], starts))))
-    ys = np.concatenate(([0.0], np.cumsum(np.add.reduceat(c.probs[order], starts))))
+    ys = np.concatenate(([0.0], np.cumsum(np.add.reduceat(probs[order], starts))))
     if abs(xs[-1] - 1) < 1e-9 and abs(ys[-1] - 1) < 1e-9:  # close numerically to (1, 1)
         xs[-1] = ys[-1] = 1.0
     return ThermoCurve(tuple(zip(xs.tolist(), ys.tolist())))
@@ -219,23 +236,45 @@ def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdi
 
 class _Prepared:
     """An object with what the deciders ask of it, each computed once: its
-    curve, its free energy at each order asked for, and its curve in tensor
-    with each catalyst."""
+    Gibbs weights alone and beside a catalyst of each dimension, its curve,
+    its free energy at each order asked for, and its curve in tensor with
+    each catalyst."""
 
     def __init__(self, obj, beta: float):
         self.obj, self.beta = obj, beta
-        self._curve, self._free, self._joint = None, {}, {}
+        self._gibbs, self._curve, self._free, self._joint = {}, None, {}, {}
+
+    def gibbs(self, cat_dim: int = 1) -> np.ndarray:
+        """Gibbs weights of a classical object in tensor with a catalyst of
+        ``cat_dim`` levels at zero energy, level i * cat_dim + k."""
+        if cat_dim not in self._gibbs:
+            energies = self.obj.energies
+            self._gibbs[cat_dim] = gibbs_weights(
+                energies if cat_dim == 1 else np.repeat(energies, cat_dim), self.beta)
+        return self._gibbs[cat_dim]
 
     @property
     def curve(self) -> ThermoCurve:
         if self._curve is None:
-            self._curve = thermo_curve(self.obj, self.beta)
+            self._curve = _curve(self.obj.probs, self.gibbs())
         return self._curve
 
     def delta_F(self, alpha: float) -> float:
         if alpha not in self._free:
-            self._free[alpha] = delta_F_alpha(self.obj, self.beta, alpha)
+            if isinstance(self.obj, ClassicalObject):
+                value = classical_renyi_divergence(self.obj.probs, self.gibbs(), alpha)
+                self._free[alpha] = value / self.beta
+            else:
+                self._free[alpha] = delta_F_alpha(self.obj, self.beta, alpha)
         return self._free[alpha]
+
+    def fill_free(self, grid) -> None:
+        """Compute delta_F at the orders of ``grid`` not yet known, those of a
+        classical object in one batch."""
+        missing = [alpha for alpha in grid if alpha not in self._free]
+        if missing and isinstance(self.obj, ClassicalObject):
+            values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
+            self._free.update((alpha, v / self.beta) for alpha, v in zip(missing, values))
 
     def with_catalyst(self, comp: tuple, cat: ClassicalObject) -> ThermoCurve:
         if comp not in self._joint:
@@ -363,10 +402,11 @@ def catalytic_necessary(src, dst, ctx, alpha_grid=None) -> FeasibilityVerdict:
     Classical inputs may use the whole grid (classical Renyi divergences obey
     data processing for every alpha >= 0).  For non-commuting inputs the
     sandwiched divergence obeys data processing only from alpha = 1/2 up, so
-    smaller grid points are dropped to keep the certificate sound.
+    smaller grid points are dropped to keep the certificate sound.  A NaN or
+    negative order anywhere in the grid raises ValueError.
     """
     beta = as_beta(ctx)
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
+    grid = _order_grid(alpha_grid)
     try:
         _as_classical(src)
         _as_classical(dst)
@@ -375,8 +415,21 @@ def catalytic_necessary(src, dst, ctx, alpha_grid=None) -> FeasibilityVerdict:
     return _monotone_increase(_Prepared(src, beta), _Prepared(dst, beta), grid)
 
 
-def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdict:
+def _order_grid(alpha_grid) -> tuple:
+    """The order grid, every order checked before any is evaluated."""
+    if alpha_grid is None:
+        return DEFAULT_ALPHA_GRID
+    grid = tuple(alpha_grid)
     for alpha in grid:
+        _check_alpha(alpha)
+    return grid
+
+
+def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdict:
+    for i, alpha in enumerate(grid):
+        if i == 1:  # the first order alone, where most refutations come; the rest at once
+            src.fill_free(grid)
+            dst.fill_free(grid)
         f_src, f_dst = src.delta_F(alpha), dst.delta_F(alpha)
         if f_dst > f_src + MONOTONE_TOL:
             return infeasible({
@@ -409,6 +462,14 @@ def _catalysts(cat_dim: int, grid_steps: int) -> tuple:
                  for comp in _descending_compositions(grid_steps, cat_dim))
 
 
+@functools.cache
+def _catalyst_probs(cat_dim: int, grid_steps: int) -> np.ndarray:
+    """The probabilities of _catalysts(cat_dim, grid_steps), one row per catalyst."""
+    probs = np.array([cat.probs for _, cat in _catalysts(cat_dim, grid_steps)])
+    probs.flags.writeable = False
+    return probs
+
+
 def _check_cost_guards(max_cat_dim: int, grid_steps: int) -> None:
     if max_cat_dim > MAX_CAT_DIM:
         raise ValueError(f"max_cat_dim {max_cat_dim} exceeds cost guard {MAX_CAT_DIM}")
@@ -424,7 +485,8 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
     probabilities live on a simplex grid with the given denominator.  Finds
     Feasible with the first working catalyst in enumeration order, or
     Undetermined once the grid is exhausted; the grid is not exhaustive, so
-    it never claims Infeasible.
+    it never claims Infeasible.  All catalysts of one dimension are screened
+    as one array first, and only those the screen keeps get the exact check.
     """
     beta = as_beta(ctx)
     _check_cost_guards(max_cat_dim, grid_steps)
@@ -444,7 +506,11 @@ def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
             "direct": direct.witness,
         })
     for cat_dim in range(2, max_cat_dim + 1):
-        for comp, cat in _catalysts(cat_dim, grid_steps):
+        check_tensor_dim(src.obj.dim * cat_dim)
+        check_tensor_dim(dst.obj.dim * cat_dim)
+        catalysts = _catalysts(cat_dim, grid_steps)
+        for index in _screen(src, dst, cat_dim, grid_steps):
+            comp, cat = catalysts[index]
             verdict = _curve_dominance(src.with_catalyst(comp, cat), dst.with_catalyst(comp, cat))
             if verdict.is_feasible:
                 return feasible({
@@ -454,6 +520,63 @@ def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
                     "joint_margin": verdict.witness["min_margin"],
                 })
     return UNDETERMINED
+
+
+def _screen(src: _Prepared, dst: _Prepared, cat_dim: int, grid_steps: int):
+    """Indices of the catalysts of _catalysts(cat_dim, grid_steps) that
+    _curve_dominance may accept, in enumeration order, screened a chunk at a time.
+
+    Each joint curve is built as an array with every level its own breakpoint,
+    and the source curve is read at the target's breakpoints.  Between two
+    breakpoints of either exact (tie-merged) curve both exact curves are linear,
+    so an accepted catalyst has deficit at most MAJORIZE_TOL everywhere.  A
+    screened curve sorts its levels by the same ratios (equal ratios in any
+    order, which leaves the curve as it is), so it differs from the exact one
+    only inside a run of merged ties, where it lies above the run's chord by at
+    most the run's ratio spread (1e-12 + 1e-9 r) times its Gibbs mass, about
+    1e-9, plus rounding of order levels * 1e-16.  _SCREEN_SLACK covers both.
+    """
+    cats = _catalyst_probs(cat_dim, grid_steps)
+    rows = max(1, _SCREEN_LEVELS // (cat_dim * max(src.obj.dim, dst.obj.dim)))
+    for start in range(0, len(cats), rows):
+        chunk = cats[start:start + rows]
+        xs, ys = _joint_curves(src.obj.probs, src.gibbs(cat_dim), chunk)
+        xd, yd = _joint_curves(dst.obj.probs, dst.gibbs(cat_dim), chunk)
+        deficit = np.max(yd - _interp_rows(xd, xs, ys), axis=1)
+        yield from (start + np.flatnonzero(~(deficit > MAJORIZE_TOL + _SCREEN_SLACK))).tolist()
+
+
+def _joint_curves(probs: np.ndarray, g: np.ndarray, cats: np.ndarray):
+    """Curves of probs (x) c for each row c of ``cats`` (zero catalyst energies,
+    joint Gibbs weights ``g``), every level its own breakpoint: arrays xs, ys of
+    shape (rows, levels + 1), snapped to (1, 1) as thermo_curve does."""
+    n = len(cats)
+    joint = (probs[None, :, None] * cats[:, None, :]).reshape(n, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in _curve
+        order = np.argsort(-(joint / g), axis=1)  # equal ratios in any order: same curve
+    xs, ys = np.zeros((n, joint.shape[1] + 1)), np.zeros((n, joint.shape[1] + 1))
+    np.cumsum(g[order], axis=1, out=xs[:, 1:])
+    np.cumsum(joint[np.arange(n)[:, None], order], axis=1, out=ys[:, 1:])
+    end = (np.abs(xs[:, -1] - 1) < 1e-9) & (np.abs(ys[:, -1] - 1) < 1e-9)
+    xs[end, -1] = ys[end, -1] = 1.0
+    return xs, ys
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x[r], xp[r], fp[r]) for every row r of nondecreasing rows with
+    xp[r, 0] <= x[r, 0]."""
+    n, k = xp.shape
+    rows = np.arange(n)[:, None]
+    merged = np.argsort(np.concatenate([xp, x], axis=1), axis=1, kind="stable")
+    pos = np.empty_like(merged)
+    pos[rows, merged] = np.arange(merged.shape[1])
+    # before the t-th query come the t earlier queries and the points of xp <= it
+    count = pos[:, k:] - np.arange(x.shape[1])
+    j = np.minimum(count, k - 1) - 1  # xp[j] <= x < xp[j + 1] where count < k
+    x0, x1, y0, y1 = xp[rows, j], xp[rows, j + 1], fp[rows, j], fp[rows, j + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x1 == x0 only where count == k
+        inside = y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
+    return np.where(count < k, inside, fp[:, -1:])
 
 
 def revalidate_catalyst(verdict: FeasibilityVerdict, src, dst, ctx) -> bool:
@@ -503,25 +626,26 @@ def decide_catalytic(src, dst, ctx, max_cat_dim: int = 2, grid_steps: int = 32,
     catalytic with a trivial catalyst), then monotone certificates (sound
     for Infeasible), then brute-force catalyst search (sound for Feasible).
     First decisive verdict wins; exhausted searches yield Undetermined.
-    Non-diagonal quantum inputs only pass through the monotone stage.
+    Non-diagonal quantum inputs only pass through the monotone stage.  A NaN
+    or negative order anywhere in ``alpha_grid`` raises ValueError.
     """
     beta = as_beta(ctx)
+    grid = _order_grid(alpha_grid)
     try:
         src_c = _as_classical(src)
         dst_c = _as_classical(dst)
     except (ValueError, TypeError):
-        return catalytic_necessary(src, dst, beta, alpha_grid)
+        return catalytic_necessary(src, dst, beta, grid)
     return _decide(_Prepared(src_c, beta), _Prepared(dst_c, beta), max_cat_dim, grid_steps,
-                   alpha_grid)
+                   grid)
 
 
 def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = 2, grid_steps: int = 32,
-            alpha_grid=None) -> FeasibilityVerdict:
-    """decide_catalytic on prepared classical objects."""
+            grid: tuple = DEFAULT_ALPHA_GRID) -> FeasibilityVerdict:
+    """decide_catalytic on prepared classical objects and a checked order grid."""
     direct = _curve_dominance(src.curve, dst.curve)
     if direct.is_feasible:
         return direct
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
     necessary = _monotone_increase(src, dst, grid)
     if necessary.is_infeasible:
         return necessary

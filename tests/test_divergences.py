@@ -16,6 +16,7 @@ from thermowork.divergences import (
     BetaContext,
     INF,
     classical_renyi_divergence,
+    classical_renyi_divergences,
     delta_F_1_via_energy,
     delta_F_alpha,
     mutual_information,
@@ -135,6 +136,28 @@ class TestRenyiDivergence:
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             renyi_divergence(np.eye(2) / 2, np.eye(2) / 2, -0.5)
+
+
+class TestBatchedClassicalRenyi:
+    ORDERS = [0.0, 0.01, 0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 100.0, INF, 0.3]
+
+    def test_matches_scalar_formula_bit_for_bit(self):
+        rng = rng_from_seed(17)
+        cases = [(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))) for d in range(1, 7)]
+        cases += [
+            (np.array([0.5, 0.5]), np.array([1.0, 0.0])),  # support outside the reference
+            (np.array([1.0, 0.0]), np.array([0.0, 1.0])),  # disjoint supports
+            (np.full(4, 0.25), np.array([0.5, 0.5 - 1e-6, 1e-6, 0.0])),  # overflow at 100
+        ]
+        for p, q in cases:
+            with np.errstate(all="ignore"):
+                want = [repr(classical_renyi_divergence(p, q, a)) for a in self.ORDERS]
+            assert [repr(v) for v in classical_renyi_divergences(p, q, self.ORDERS)] == want
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5])
+    def test_rejects_invalid_order(self, bad):
+        with pytest.raises(ValueError, match="alpha"):
+            classical_renyi_divergences([0.5, 0.5], [0.5, 0.5], [1.0, bad])
 
 
 class TestDeltaF:

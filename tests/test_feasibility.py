@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,8 +19,11 @@ from thermowork.core import (
     tensor,
 )
 from thermowork.divergences import delta_F_alpha
+from thermowork import feasibility
 from thermowork.feasibility import (
     DEFAULT_ALPHA_GRID,
+    MAX_CAT_DIM,
+    MAX_GRID_STEPS,
     FeasibilityVerdict,
     Status,
     ThermalOperationSpec,
@@ -35,12 +40,14 @@ from thermowork.feasibility import (
     thermo_curve,
     thermo_majorizes,
 )
+from thermowork.feasibility import _catalysts, _interp_rows, _Prepared, _screen
 from thermowork.sampling import (
     random_classical_object,
     random_energy_conserving_unitary,
     random_gibbs_stochastic,
     rng_from_seed,
 )
+from test_golden_verdicts import corpus as golden_corpus
 
 JP_SRC = ClassicalObject([0.5, 0.25, 0.25, 0.0], np.zeros(4))
 JP_DST = ClassicalObject([0.4, 0.4, 0.1, 0.1], np.zeros(4))
@@ -511,3 +518,254 @@ class TestAssistedComposition:
                 classical_tensor(classical_tensor(p, q), c),
                 classical_tensor(classical_tensor(c, p), q), beta)
             assert composite.is_feasible
+
+
+def _loop_accepts(src, dst, beta, cat_dim, grid_steps):
+    """Indices of the catalysts of one dimension that the per-catalyst check
+    accepts: the reference for the screen."""
+    return [i for i, (_, cat) in enumerate(_catalysts(cat_dim, grid_steps))
+            if thermo_majorizes(classical_tensor(src, cat), classical_tensor(dst, cat),
+                                beta).is_feasible]
+
+
+def _loop_decide(src, dst, beta, max_cat_dim, grid_steps):
+    """decide_catalytic with one scalar order and one catalyst at a time: the
+    reference for the batched orders and the screened catalyst search."""
+    direct = thermo_majorizes(src, dst, beta)
+    if direct.is_feasible:
+        return direct
+    for alpha in DEFAULT_ALPHA_GRID:
+        necessary = catalytic_necessary(src, dst, beta, alpha_grid=[alpha])
+        if necessary.is_infeasible:
+            return necessary
+    for cat_dim in range(2, max_cat_dim + 1):
+        for _, cat in _catalysts(cat_dim, grid_steps):
+            joint = thermo_majorizes(classical_tensor(src, cat), classical_tensor(dst, cat), beta)
+            if joint.is_feasible:
+                return FeasibilityVerdict(Status.FEASIBLE, {
+                    "kind": "catalyst",
+                    "catalyst_probs": cat.probs,
+                    "catalyst_energies": cat.energies,
+                    "joint_margin": joint.witness["min_margin"],
+                })
+    return UNDETERMINED
+
+
+#: (max_cat_dim, grid_steps) of the screen comparisons, cycled over the corpus.
+SCREEN_SETTINGS = ((2, 8), (3, 16), (4, 8), (2, 64), (3, 32), (4, 16))
+
+
+def _setting(n: int, src) -> tuple:
+    return (2, 8) if src.dim > 64 else SCREEN_SETTINGS[n % len(SCREEN_SETTINGS)]
+
+
+def _screen_corpus() -> list:
+    """(name, src, dst, beta): the golden pairs, random energies, near-tie
+    chains and Gibbs weights that underflow to 0."""
+    cases = list(golden_corpus())
+    rng = rng_from_seed(31)
+    for i in range(30):
+        d = int(rng.integers(2, 6))
+        cases.append((f"random-{i}", random_classical_object(rng, d, energy_scale=3.0),
+                       random_classical_object(rng, d, energy_scale=3.0), 1.0))
+    for d in (2, 8, 64):
+        for gap in (0.3e-9, 0.9e-9, 2e-9):  # neighbouring ratios within and past the tie tolerance
+            energies = rng.uniform(0.0, 2.0, size=d) if d > 2 else np.zeros(d)
+            gibbs = classical_gibbs(energies, 1.0)
+            probs = gibbs.probs * (1 + gap * (np.arange(d) - (d - 1) / 2))
+            chain = ClassicalObject(probs / probs.sum(), energies)
+            cases.append((f"chain-d{d}-{gap}", gibbs, chain, 1.0))
+            cases.append((f"chain-d{d}-{gap}-reverse", chain, gibbs, 1.0))
+    hard = 0
+    while hard < 12:  # trivial Hamiltonian, not majorized, no monotone refutes: catalyst search
+        d = int(rng.integers(3, 5))
+        src = ClassicalObject(rng.dirichlet(np.ones(d)), np.zeros(d))
+        dst = ClassicalObject(rng.dirichlet(np.ones(d)), np.zeros(d))
+        if (not thermo_majorizes(src, dst, 1.0).is_feasible
+                and catalytic_necessary(src, dst, 1.0).is_undetermined):
+            cases.append((f"hard-{hard}", src, dst, 1.0))
+            hard += 1
+    # one run of two ties, 5e-10 above its chord: accepted, with an untied deficit of 2.5e-10
+    tied = ClassicalObject([0.5 * (1 + 5e-10), 0.5 * (1 - 5e-10)], np.zeros(2))
+    cases.append(("tied-pair", classical_gibbs(np.zeros(2), 1.0), tied, 1.0))
+    tied_jp = ClassicalObject([0.4 * (1 + 5e-10), 0.4 * (1 - 5e-10), 0.1, 0.1], np.zeros(4))
+    cases.append(("jonathan-plenio-near-tie", JP_SRC, tied_jp, 1.0))
+    for i in range(8):
+        d = int(rng.integers(2, 5))
+        energies = np.concatenate([rng.uniform(0.0, 1.0, size=d), [rng.uniform(745.0, 820.0)]])
+        src_p, dst_p = rng.dirichlet(np.ones(d + 1)), rng.dirichlet(np.ones(d + 1))
+        if i % 2:
+            src_p[-1] = dst_p[-1] = 0.0
+        cases.append((f"underflow-{i}", ClassicalObject(src_p / src_p.sum(), energies),
+                      ClassicalObject(dst_p / dst_p.sum(), energies), 1.0))
+    return cases
+
+
+class TestOrderGrid:
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_invalid_order_anywhere_in_grid_is_refused(self, bad):
+        omega = classical_gibbs([0.0, 1.0], 1.0)
+        target = ClassicalObject([0.9, 0.1], [0.0, 1.0])
+        # the first order decides, so an early exit never reaches the second
+        assert catalytic_necessary(omega, target, 1.0, alpha_grid=[0.5]).is_infeasible
+        with pytest.raises(ValueError, match="alpha"):
+            catalytic_necessary(omega, target, 1.0, alpha_grid=[0.5, bad])
+        with pytest.raises(ValueError, match="alpha"):
+            decide_catalytic(omega, target, 1.0, alpha_grid=[0.5, bad])
+        with pytest.raises(ValueError, match="alpha"):
+            decide_catalytic(target, omega, 1.0, alpha_grid=[bad])  # decided directly
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_quantum_inputs_refuse_invalid_orders(self, bad):
+        # the grid is cut to alpha >= 1/2 for non-commuting inputs; a bad order
+        # must not vanish in the cut
+        ham = HamiltonianClass(np.diag([0.0, 1.0]))
+        src = ThermoObject(np.full((2, 2), 0.5), ham)
+        dst = ThermoObject(np.diag([0.0, 1.0]).astype(complex), ham)
+        with pytest.raises(ValueError, match="alpha"):
+            catalytic_necessary(src, dst, 1.0, alpha_grid=[2.0, bad])
+        with pytest.raises(ValueError, match="alpha"):
+            decide_catalytic(src, dst, 1.0, alpha_grid=[2.0, bad])
+
+
+class TestPreparedFreeEnergies:
+    ORDERS = DEFAULT_ALPHA_GRID + (0.0, 0.5, 2.0, 3.0)
+
+    def _objects(self):
+        rng = rng_from_seed(41)
+        objs = [random_classical_object(rng, d, energy_scale=scale)
+                for d in (1, 2, 3, 4, 7, 16, 64, 255, 1024) for scale in (0.5, 5.0)]
+        energies = np.array([0.0, 0.5, 800.0])
+        objs += [ClassicalObject([0.5, 0.5, 0.0], energies),
+                 ClassicalObject([0.5, 0.3, 0.2], energies)]
+        return objs
+
+    def test_batch_matches_delta_F_alpha_bit_for_bit(self):
+        for obj in self._objects():
+            prep = _Prepared(obj, 1.0)
+            prep.fill_free(self.ORDERS)
+            assert set(prep._free) == set(self.ORDERS)  # every order from the batch
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = [repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
+            assert [repr(prep.delta_F(alpha)) for alpha in self.ORDERS] == want
+
+    def test_overflowed_power_sum_stays_nan(self):
+        obj = random_classical_object(rng_from_seed(42), 1024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert math.isnan(delta_F_alpha(obj, 1.0, 100.0))
+        prep = _Prepared(obj, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prep.fill_free(DEFAULT_ALPHA_GRID)
+        assert DEFAULT_ALPHA_GRID[39] == 100.0
+        assert math.isnan(prep.delta_F(100.0))
+
+    def test_quantum_objects_keep_the_scalar_path(self):
+        ham = HamiltonianClass(np.diag([0.0, 1.0]))
+        obj = ThermoObject(np.full((2, 2), 0.5), ham)
+        prep = _Prepared(obj, 1.0)
+        prep.fill_free(self.ORDERS)
+        assert prep._free == {}
+        assert prep.delta_F(3.0) == delta_F_alpha(obj, 1.0, 3.0)
+
+
+class TestCatalystScreen:
+    def test_screen_keeps_every_catalyst_the_loop_accepts(self):
+        accepted = screened = total = 0
+        for n, (name, src, dst, beta) in enumerate(_screen_corpus()):
+            cat_dim, steps = _setting(n, src)
+            want = _loop_accepts(src, dst, beta, cat_dim, steps)
+            got = list(_screen(_Prepared(src, beta), _Prepared(dst, beta), cat_dim, steps))
+            assert set(want) <= set(got), name
+            assert got == sorted(set(got)), name
+            accepted, screened = accepted + len(want), screened + len(got)
+            total += len(_catalysts(cat_dim, steps))
+        assert 0 < accepted <= screened < total
+
+    def test_decide_matches_the_per_catalyst_loop(self):
+        for n, (name, src, dst, beta) in enumerate(_screen_corpus()):
+            cat_dim, steps = _setting(n, src)
+            got = decide_catalytic(src, dst, beta, max_cat_dim=cat_dim, grid_steps=steps)
+            want = _loop_decide(src, dst, beta, cat_dim, steps)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json()), name
+
+    def test_slack_covers_merged_ties(self):
+        # the exact check merges the two tied levels and accepts; every level
+        # on its own gives a deficit above MAJORIZE_TOL
+        tied = ClassicalObject([0.5 * (1 + 5e-10), 0.5 * (1 - 5e-10)], np.zeros(2))
+        gibbs = classical_gibbs(np.zeros(2), 1.0)
+        assert thermo_majorizes(gibbs, tied, 1.0).is_feasible
+        assert tied.probs[0] - 0.5 > feasibility.MAJORIZE_TOL
+        assert list(_screen(_Prepared(gibbs, 1.0), _Prepared(tied, 1.0), 2, 8)) == [0, 1, 2, 3]
+
+    def test_chunks_keep_enumeration_order(self, monkeypatch):
+        rng = rng_from_seed(45)
+        pairs = [(JP_SRC, JP_DST)] + [(random_classical_object(rng, 3),
+                                       random_classical_object(rng, 3)) for _ in range(10)]
+        whole = [list(_screen(_Prepared(s, 1.0), _Prepared(d, 1.0), 3, 32)) for s, d in pairs]
+        verdicts = [catalytic_bruteforce(s, d, 1.0, 3, 32).to_json() for s, d in pairs]
+        monkeypatch.setattr(feasibility, "_SCREEN_LEVELS", 1)  # one catalyst per chunk
+        assert [list(_screen(_Prepared(s, 1.0), _Prepared(d, 1.0), 3, 32))
+                for s, d in pairs] == whole
+        assert [catalytic_bruteforce(s, d, 1.0, 3, 32).to_json() for s, d in pairs] == verdicts
+        assert any(whole)
+
+    def test_memory_is_bounded_at_the_cost_guards(self):
+        big = random_classical_object(rng_from_seed(43), 1024, energy_scale=5.0)
+        mixed = ClassicalObject(0.7 * big.probs + 0.3 * big.gibbs_weights(1.0), big.energies)
+        assert len(_catalysts(MAX_CAT_DIM, MAX_GRID_STEPS)) == 1906
+        tracemalloc.start()
+        try:
+            verdict = catalytic_bruteforce(mixed, big, 1.0, max_cat_dim=MAX_CAT_DIM,
+                                           grid_steps=MAX_GRID_STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.is_undetermined
+        # one chunk holds 2**16 joint levels per object; all 1906 catalysts at
+        # once would take 1906 * 4097 * 8 bytes = 62 MB for each array
+        assert 1e6 < peak < 32e6
+
+    def test_tensor_cap_still_applies(self):
+        pad = np.zeros(2045)
+        src = ClassicalObject(np.concatenate([JP_SRC.probs, pad]), np.zeros(2049))
+        dst = ClassicalObject(np.concatenate([JP_DST.probs, pad]), np.zeros(2049))
+        with pytest.raises(ValueError, match="tensor product dimension 4098 exceeds cap 4096"):
+            catalytic_bruteforce(src, dst, 1.0)
+
+    def test_no_runtime_warning_from_the_array_paths(self):
+        jp_src, jp_dst = JP_SRC.probs, JP_DST.probs
+        underflow = np.array([0.0, 0.0, 0.0, 0.0, 800.0])  # Gibbs weight exp(-800) = 0
+        rare = np.array([0.0, 0.0, 0.0, 0.0, 9.0])  # Gibbs weight ~3e-5: q ** -99 overflows
+        pairs = [
+            (np.concatenate([jp_src, [0.0]]), np.concatenate([jp_dst, [0.0]]), underflow),
+            (np.concatenate([0.9 * jp_src, [0.1]]), np.concatenate([0.9 * jp_dst, [0.1]]),
+             underflow),
+            (np.concatenate([0.999 * jp_src, [1e-3]]), np.concatenate([0.999 * jp_dst, [1e-3]]),
+             rare),
+            (np.concatenate([(1 - 1e-5) * jp_src, [1e-5]]),
+             np.concatenate([(1 - 1e-5) * jp_dst, [1e-5]]), rare),  # 0 * inf
+        ]
+        pairs = [(ClassicalObject(s, e), ClassicalObject(d, e)) for s, d, e in pairs]
+        for src, _ in pairs[2:]:
+            with pytest.warns(RuntimeWarning):  # the scalar formula at alpha = 100 does warn
+                delta_F_alpha(src, 1.0, 100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = [decide_catalytic(s, d, 1.0, grid_steps=64) for s, d in pairs]
+        assert [v.witness["kind"] for v in verdicts] == ["catalyst"] * 4
+
+    def test_interp_rows_matches_np_interp(self):
+        rng = rng_from_seed(44)
+        for _ in range(50):
+            n, k, m = (int(v) for v in rng.integers(1, 12, size=3))
+            steps = rng.random((n, k)) * (rng.random((n, k)) < 0.7)  # some vertical segments
+            xp = np.concatenate([np.zeros((n, 1)), np.cumsum(steps, axis=1)], axis=1)
+            fp = np.concatenate([np.zeros((n, 1)), np.cumsum(rng.random((n, k)), axis=1)], axis=1)
+            hits = xp[np.arange(n)[:, None], rng.integers(0, k + 1, size=(n, 3))]
+            x = np.sort(np.concatenate([rng.random((n, m)) * (xp[:, -1:] + 0.5), hits], axis=1),
+                        axis=1)
+            want = np.array([np.interp(x[r], xp[r], fp[r]) for r in range(n)])
+            assert np.allclose(_interp_rows(x, xp, fp), want, rtol=1e-12, atol=1e-12)
