@@ -6,6 +6,11 @@ reduces to the classical formula (1/(alpha-1)) ln sum p^alpha q^(1-alpha)
 on commuting inputs.  alpha = 1 and alpha = inf use dedicated formulas
 (relative entropy and max-relative entropy) rather than numerical limits.
 alpha = 0 is exposed for diagnostics only.
+
+Every classical divergence goes through classical_renyi_divergences, with one
+support rule for every order: entries at or below EIG_ZERO count as zeros,
+both in p and in the reference q.  The quantum divergences take the kernel of
+the reference from its eigenvalues below SUPPORT_TOL.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .core import ClassicalObject, _ptrace_matrix, classical_to_object, gibbs_st
 INF = float("inf")
 # Eigenvalues below this are treated as exact zeros in entropy sums.
 EIG_ZERO = 1e-14
-# Reference eigenvalues below this define the kernel in support tests.
+# Reference eigenvalues below this define the kernel in quantum support tests.
 SUPPORT_TOL = 1e-12
 
 
@@ -80,79 +85,55 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return tr_rho_ln_rho - tr_rho_ln_sigma
 
 
-def classical_relative_entropy(p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > EIG_ZERO
-    if np.any(q[mask] < SUPPORT_TOL):
-        return INF
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
 def classical_renyi_divergence(p, q, alpha: float) -> float:
-    """Classical Renyi divergence (1/(alpha-1)) ln sum p^alpha q^(1-alpha)."""
-    alpha = _check_alpha(alpha)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    sup_p = p > EIG_ZERO
-    sup_q = q > EIG_ZERO
-    if alpha == 0.0:
-        mass = float(np.sum(q[sup_p]))
-        return INF if mass <= 0.0 else -math.log(mass)
-    if alpha == 1.0:
-        return classical_relative_entropy(p, q)
-    if math.isinf(alpha):
-        if np.any(sup_p & ~sup_q):
-            return INF
-        both = sup_p & sup_q
-        return float(np.log(np.max(p[both] / q[both]))) if np.any(both) else INF
-    if alpha > 1.0 and np.any(sup_p & ~sup_q):
-        return INF
-    both = sup_p & sup_q
-    total = float(np.sum(p[both] ** alpha * q[both] ** (1.0 - alpha)))
-    if total <= 0.0:
-        return INF
-    return math.log(total) / (alpha - 1.0)
+    """Classical Renyi divergence (1/(alpha-1)) ln sum p^alpha q^(1-alpha), the
+    one-order case of classical_renyi_divergences."""
+    return classical_renyi_divergences(p, q, (alpha,))[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classical_renyi_divergences(p, q, alphas) -> list:
-    """classical_renyi_divergence at each order of ``alphas``, bit for bit.
+    """Classical Renyi divergence of p from q at each order of ``alphas``.
 
-    The orders other than 0, 0.5, 1, 2 and inf share one (orders, levels)
-    power sum; each sum gets its own math.log, and a sum that overflows to inf
-    or NaN gives inf or NaN, as in the scalar formula, without a RuntimeWarning.
-    The other orders go through classical_renyi_divergence: 0, 1 and inf have
-    their own formulas, and numpy computes x ** 0.5, x ** 2 and x ** -1 with
-    sqrt, square and reciprocal rather than pow.
+    One support rule holds at every order: a level is in the support of p
+    where p > EIG_ZERO and in that of q where q > EIG_ZERO, and from alpha = 1
+    up a level in the support of p but not of q makes the divergence +inf.
+    alpha = 0, 1 and inf have their own formulas.  Every other order is a
+    power sum over the levels in both supports with its own math.log; a sum
+    that overflows gives inf or NaN, without a RuntimeWarning.  Two or more
+    orders other than 0.5 and 2 share one (orders, levels) power sum; 0.5, 2
+    and a lone order keep a scalar exponent, with which numpy computes
+    x ** 0.5, x ** 2 and x ** -1 by sqrt, square and reciprocal, not pow.
     """
-    orders = np.array(alphas, dtype=float).reshape(-1)
-    if not np.all(orders >= 0):
-        _check_alpha(orders[~(orders >= 0)][0])  # raises
+    listed = [_check_alpha(alpha) for alpha in alphas]
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    sup_p = p > EIG_ZERO
-    sup_q = q > EIG_ZERO
-    leak = bool(np.any(sup_p & ~sup_q))
-    both = sup_p & sup_q
-    listed = orders.tolist()
-    generic = [a not in (0.0, 0.5, 1.0, 2.0) and a != INF for a in listed]
-    a = orders[generic][:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = iter(np.sum(p[both] ** a * q[both] ** (1.0 - a), axis=1).tolist())
+    both = np.minimum(p, q) > EIG_ZERO
+    pb, qb = p[both], q[both]
+    leak = max(listed, default=0.0) >= 1.0 and np.count_nonzero(p > EIG_ZERO) > len(pb)
+    shared = [a for a in listed if a not in (0.0, 0.5, 1.0, 2.0, INF)]
+    sums = {}
+    if len(shared) > 1:
+        a = np.array(shared)[:, None]
+        sums = dict(zip(shared, (pb ** a * qb ** (1.0 - a)).sum(axis=1).tolist()))
     values = []
-    for alpha, batched in zip(listed, generic):
-        if not batched:
-            values.append(classical_renyi_divergence(p, q, alpha))
-            continue
-        total = next(totals)
-        if (alpha > 1.0 and leak) or total <= 0.0:
+    for alpha in listed:
+        if leak and alpha >= 1.0:
             values.append(INF)
+        elif alpha == 0.0:
+            mass = float(q[p > EIG_ZERO].sum())
+            values.append(INF if mass <= 0.0 else -math.log(mass))
+        elif alpha == 1.0:
+            values.append(float((pb * (np.log(pb) - np.log(qb))).sum()))
+        elif alpha == INF:
+            values.append(float(np.log((pb / qb).max())) if len(pb) else INF)
         else:
-            values.append(math.log(total) / (alpha - 1.0))
+            total = sums.get(alpha)
+            if total is None:
+                total = float((pb ** alpha * qb ** (1.0 - alpha)).sum())
+            values.append(INF if total <= 0.0 else math.log(total) / (alpha - 1.0))
     return values
 
 

@@ -41,7 +41,6 @@ from .divergences import (
     INF,
     _check_alpha,
     as_beta,
-    classical_renyi_divergence,
     classical_renyi_divergences,
     delta_F_alpha,
 )
@@ -179,8 +178,9 @@ def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
 
 def _curve(probs: np.ndarray, g: np.ndarray) -> ThermoCurve:
     """thermo_curve of the levels with probabilities ``probs`` and Gibbs weights ``g``."""
-    # Underflowed Gibbs weights: p/0 = inf, and 0/0 = nan sorts last; inf - inf below.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Gibbs weights that underflow to 0 give p/0 = inf, subnormal ones overflow p/g to inf,
+    # and 0/0 = nan sorts last; inf - inf below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = probs / g
         order = np.argsort(-ratios, kind="stable")
         rs, n = ratios[order], len(ratios)
@@ -262,8 +262,7 @@ class _Prepared:
     def delta_F(self, alpha: float) -> float:
         if alpha not in self._free:
             if isinstance(self.obj, ClassicalObject):
-                value = classical_renyi_divergence(self.obj.probs, self.gibbs(), alpha)
-                self._free[alpha] = value / self.beta
+                self.fill_free((alpha,))
             else:
                 self._free[alpha] = delta_F_alpha(self.obj, self.beta, alpha)
         return self._free[alpha]
@@ -278,7 +277,8 @@ class _Prepared:
 
     def with_catalyst(self, comp: tuple, cat: ClassicalObject) -> ThermoCurve:
         if comp not in self._joint:
-            self._joint[comp] = thermo_curve(classical_tensor(self.obj, cat), self.beta)
+            self._joint[comp] = _curve(np.outer(self.obj.probs, cat.probs).ravel(),
+                                       self.gibbs(cat.dim))
         return self._joint[comp]
 
 
@@ -490,12 +490,7 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
     """
     beta = as_beta(ctx)
     _check_cost_guards(max_cat_dim, grid_steps)
-    return _bruteforce(_Prepared(_as_classical(src), beta), _Prepared(_as_classical(dst), beta),
-                       max_cat_dim, grid_steps)
-
-
-def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
-                grid_steps: int) -> FeasibilityVerdict:
+    src, dst = _Prepared(_as_classical(src), beta), _Prepared(_as_classical(dst), beta)
     direct = _curve_dominance(src.curve, dst.curve)
     if direct.is_feasible:
         return feasible({
@@ -505,6 +500,12 @@ def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
             "note": "no catalyst needed",
             "direct": direct.witness,
         })
+    return _bruteforce(src, dst, max_cat_dim, grid_steps)
+
+
+def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
+                grid_steps: int) -> FeasibilityVerdict:
+    """The catalyst search of catalytic_bruteforce, once the direct check has failed."""
     for cat_dim in range(2, max_cat_dim + 1):
         check_tensor_dim(src.obj.dim * cat_dim)
         check_tensor_dim(dst.obj.dim * cat_dim)
@@ -552,7 +553,7 @@ def _joint_curves(probs: np.ndarray, g: np.ndarray, cats: np.ndarray):
     shape (rows, levels + 1), snapped to (1, 1) as thermo_curve does."""
     n = len(cats)
     joint = (probs[None, :, None] * cats[:, None, :]).reshape(n, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in _curve
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as in _curve
         order = np.argsort(-(joint / g), axis=1)  # equal ratios in any order: same curve
     xs, ys = np.zeros((n, joint.shape[1] + 1)), np.zeros((n, joint.shape[1] + 1))
     np.cumsum(g[order], axis=1, out=xs[:, 1:])

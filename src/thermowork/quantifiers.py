@@ -565,8 +565,7 @@ def check_free_nonpositivity(quantifier, restriction: RestrictionSet, oracle,
 # ---------------------------------------------------------------------------
 
 def work_of_transition(quantifier: WorkQuantifier, restriction: RestrictionSet,
-                       src_m, dst_m, ctx, oracle=None, grid: int = 32,
-                       search_budget: int | None = None) -> dict:
+                       src_m, dst_m, ctx, oracle=None, grid: int = 32) -> dict:
     """Certified lower bound on the optimal work storable while the fuel
     goes from src_m to dst_m.
 
@@ -589,7 +588,7 @@ def work_of_transition(quantifier: WorkQuantifier, restriction: RestrictionSet,
     with np.errstate(invalid="ignore"):  # inf - inf: work undefined
         works = (m[None, :] - m[:, None]).ravel()  # row: storage before, column: after
     order = np.flatnonzero(np.isfinite(works))
-    order = order[np.argsort(-works[order], kind="stable")][:search_budget]
+    order = order[np.argsort(-works[order], kind="stable")]
     before, after = {}, {}  # candidate index -> src_m or dst_m (x) candidate, prepared
     tested = []
     for k in order.tolist():

@@ -28,9 +28,10 @@ from .core import (
     classical_to_json,
     classical_to_object,
     gibbs_state,
+    gibbs_weights,
     local_sum,
 )
-from .divergences import BetaContext, as_beta, delta_F_alpha
+from .divergences import BetaContext, as_beta, classical_renyi_divergence, delta_F_alpha
 from .feasibility import (
     FeasibilityVerdict,
     _json_safe,
@@ -269,15 +270,15 @@ def superadditivity_violation_search(alpha: float, dims=(2, 2), grid_steps: int 
     e_a = np.zeros(da)
     e_b = np.zeros(db)
     e_joint = np.zeros(n)
+    g_ab, g_a, g_b = (gibbs_weights(e, beta) for e in (e_joint, e_a, e_b))
+
+    def delta_F(probs, g):  # delta_F_alpha of the probabilities at zero energies
+        return classical_renyi_divergence(probs, g, alpha) / beta
 
     def gap_of(joint_probs):
         joint = joint_probs.reshape(da, db)
-        p_ab = ClassicalObject(joint_probs, e_joint)
-        p_a = ClassicalObject(joint.sum(axis=1), e_a)
-        p_b = ClassicalObject(joint.sum(axis=0), e_b)
-        return (delta_F_alpha(p_ab, beta, alpha)
-                - delta_F_alpha(p_a, beta, alpha)
-                - delta_F_alpha(p_b, beta, alpha))
+        return (delta_F(joint_probs, g_ab) - delta_F(joint.sum(axis=1), g_a)
+                - delta_F(joint.sum(axis=0), g_b))
 
     def grid_points():
         def comps(total, parts):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermowork.core import (
     EMPTY,
@@ -24,6 +25,7 @@ from thermowork.divergences import (
     renyi_divergence,
     von_neumann_entropy,
 )
+from thermowork.feasibility import DEFAULT_ALPHA_GRID
 from thermowork.sampling import (
     random_channel,
     random_density_matrix,
@@ -158,6 +160,38 @@ class TestBatchedClassicalRenyi:
     def test_rejects_invalid_order(self, bad):
         with pytest.raises(ValueError, match="alpha"):
             classical_renyi_divergences([0.5, 0.5], [0.5, 0.5], [1.0, bad])
+
+    def test_relative_entropy_keeps_a_reference_weight_above_the_support_cut(self):
+        # Gibbs weights at E = (0, 30), beta = 1: the second, 9.4e-14, is in the support
+        p = np.array([0.5, 0.5])
+        q = np.array([1.0, math.exp(-30.0)]) / (1.0 + math.exp(-30.0))
+        below, at, above = classical_renyi_divergences(p, q, [0.99, 1.0, 1.01])
+        assert below < at < above
+        assert at == pytest.approx(15.0 + math.log1p(math.exp(-30.0)) - math.log(2.0), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0),
+                              st.one_of(st.floats(0.0, 1.0),
+                                        st.floats(1e-14, 1e-12, exclude_min=True))),
+                    min_size=1, max_size=6))
+    def test_batch_is_the_one_order_formula_and_nondecreasing(self, levels):
+        # reference weights in (1e-14, 1e-12] are in the support at every order
+        p, q = (np.array(column) for column in zip(*levels))
+        if not p.sum() > 0:
+            return
+        p = p / p.sum()
+        grid = sorted(DEFAULT_ALPHA_GRID + (0.0, 0.5, 2.0))
+        values = classical_renyi_divergences(p, q, grid)
+        assert [repr(v) for v in values] == [repr(classical_renyi_divergence(p, q, a))
+                                             for a in grid]
+        # No order exceeds alpha = inf.  Where that is finite, inf or NaN at a finite
+        # order is a power sum that overflowed, which test_overflowed_power_sum_stays_nan
+        # pins until the log-domain fallback lands; such orders are left out here.
+        overflowed = [math.isfinite(values[-1]) and not math.isfinite(v) for v in values]
+        assert all(a > 1.0 for a, bad in zip(grid, overflowed) if bad)
+        ordered = [v for v, bad in zip(values, overflowed) if not bad]
+        assert all(b >= a or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+                   for a, b in zip(ordered, ordered[1:]))
 
 
 class TestDeltaF:

@@ -180,6 +180,21 @@ class TestThermoCurve:
         # the 0/0 level sorts last
         assert curve.breakpoints == ((0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (1.0, 1.0))
 
+    def test_subnormal_gibbs_weight_raises_no_warning(self):
+        # exp(-720) / Z is subnormal, so p / g overflows to inf
+        energies = [0.0, 1.0, 720.0]
+        src = ClassicalObject([0.5, 0.3, 0.2], energies)
+        dst = ClassicalObject([0.6, 0.2, 0.2], energies)
+        jp_energies = [0.0, 0.0, 0.0, 0.0, 720.0]  # and the catalyst screen divides the same way
+        jp_src = ClassicalObject(np.r_[0.9 * JP_SRC.probs, 0.1], jp_energies)
+        jp_dst = ClassicalObject(np.r_[0.9 * JP_DST.probs, 0.1], jp_energies)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermo_majorizes(src, dst, 1.0).is_feasible
+            assert decide_catalytic(src, dst, 1.0).is_feasible
+            verdict = decide_catalytic(jp_src, jp_dst, 1.0, grid_steps=64)
+        assert verdict.witness["kind"] == "catalyst"
+
     def test_csv_rows(self):
         curve = thermo_curve(ClassicalObject([1.0, 0.0], [0.0, 1.0]), 1.0)
         rows = curve.to_csv_rows()
@@ -387,6 +402,17 @@ class TestCatalyticNecessary:
 
     def test_jonathan_plenio_pair_passes_monotones(self):
         assert catalytic_necessary(JP_SRC, JP_DST, 1.0).is_undetermined
+
+    def test_gibbs_weight_above_the_support_cut_gives_no_certificate(self):
+        # the second Gibbs weight, e^-30 / (1 + e^-30) = 9.4e-14, is in the support
+        # of the reference at every order, relative entropy included
+        energies = [0.0, 30.0]
+        src = ClassicalObject([1.0, 0.0], energies)
+        dst = ClassicalObject([1.0 - 5e-14, 5e-14], energies)
+        assert thermo_majorizes(src, dst, 1.0).is_feasible
+        assert gibbs_stochastic_feasible(src, dst, 1.0).is_feasible
+        assert catalytic_necessary(src, dst, 1.0).is_undetermined
+        assert math.isfinite(delta_F_alpha(dst, 1.0, 1.0))
 
     def test_default_grid_contains_limits(self):
         assert 1.0 in DEFAULT_ALPHA_GRID
@@ -750,7 +776,8 @@ class TestCatalystScreen:
         ]
         pairs = [(ClassicalObject(s, e), ClassicalObject(d, e)) for s, d, e in pairs]
         for src, _ in pairs[2:]:
-            with pytest.warns(RuntimeWarning):  # the scalar formula at alpha = 100 does warn
+            with warnings.catch_warnings():  # nor does the one-order formula at alpha = 100
+                warnings.simplefilter("error")
                 delta_F_alpha(src, 1.0, 100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
