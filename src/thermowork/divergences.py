@@ -93,48 +93,82 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def classical_renyi_divergences(p, q, alphas) -> list:
-    """Classical Renyi divergence of p from q at each order of ``alphas``.
+    """Classical Renyi divergence of p from q at each order of ``alphas``; for
+    (rows, levels) arrays p and q a list per row, each as its one-row call.
 
-    One support rule holds at every order: a level is in the support of p
-    where p > EIG_ZERO and in that of q where q > EIG_ZERO, and from alpha = 1
-    up a level in the support of p but not of q makes the divergence +inf.
-    alpha = 0, 1 and inf have their own formulas.  Every other order is a
-    power sum over the levels in both supports with its own math.log; a sum
-    that overflows gives inf or NaN, without a RuntimeWarning.  Two or more
-    orders other than 0.5 and 2 share one (orders, levels) power sum; 0.5, 2
-    and a lone order keep a scalar exponent, with which numpy computes
-    x ** 0.5, x ** 2 and x ** -1 by sqrt, square and reciprocal, not pow.
+    One support rule holds at every order: levels where p > EIG_ZERO and q >
+    EIG_ZERO count, and from alpha = 1 up a level with p > EIG_ZERO and q at
+    or below it makes the divergence +inf.  alpha = 0, 1 and inf have their
+    own formulas; every other order is a power sum with its own math.log, or
+    log-sum-exp where the sum is inf, NaN or 0.  No order warns.  Several
+    orders other than 0.5 and 2 share one power sum; otherwise each keeps a
+    scalar exponent (numpy's sqrt, square and reciprocal paths).  Rows go in
+    groups of one support size, each row's support levels moved to the front,
+    so a row adds the same terms in the same order as its one-row call.
     """
     listed = [_check_alpha(alpha) for alpha in alphas]
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    both = np.minimum(p, q) > EIG_ZERO
-    pb, qb = p[both], q[both]
-    leak = max(listed, default=0.0) >= 1.0 and np.count_nonzero(p > EIG_ZERO) > len(pb)
-    shared = [a for a in listed if a not in (0.0, 0.5, 1.0, 2.0, INF)]
-    sums = {}
-    if len(shared) > 1:
-        a = np.array(shared)[:, None]
-        sums = dict(zip(shared, (pb ** a * qb ** (1.0 - a)).sum(axis=1).tolist()))
-    values = []
-    for alpha in listed:
-        if leak and alpha >= 1.0:
-            values.append(INF)
-        elif alpha == 0.0:
-            mass = float(q[p > EIG_ZERO].sum())
-            values.append(INF if mass <= 0.0 else -math.log(mass))
-        elif alpha == 1.0:
-            values.append(float((pb * (np.log(pb) - np.log(qb))).sum()))
-        elif alpha == INF:
-            values.append(float(np.log((pb / qb).max())) if len(pb) else INF)
-        else:
-            total = sums.get(alpha)
-            if total is None:
-                total = float((pb ** alpha * qb ** (1.0 - alpha)).sum())
-            values.append(INF if total <= 0.0 else math.log(total) / (alpha - 1.0))
+    p2, q2 = (p, q) if p.ndim == 2 else (p[None], q[None])
+    counts = np.add.reduce(p2 > EIG_ZERO, 1).tolist() if listed and max(listed) >= 1 else None
+    values = [None] * len(p2)
+    for at, (pb, qb) in _compacted(np.minimum(p2, q2) > EIG_ZERO, p2, q2):
+        for r, row in zip(at, _support_values(pb, qb, listed)):
+            if counts and counts[r] > pb.shape[1]:  # p has a level outside the support of q
+                row = [INF if alpha >= 1.0 else v for alpha, v in zip(listed, row)]
+            values[r] = row
+    if 0.0 in listed:
+        for at, (qp,) in _compacted(p2 > EIG_ZERO, q2):
+            for r, mass in zip(at, np.add.reduce(qp, 1).tolist()):
+                values[r] = [(INF if mass <= 0.0 else -math.log(mass)) if alpha == 0.0 else v
+                             for alpha, v in zip(listed, values[r])]
+    return values if p.ndim == 2 else values[0]
+
+
+def _compacted(mask: np.ndarray, *arrays) -> list:
+    """(rows, arrays) for each number of levels where ``mask`` holds: the rows
+    with that many, of each array, with those levels moved to the front."""
+    if len(mask) == 1:
+        return [((0,), [a[mask][None] for a in arrays])]
+    sizes = np.add.reduce(mask, 1)
+    return [(at.tolist(), [a[at][mask[at]].reshape(len(at), size) for a in arrays])
+            for size, at in ((s, np.flatnonzero(sizes == s)) for s in set(sizes.tolist()))]
+
+
+def _support_values(pb: np.ndarray, qb: np.ndarray, listed: list) -> list:
+    """The values at the orders of ``listed`` (0 at order 0), a list for each
+    row of pb, qb: the levels in both supports."""
+    powered = [alpha for alpha in listed if alpha not in (0.0, 1.0, INF)]
+    if len(powered) > 1 and 0.5 not in powered and 2.0 not in powered:
+        a = np.array(powered)[:, None]
+        sums = np.add.reduce(pb[:, None] ** a * qb[:, None] ** (1.0 - a), 2).tolist()
+    else:
+        sums = zip(*[np.add.reduce(pb ** alpha * qb ** (1.0 - alpha), 1).tolist()
+                     for alpha in powered]) if powered else [()] * len(pb)
+    values = [[math.log(t) / (alpha - 1.0) if 0.0 < t < INF else _log_domain(pb[r], qb[r], alpha)
+               for alpha, t in zip(powered, row)] for r, row in enumerate(sums)]
+    if len(powered) < len(listed):
+        columns = {0.0: [0.0] * len(pb)}
+        if 1.0 in listed:
+            columns[1.0] = np.add.reduce(pb * (np.log(pb) - np.log(qb)), 1).tolist()
+        if INF in listed:
+            columns[INF] = (np.log(np.maximum.reduce(pb / qb, 1)).tolist() if pb.shape[1]
+                            else [INF] * len(pb))
+        for k in [k for k, alpha in enumerate(listed) if alpha in columns]:
+            for row, v in zip(values, columns[listed[k]]):
+                row.insert(k, v)  # in order of k, so each lands at its index
     return values
+
+
+def _log_domain(pb: np.ndarray, qb: np.ndarray, alpha: float) -> float:
+    """(1/(alpha-1)) ln sum pb^alpha qb^(1-alpha) by log-sum-exp; +inf on no level."""
+    if not len(pb):
+        return INF
+    t = alpha * np.log(pb) + (1.0 - alpha) * np.log(qb)
+    top = float(t.max())
+    return (top + math.log(float(np.exp(t - top).sum()))) / (alpha - 1.0)
 
 
 def _support_leak(rho: np.ndarray, s_vecs: np.ndarray, kernel: np.ndarray) -> float:

@@ -432,15 +432,19 @@ def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdi
             dst.fill_free(grid)
         f_src, f_dst = src.delta_F(alpha), dst.delta_F(alpha)
         if f_dst > f_src + MONOTONE_TOL:
-            return infeasible({
-                "kind": "monotone_increase",
-                "monotone": "delta_F_alpha",
-                "alpha": alpha,
-                "gap": float(f_dst - f_src),
-                "src_value": float(f_src),
-                "dst_value": float(f_dst),
-            })
+            return _increase(alpha, f_src, f_dst)
     return UNDETERMINED
+
+
+def _increase(alpha: float, f_src: float, f_dst: float) -> FeasibilityVerdict:
+    return infeasible({
+        "kind": "monotone_increase",
+        "monotone": "delta_F_alpha",
+        "alpha": alpha,
+        "gap": float(f_dst - f_src),
+        "src_value": float(f_src),
+        "dst_value": float(f_dst),
+    })
 
 
 def _descending_compositions(total: int, parts: int):
@@ -471,10 +475,10 @@ def _catalyst_probs(cat_dim: int, grid_steps: int) -> np.ndarray:
 
 
 def _check_cost_guards(max_cat_dim: int, grid_steps: int) -> None:
-    if max_cat_dim > MAX_CAT_DIM:
-        raise ValueError(f"max_cat_dim {max_cat_dim} exceeds cost guard {MAX_CAT_DIM}")
-    if grid_steps > MAX_GRID_STEPS:
-        raise ValueError(f"grid_steps {grid_steps} exceeds cost guard {MAX_GRID_STEPS}")
+    if not 1 <= max_cat_dim <= MAX_CAT_DIM:
+        raise ValueError(f"max_cat_dim {max_cat_dim} outside cost guard 1..{MAX_CAT_DIM}")
+    if not 1 <= grid_steps <= MAX_GRID_STEPS:
+        raise ValueError(f"grid_steps {grid_steps} outside cost guard 1..{MAX_GRID_STEPS}")
 
 
 def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
@@ -540,24 +544,23 @@ def _screen(src: _Prepared, dst: _Prepared, cat_dim: int, grid_steps: int):
     cats = _catalyst_probs(cat_dim, grid_steps)
     rows = max(1, _SCREEN_LEVELS // (cat_dim * max(src.obj.dim, dst.obj.dim)))
     for start in range(0, len(cats), rows):
-        chunk = cats[start:start + rows]
-        xs, ys = _joint_curves(src.obj.probs, src.gibbs(cat_dim), chunk)
-        xd, yd = _joint_curves(dst.obj.probs, dst.gibbs(cat_dim), chunk)
+        chunk = cats[start:start + rows, None, :]
+        (xs, ys), (xd, yd) = (_joint_curves((p.obj.probs[:, None] * chunk).reshape(len(chunk), -1),
+                                            p.gibbs(cat_dim)) for p in (src, dst))
         deficit = np.max(yd - _interp_rows(xd, xs, ys), axis=1)
         yield from (start + np.flatnonzero(~(deficit > MAJORIZE_TOL + _SCREEN_SLACK))).tolist()
 
 
-def _joint_curves(probs: np.ndarray, g: np.ndarray, cats: np.ndarray):
-    """Curves of probs (x) c for each row c of ``cats`` (zero catalyst energies,
-    joint Gibbs weights ``g``), every level its own breakpoint: arrays xs, ys of
-    shape (rows, levels + 1), snapped to (1, 1) as thermo_curve does."""
-    n = len(cats)
-    joint = (probs[None, :, None] * cats[:, None, :]).reshape(n, -1)
+def _joint_curves(joint: np.ndarray, g: np.ndarray):
+    """Curves of the rows of ``joint`` with Gibbs weights ``g`` (one row, or one
+    per row), every level its own breakpoint, padding levels (0 and 0) last:
+    arrays xs, ys of shape (rows, levels + 1), snapped to (1, 1) as thermo_curve."""
+    n, rows = len(joint), np.arange(len(joint))[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as in _curve
         order = np.argsort(-(joint / g), axis=1)  # equal ratios in any order: same curve
     xs, ys = np.zeros((n, joint.shape[1] + 1)), np.zeros((n, joint.shape[1] + 1))
-    np.cumsum(g[order], axis=1, out=xs[:, 1:])
-    np.cumsum(joint[np.arange(n)[:, None], order], axis=1, out=ys[:, 1:])
+    np.cumsum(g[order] if g.ndim == 1 else g[rows, order], axis=1, out=xs[:, 1:])
+    np.cumsum(joint[rows, order], axis=1, out=ys[:, 1:])
     end = (np.abs(xs[:, -1] - 1) < 1e-9) & (np.abs(ys[:, -1] - 1) < 1e-9)
     xs[end, -1] = ys[end, -1] = 1.0
     return xs, ys
@@ -652,6 +655,58 @@ def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = 2, grid_steps: in
         return necessary
     _check_cost_guards(max_cat_dim, grid_steps)
     return _bruteforce(src, dst, max_cat_dim, grid_steps)
+
+
+def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, pairs: list,
+                  beta: float):
+    """_decide on src_m (x) cands[i] and dst_m (x) cands[j] for each (i, j) of
+    ``pairs``, lazily, from one row per joint object: its curve as in _screen
+    and its free energies on DEFAULT_ALPHA_GRID, the values _Prepared computes.
+    _curve_dominance, the only judge of the direct stage, checks the pairs the
+    screen keeps, which by _screen's argument include every pair it accepts;
+    a pair is refuted at the first order where the rows show an increase, and
+    the others are searched with _decide's default budget."""
+    rows = [_tensor_rows(base, cands, beta) for base in (src_m, dst_m)]
+    (xs, ys), (xd, yd) = (_joint_curves(*row) for row in rows)
+    fs, fd = (np.array(classical_renyi_divergences(p, g, DEFAULT_ALPHA_GRID)) / beta
+              for p, g in rows)
+
+    @functools.cache
+    def prepare(side, k):  # src_m (x) cands[k] on side 0, dst_m (x) cands[k] on side 1
+        return _Prepared(classical_tensor((src_m, dst_m)[side], cands[k]), beta)
+
+    step = max(1, _SCREEN_LEVELS // (xs.shape[1] + xd.shape[1] + len(DEFAULT_ALPHA_GRID)))
+    for start in range(0, len(pairs), step):
+        i, j = (list(column) for column in zip(*pairs[start:start + step]))
+        dropped = np.max(yd[j] - _interp_rows(xd[j], xs[i], ys[i]), axis=1) > (
+            MAJORIZE_TOL + _SCREEN_SLACK)
+        raised = fd[j] > fs[i] + MONOTONE_TOL
+        for a, b, drop, refuted, k in zip(i, j, dropped.tolist(), raised.any(axis=1).tolist(),
+                                          raised.argmax(axis=1).tolist()):
+            verdict = UNDETERMINED if drop else _curve_dominance(prepare(0, a).curve,
+                                                                 prepare(1, b).curve)
+            if not verdict.is_feasible:
+                verdict = (_increase(DEFAULT_ALPHA_GRID[k], fs[a, k], fd[b, k]) if refuted
+                           else _bruteforce(prepare(0, a), prepare(1, b), 2, 32))
+            yield verdict
+
+
+def _tensor_rows(base: ClassicalObject, objs: list, beta: float):
+    """Probabilities and Gibbs weights of base (x) c for each c of ``objs``, one
+    row each, zero-padded: the arrays of classical_tensor and gibbs_weights,
+    computed for all objects of one dimension at once."""
+    width = base.dim * max(c.dim for c in objs)
+    check_tensor_dim(width)
+    probs, gibbs = np.zeros((2, len(objs), width))
+    for dim in {c.dim for c in objs}:
+        at = [k for k, c in enumerate(objs) if c.dim == dim]
+        cp = np.array([objs[k].probs for k in at])[:, None, :]
+        energies = (base.energies[:, None] + np.array([objs[k].energies for k in at])[:, None, :]
+                    ).reshape(len(at), -1)
+        w = np.exp(-beta * (energies - energies.min(axis=1, keepdims=True)))
+        probs[at, :base.dim * dim] = (base.probs[:, None] * cp).reshape(len(at), -1)
+        gibbs[at, :base.dim * dim] = w / np.add.reduce(w, 1, keepdims=True)
+    return probs, gibbs
 
 
 def decide_free(src, dst, ctx) -> FeasibilityVerdict:

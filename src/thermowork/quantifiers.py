@@ -34,9 +34,8 @@ from .divergences import BetaContext, INF, _check_alpha, as_beta, delta_F_alpha
 from .feasibility import (
     MONOTONE_TOL,
     FeasibilityVerdict,
-    _Prepared,
     _as_classical,
-    _decide,
+    _decide_pairs,
     _json_safe,
     decide_catalytic,
     thermo_majorizes,
@@ -574,6 +573,12 @@ def work_of_transition(quantifier: WorkQuantifier, restriction: RestrictionSet,
     transition.  The result is a lower bound on the true supremum, never
     claimed exact.  Returns -inf with an explanation when nothing in the
     grid certifies.
+
+    The default oracle screens the candidate table as arrays: a pair's curve
+    check runs only where the screen, read on the target's breakpoints with
+    slack above MAJORIZE_TOL, may accept, and the screen keeps every pair
+    the exact check accepts, so the exact check still decides each pair and
+    ``tested`` and the certificate are those of a pair-by-pair search.
     """
     beta = as_beta(ctx)
     src_m = _as_classical(src_m)
@@ -588,23 +593,19 @@ def work_of_transition(quantifier: WorkQuantifier, restriction: RestrictionSet,
     with np.errstate(invalid="ignore"):  # inf - inf: work undefined
         works = (m[None, :] - m[:, None]).ravel()  # row: storage before, column: after
     order = np.flatnonzero(np.isfinite(works))
-    order = order[np.argsort(-works[order], kind="stable")]
-    before, after = {}, {}  # candidate index -> src_m or dst_m (x) candidate, prepared
+    order = order[np.argsort(-works[order], kind="stable")].tolist()
+    pairs = [divmod(k, len(cands)) for k in order]
+    if oracle is None:
+        verdicts = _decide_pairs(src_m, dst_m, cands, pairs, beta)
+    else:
+        verdicts = (oracle(classical_tensor(src_m, cands[i]), classical_tensor(dst_m, cands[j]))
+                    for i, j in pairs)
     tested = []
-    for k in order.tolist():
-        i, j = divmod(k, len(cands))
-        w, a, b = float(works[k]), cands[i], cands[j]
-        if oracle is None:
-            if i not in before:
-                before[i] = _Prepared(classical_tensor(src_m, a), beta)
-            if j not in after:
-                after[j] = _Prepared(classical_tensor(dst_m, b), beta)
-            verdict = _decide(before[i], after[j])
-        else:
-            verdict = oracle(classical_tensor(src_m, a), classical_tensor(dst_m, b))
+    for k, (i, j), verdict in zip(order, pairs, verdicts):
+        w = float(works[k])
         tested.append({"work": w, "status": verdict.status.value})
         if verdict.is_feasible:
-            record = TransitionRecord(a, b, w, verdict)
+            record = TransitionRecord(cands[i], cands[j], w, verdict)
             return {"lower_bound": w, "certificate": record, "tested": tested,
                     "explanation": "best certified value over the discretization"}
     return {"lower_bound": -INF, "certificate": None, "tested": tested,

@@ -240,6 +240,17 @@ class TestMalformedInput:
         assert code == 1
         assert str(src) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--grid-steps", "--max-cat-dim"])
+    def test_empty_catalyst_budget_is_usage_error(self, outdir, capsys, flag):
+        src = _write_object(outdir / "src.json",
+                            ClassicalObject([0.5, 0.25, 0.25, 0.0], np.zeros(4)))
+        dst = _write_object(outdir / "dst.json",
+                            ClassicalObject([0.4, 0.4, 0.1, 0.1], np.zeros(4)))
+        code = main(["feasible", "--src", src, "--dst", dst, "--beta", "1",
+                     "--catalytic", flag, "0"])
+        assert code == 1
+        assert "cost guard" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_check_samples_below_one_is_usage_error(self, outdir, capsys, samples):
         code = main(["check", "axiom1", "--samples", samples,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,15 @@ from thermowork.sampling import (
 )
 
 ALPHAS = [0.5, 1.0, 2.0, INF]
+
+
+def _mp_renyi(p, q, alpha) -> float:
+    """The classical Renyi divergence at a finite order alpha != 1, with 50
+    digits, over the levels where p and q exceed 1e-14."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(mpmath.mpf(a) ** alpha * mpmath.mpf(b) ** (1 - mpmath.mpf(alpha))
+                            for a, b in zip(p, q) if min(a, b) > 1e-14)
+        return float(mpmath.log(total) / (mpmath.mpf(alpha) - 1))
 
 
 class TestVonNeumannEntropy:
@@ -184,14 +194,40 @@ class TestBatchedClassicalRenyi:
         values = classical_renyi_divergences(p, q, grid)
         assert [repr(v) for v in values] == [repr(classical_renyi_divergence(p, q, a))
                                              for a in grid]
-        # No order exceeds alpha = inf.  Where that is finite, inf or NaN at a finite
-        # order is a power sum that overflowed, which test_overflowed_power_sum_stays_nan
-        # pins until the log-domain fallback lands; such orders are left out here.
-        overflowed = [math.isfinite(values[-1]) and not math.isfinite(v) for v in values]
-        assert all(a > 1.0 for a, bad in zip(grid, overflowed) if bad)
-        ordered = [v for v, bad in zip(values, overflowed) if not bad]
+        # nondecreasing at every order, power sums that overflow included
         assert all(b >= a or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
-                   for a, b in zip(ordered, ordered[1:]))
+                   for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda d: st.lists(
+        st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                           st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                                     st.floats(1e-14, 1e-12, exclude_min=True))),
+                 min_size=d, max_size=d),
+        min_size=1, max_size=6)))
+    def test_rows_are_one_row_calls(self, rows):
+        # up to 12 levels, across numpy's 8-way unrolled sum; tiny reference weights
+        # make the power sums at the larger orders overflow
+        p, q = (np.array([[level[k] for level in row] for row in rows]) for k in (0, 1))
+        grid = DEFAULT_ALPHA_GRID + (0.0, 0.5, 2.0, 150.0, 1e4, 0.3)
+        got = classical_renyi_divergences(p, q, grid)
+        assert [[repr(v) for v in row] for row in got] == [
+            [repr(v) for v in classical_renyi_divergences(p_row, q_row, grid)]
+            for p_row, q_row in zip(p, q)]
+
+    @pytest.mark.parametrize("p, q", [
+        ([1.0], [3.68e-13]),
+        ([0.5, 0.5], [1.0 - 3.68e-13, 3.68e-13]),
+        ([0.25, 0.25, 0.25, 0.25], [0.5, 0.5 - 2e-6, 1e-6, 1e-6]),
+    ])
+    def test_overflowed_power_sums_match_an_mpmath_reference(self, p, q):
+        # q ** (1 - alpha) overflows from alpha ~ 30 on; the log domain keeps the value
+        grid = [a for a in DEFAULT_ALPHA_GRID if 1.0 < a < INF] + [150.0, 1e4]
+        values = classical_renyi_divergences(p, q, grid)
+        for alpha, value in zip(grid, values):
+            assert value == pytest.approx(_mp_renyi(p, q, alpha), rel=1e-12), alpha
+        if p == [1.0]:  # the value of every order, alpha = inf included
+            assert values[grid.index(DEFAULT_ALPHA_GRID[39])] == pytest.approx(28.63, abs=5e-3)
 
 
 class TestDeltaF:

@@ -47,6 +47,7 @@ from thermowork.sampling import (
     random_gibbs_stochastic,
     rng_from_seed,
 )
+from test_divergences import _mp_renyi
 from test_golden_verdicts import corpus as golden_corpus
 
 JP_SRC = ClassicalObject([0.5, 0.25, 0.25, 0.0], np.zeros(4))
@@ -456,6 +457,15 @@ class TestCatalyticBruteforce:
         with pytest.raises(ValueError, match="guard"):
             catalytic_bruteforce(JP_SRC, JP_DST, 1.0, grid_steps=100)
 
+    @pytest.mark.parametrize("budget", [{"grid_steps": 0}, {"grid_steps": -3},
+                                        {"max_cat_dim": 0}, {"max_cat_dim": -1}])
+    def test_empty_budget_is_refused(self, budget):
+        # no catalyst to try: the search would report Undetermined having tested nothing
+        with pytest.raises(ValueError, match="guard"):
+            catalytic_bruteforce(JP_SRC, JP_DST, 1.0, **budget)
+        with pytest.raises(ValueError, match="guard"):
+            decide_catalytic(JP_SRC, JP_DST, 1.0, **budget)
+
 
 class TestPipeline:
     def test_order_necessary_beats_bruteforce(self):
@@ -676,17 +686,20 @@ class TestPreparedFreeEnergies:
                 want = [repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
             assert [repr(prep.delta_F(alpha)) for alpha in self.ORDERS] == want
 
-    def test_overflowed_power_sum_stays_nan(self):
+    def test_overflowed_power_sum_is_finite(self):
+        # p ** 100 underflows to 0 and q ** -99 overflows on some levels: the power
+        # sum is NaN, and the log domain gives the value
         obj = random_classical_object(rng_from_seed(42), 1024)
+        want = _mp_renyi(obj.probs, obj.gibbs_weights(1.0), 100.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert math.isnan(delta_F_alpha(obj, 1.0, 100.0))
+            warnings.simplefilter("error")
+            assert delta_F_alpha(obj, 1.0, 100.0) == pytest.approx(want, rel=1e-12)
         prep = _Prepared(obj, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prep.fill_free(DEFAULT_ALPHA_GRID)
         assert DEFAULT_ALPHA_GRID[39] == 100.0
-        assert math.isnan(prep.delta_F(100.0))
+        assert prep.delta_F(100.0) == pytest.approx(want, rel=1e-12)
 
     def test_quantum_objects_keep_the_scalar_path(self):
         ham = HamiltonianClass(np.diag([0.0, 1.0]))

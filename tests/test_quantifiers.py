@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from thermowork.core import (
 )
 from thermowork.divergences import BetaContext, INF, delta_F_alpha
 from thermowork.feasibility import UNDETERMINED, decide_catalytic, decide_free, thermo_majorizes
+from thermowork.feasibility import _decide, _decide_pairs, _Prepared
 from thermowork.quantifiers import (
     AssistedSequence,
     CustomTable,
@@ -356,6 +359,62 @@ class TestWorkOfTransition:
         want = work_of_transition(*args, oracle=lambda s, d: decide_catalytic(s, d, 1.0))
         assert self.outcome(work_of_transition(*args), "lower_bound") == self.outcome(
             want, "lower_bound")
+
+
+class TestCandidateTable:
+    """The default path screens a whole candidate table as arrays; a per-pair
+    decide_catalytic oracle decides the same pairs one at a time."""
+
+    FUELS = (ClassicalObject([0.2, 0.8], [0.0, 2.0]),  # pairs reach the catalyst search
+             ClassicalObject([0.3, 0.7], [0.0, 1.0]),
+             ClassicalObject([0.5, 0.3, 0.2], [0.0, 0.7, 1.5]))  # 12-level ladder rows
+
+    @staticmethod
+    def dump(res, key):
+        cert = res["certificate"]
+        return json.dumps([res[key], res["tested"], None if cert is None else cert.to_json()])
+
+    def test_table_matches_a_per_pair_oracle(self):
+        ladder = MeanLadder(4, 0.5)  # joint rows of 8 and 12 levels, past numpy's 8-way unroll
+        assert {classical_tensor(fuel, c).dim for fuel in self.FUELS
+                for c in ladder.candidates(anchors=(fuel,))} == {2, 3, 8, 12}
+        searched = 0  # pairs that reach the catalyst search
+        for restriction in (Unrestricted(), EpsilonDet(0.1, 1.0), WbitSet(0.1, 1.0), ladder):
+            for fuel, alpha in itertools.product(self.FUELS, (0.5, 1.0, 2.0, INF)):
+                quantifier = WorkQuantifier(RenyiFreeEnergy(alpha, CTX))
+                for fn, key in ((work_value, "value"), (work_cost, "cost")):
+                    want = fn(quantifier, restriction, fuel, 1.0, grid=32,
+                              oracle=lambda s, d: decide_catalytic(s, d, 1.0))
+                    got = fn(quantifier, restriction, fuel, 1.0, grid=32)
+                    assert self.dump(got, key) == self.dump(want, key), (restriction, alpha)
+                    searched += sum(t["status"] == "Undetermined" for t in got["tested"])
+        assert searched > 0
+
+    @pytest.mark.parametrize("restriction", [EpsilonDet(0.1, 1.0), MeanLadder(4, 0.5)],
+                             ids=["EpsilonDet", "MeanLadder"])
+    def test_every_pair_is_decided_as_by_decide(self, restriction):
+        # past the first Feasible pair too, which work_of_transition never reaches
+        for fuel in self.FUELS:
+            omega = classical_gibbs(fuel.energies, 1.0)
+            cands = restriction.candidates(anchors=(fuel, omega), grid=32)
+            pairs = [(i, j) for i in range(len(cands)) for j in range(len(cands))]
+            got = [v.to_json() for v in _decide_pairs(fuel, omega, cands, pairs, 1.0)]
+            want = [_decide(_Prepared(classical_tensor(fuel, cands[i]), 1.0),
+                            _Prepared(classical_tensor(omega, cands[j]), 1.0)).to_json()
+                    for i, j in pairs]
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_custom_table_with_a_skipped_candidate(self):
+        q1, q2, q3 = (ClassicalObject([p, 1.0 - p], [0.0, 1.0]) for p in (0.9, 0.6, 0.3))
+        quantifier = WorkQuantifier(CustomTable([(q1, 0.4), (q2, 0.1)]))  # KeyError on q3
+        for fuel in self.FUELS:
+            omega = classical_gibbs(fuel.energies, 1.0)
+            for src, dst in ((fuel, omega), (omega, fuel)):
+                args = (quantifier, FiniteList((q1, q2, q3)), src, dst, 1.0)
+                want = work_of_transition(*args, oracle=lambda s, d: decide_catalytic(s, d, 1.0))
+                got = work_of_transition(*args)
+                assert len(got["tested"]) == 9 or got["certificate"] is not None
+                assert self.dump(got, "lower_bound") == self.dump(want, "lower_bound")
 
 
 class TestWorkValueAndCost:
