@@ -63,26 +63,13 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Quantum relative entropy Tr(rho ln rho - rho ln sigma).
+    """Quantum relative entropy Tr(rho ln rho - rho ln sigma), the order-1 case
+    of renyi_divergences.
 
     Returns +inf when the state has support outside the support of the
     reference (kernel defined by eigenvalues of sigma below 1e-12).
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    s_evals, s_vecs = np.linalg.eigh(sigma)
-    kernel = s_evals < SUPPORT_TOL
-    if _support_leak(rho, s_vecs, kernel) > SUPPORT_TOL:
-        return INF
-    r_evals = np.linalg.eigvalsh(rho)
-    pos = r_evals[r_evals > EIG_ZERO]
-    tr_rho_ln_rho = float(np.sum(pos * np.log(pos)))
-    sup = ~kernel
-    overlaps = np.real(np.einsum("ij,jk,ki->i", s_vecs[:, sup].conj().T, rho, s_vecs[:, sup]))
-    tr_rho_ln_sigma = float(np.sum(overlaps * np.log(s_evals[sup])))
-    return tr_rho_ln_rho - tr_rho_ln_sigma
+    return renyi_divergences(rho, sigma, (1.0,))[0]
 
 
 def classical_renyi_divergence(p, q, alpha: float) -> float:
@@ -112,9 +99,11 @@ def classical_renyi_divergences(p, q, alphas) -> list:
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     p2, q2 = (p, q) if p.ndim == 2 else (p[None], q[None])
-    counts = np.add.reduce(p2 > EIG_ZERO, 1).tolist() if listed and max(listed) >= 1 else None
+    both = np.minimum(p2, q2) > EIG_ZERO
+    counts = (np.add.reduce(p2 > EIG_ZERO, 1).tolist()
+              if listed and max(listed) >= 1 and not both.all() else None)
     values = [None] * len(p2)
-    for at, (pb, qb) in _compacted(np.minimum(p2, q2) > EIG_ZERO, p2, q2):
+    for at, (pb, qb) in _compacted(both, p2, q2):
         for r, row in zip(at, _support_values(pb, qb, listed)):
             if counts and counts[r] > pb.shape[1]:  # p has a level outside the support of q
                 row = [INF if alpha >= 1.0 else v for alpha, v in zip(listed, row)]
@@ -171,54 +160,62 @@ def _log_domain(pb: np.ndarray, qb: np.ndarray, alpha: float) -> float:
     return (top + math.log(float(np.exp(t - top).sum()))) / (alpha - 1.0)
 
 
-def _support_leak(rho: np.ndarray, s_vecs: np.ndarray, kernel: np.ndarray) -> float:
-    if not np.any(kernel):
-        return 0.0
-    proj = s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T
-    return float(np.real(np.trace(rho @ proj)))
-
-
 def renyi_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
-    """Sandwiched Renyi divergence of order alpha, in nats.
+    """Sandwiched Renyi divergence of order alpha, in nats, the one-order case
+    of renyi_divergences.
 
     alpha = 1 is the relative entropy, alpha = inf the max-relative entropy
     ln min{lam : rho <= lam sigma}; alpha = 0 is the diagnostic support
     overlap -ln Tr(P_rho sigma).  +inf follows the support conventions of
     the sandwiched divergence.
     """
-    alpha = _check_alpha(alpha)
+    return renyi_divergences(rho, sigma, (alpha,))[0]
+
+
+def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
+    """Sandwiched Renyi divergence of rho from sigma at each order of ``alphas``.
+
+    sigma is decomposed once, and its kernel (eigenvalues below SUPPORT_TOL),
+    support leak and support eigenvectors serve every order; each order then
+    costs its own sandwich and eigvalsh, so a value is that of its one-order
+    call to the bit.  From alpha = 1 up (and at inf) a leak of rho into the
+    kernel makes the divergence +inf.
+    """
+    listed = [_check_alpha(alpha) for alpha in alphas]
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    if alpha == 1.0:
-        return relative_entropy(rho, sigma)
     s_evals, s_vecs = np.linalg.eigh(sigma)
     kernel = s_evals < SUPPORT_TOL
-    if alpha == 0.0:
-        r_evals, r_vecs = np.linalg.eigh(rho)
-        sup = r_evals > SUPPORT_TOL
-        mass = float(np.real(np.trace((r_vecs[:, sup] @ r_vecs[:, sup].conj().T) @ sigma)))
-        return INF if mass <= 0.0 else -math.log(mass)
-    if math.isinf(alpha):
-        if _support_leak(rho, s_vecs, kernel) > SUPPORT_TOL:
-            return INF
-        sup = ~kernel
-        half_inv = (s_vecs[:, sup] * (s_evals[sup] ** -0.5)) @ s_vecs[:, sup].conj().T
-        lam = float(np.max(np.linalg.eigvalsh(half_inv @ rho @ half_inv)))
-        return math.log(lam) if lam > 0.0 else INF
-    exponent = (1.0 - alpha) / (2.0 * alpha)
-    if alpha > 1.0 and _support_leak(rho, s_vecs, kernel) > SUPPORT_TOL:
-        return INF
-    sup = ~kernel
-    sand = (s_vecs[:, sup] * (s_evals[sup] ** exponent)) @ s_vecs[:, sup].conj().T
-    inner = sand @ rho @ sand
-    mu = np.linalg.eigvalsh(inner)
-    mu = mu[mu > EIG_ZERO]
-    total = float(np.sum(mu ** alpha))
-    if total <= 0.0:
-        return INF
-    return math.log(total) / (alpha - 1.0)
+    leaks = bool(kernel.any()) and float(np.real(np.trace(
+        rho @ (s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T)))) > SUPPORT_TOL
+    lam, vecs = s_evals[~kernel], s_vecs[:, ~kernel]
+    values = []
+    for alpha in listed:
+        if alpha >= 1.0 and leaks:
+            values.append(INF)
+        elif alpha == 1.0:
+            r_evals = np.linalg.eigvalsh(rho)
+            pos = r_evals[r_evals > EIG_ZERO]
+            overlaps = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs))
+            values.append(float(np.sum(pos * np.log(pos))) - float(np.sum(overlaps * np.log(lam))))
+        elif alpha == 0.0:
+            r_evals, r_vecs = np.linalg.eigh(rho)
+            sup = r_evals > SUPPORT_TOL
+            mass = float(np.real(np.trace((r_vecs[:, sup] @ r_vecs[:, sup].conj().T) @ sigma)))
+            values.append(INF if mass <= 0.0 else -math.log(mass))
+        else:
+            exponent = -0.5 if alpha == INF else (1.0 - alpha) / (2.0 * alpha)
+            sand = (vecs * (lam ** exponent)) @ vecs.conj().T
+            mu = np.linalg.eigvalsh(sand @ rho @ sand)
+            if alpha == INF:
+                top = float(np.max(mu))
+                values.append(math.log(top) if top > 0.0 else INF)
+            else:
+                total = float(np.sum(mu[mu > EIG_ZERO] ** alpha))
+                values.append(INF if total <= 0.0 else math.log(total) / (alpha - 1.0))
+    return values
 
 
 def delta_F_alpha(p, ctx, alpha: float) -> float:

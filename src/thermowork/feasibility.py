@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     ClassicalObject,
@@ -42,7 +41,7 @@ from .divergences import (
     _check_alpha,
     as_beta,
     classical_renyi_divergences,
-    delta_F_alpha,
+    renyi_divergences,
 )
 
 MAJORIZE_TOL = 1e-10
@@ -236,9 +235,12 @@ def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdi
 
 class _Prepared:
     """An object with what the deciders ask of it, each computed once: its
-    Gibbs weights alone and beside a catalyst of each dimension, its curve,
-    its free energy at each order asked for, and its curve in tensor with
-    each catalyst."""
+    Gibbs weights alone and beside a catalyst of each dimension (for a quantum
+    object its Gibbs state), its curve, its free energy at each order asked
+    for, and its curve in tensor with each catalyst.  Free energies come from
+    one batch per fill_free call, classical_renyi_divergences for a classical
+    object and renyi_divergences for a quantum one, equal to delta_F_alpha's
+    values to the bit."""
 
     def __init__(self, obj, beta: float):
         self.obj, self.beta = obj, beta
@@ -246,11 +248,15 @@ class _Prepared:
 
     def gibbs(self, cat_dim: int = 1) -> np.ndarray:
         """Gibbs weights of a classical object in tensor with a catalyst of
-        ``cat_dim`` levels at zero energy, level i * cat_dim + k."""
+        ``cat_dim`` levels at zero energy, level i * cat_dim + k; the Gibbs
+        state of a quantum object."""
         if cat_dim not in self._gibbs:
-            energies = self.obj.energies
-            self._gibbs[cat_dim] = gibbs_weights(
-                energies if cat_dim == 1 else np.repeat(energies, cat_dim), self.beta)
+            if isinstance(self.obj, ClassicalObject):
+                energies = self.obj.energies
+                self._gibbs[cat_dim] = gibbs_weights(
+                    energies if cat_dim == 1 else np.repeat(energies, cat_dim), self.beta)
+            else:
+                self._gibbs[cat_dim] = gibbs_state(self.obj.hamiltonian, self.beta).state
         return self._gibbs[cat_dim]
 
     @property
@@ -261,18 +267,17 @@ class _Prepared:
 
     def delta_F(self, alpha: float) -> float:
         if alpha not in self._free:
-            if isinstance(self.obj, ClassicalObject):
-                self.fill_free((alpha,))
-            else:
-                self._free[alpha] = delta_F_alpha(self.obj, self.beta, alpha)
+            self.fill_free((alpha,))
         return self._free[alpha]
 
     def fill_free(self, grid) -> None:
-        """Compute delta_F at the orders of ``grid`` not yet known, those of a
-        classical object in one batch."""
+        """Compute delta_F at the orders of ``grid`` not yet known, in one batch."""
         missing = [alpha for alpha in grid if alpha not in self._free]
-        if missing and isinstance(self.obj, ClassicalObject):
-            values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
+        if missing:
+            if isinstance(self.obj, ClassicalObject):
+                values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
+            else:
+                values = renyi_divergences(self.obj.state, self.gibbs(), missing)
             self._free.update((alpha, v / self.beta) for alpha, v in zip(missing, values))
 
     def with_catalyst(self, comp: tuple, cat: ClassicalObject) -> ThermoCurve:
@@ -283,14 +288,22 @@ class _Prepared:
 
 
 def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
+    """a_eq as a CSC matrix, column i * ds + j for G[i, j] holding 1 (column
+    stochasticity, row j), the Gibbs weight (row ds + i) and the probability
+    (row ds + dd + i) of level j, each without its zeros, as scipy keeps a
+    dense array's nonzeros; and b_eq."""
+    from scipy import sparse
+
     ds, dd = src.dim, dst.dim
-    i, j = np.arange(dd), np.arange(ds)
-    a_eq = np.zeros((ds + 2 * dd, dd, ds))  # row, then G[i, j] at column i * ds + j
-    a_eq[j, :, j] = 1.0  # column stochasticity
-    a_eq[ds + i, i] = src.gibbs_weights(beta)  # Gibbs preservation
-    a_eq[ds + dd + i, i] = src.probs  # state mapping
+    i, j = np.divmod(np.arange(dd * ds, dtype=np.int32), ds)  # scipy's index type
+    rows = np.stack([j, ds + i, ds + dd + i], axis=1)
+    data = np.stack([np.ones(dd * ds), np.tile(src.gibbs_weights(beta), dd),
+                     np.tile(src.probs, dd)], axis=1)
+    kept = data != 0.0
+    indptr = np.cumsum(np.concatenate(([0], np.add.reduce(kept, 1))), dtype=np.int32)
+    a_eq = sparse.csc_array((data[kept], rows[kept], indptr), shape=(ds + 2 * dd, dd * ds))
     b_eq = np.concatenate([np.ones(ds), dst.gibbs_weights(beta), dst.probs])
-    return a_eq.reshape(ds + 2 * dd, dd * ds), b_eq
+    return a_eq, b_eq
 
 
 def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
@@ -300,7 +313,11 @@ def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
     G p_src = p_dst.  Feasible verdicts carry G; Infeasible verdicts carry
     the phase-1 gap together with a Farkas certificate when one validates.
     Solver failures yield Undetermined, never a silently wrong answer.
+    scipy is imported on the first call.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     beta = as_beta(ctx)
     src = _as_classical(src)
     dst = _as_classical(dst)
@@ -308,7 +325,8 @@ def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
     m, n = a_eq.shape
     # Phase-1 form: minimize the total slack of A x + s+ - s- = b over
     # x, s+, s- >= 0; a zero optimum certifies feasibility of A x = b, x >= 0.
-    a_full = np.hstack([a_eq, np.eye(m), -np.eye(m)])
+    eye = sparse.eye_array(m, format="csc")
+    a_full = sparse.hstack([a_eq, eye, -eye], format="csc")
     cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
     res = linprog(cost, A_eq=a_full, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:  # iteration cap or numerical trouble: refuse to guess

@@ -24,6 +24,7 @@ from thermowork.divergences import (
     mutual_information,
     relative_entropy,
     renyi_divergence,
+    renyi_divergences,
     von_neumann_entropy,
 )
 from thermowork.feasibility import DEFAULT_ALPHA_GRID
@@ -230,6 +231,79 @@ class TestBatchedClassicalRenyi:
             assert values[grid.index(DEFAULT_ALPHA_GRID[39])] == pytest.approx(28.63, abs=5e-3)
 
 
+def _leak(rho, s_vecs, kernel) -> float:
+    proj = s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T
+    return float(np.real(np.trace(rho @ proj))) if kernel.any() else 0.0
+
+
+def _sandwiched_reference(rho, sigma, alpha) -> float:
+    """The sandwiched divergence of one order with its own decomposition of
+    sigma: the per-order formulas the batch must reproduce to the bit."""
+    alpha = float(alpha)
+    s_evals, s_vecs = np.linalg.eigh(sigma)
+    kernel = s_evals < 1e-12
+    sup = ~kernel
+    if alpha >= 1.0 and _leak(rho, s_vecs, kernel) > 1e-12:
+        return INF
+    if alpha == 1.0:
+        r_evals = np.linalg.eigvalsh(rho)
+        pos = r_evals[r_evals > 1e-14]
+        overlaps = np.real(np.einsum("ij,jk,ki->i", s_vecs[:, sup].conj().T, rho, s_vecs[:, sup]))
+        return float(np.sum(pos * np.log(pos))) - float(np.sum(overlaps * np.log(s_evals[sup])))
+    if alpha == 0.0:
+        r_evals, r_vecs = np.linalg.eigh(rho)
+        keep = r_evals > 1e-12
+        mass = float(np.real(np.trace((r_vecs[:, keep] @ r_vecs[:, keep].conj().T) @ sigma)))
+        return INF if mass <= 0.0 else -math.log(mass)
+    exponent = -0.5 if alpha == INF else (1.0 - alpha) / (2.0 * alpha)
+    sand = (s_vecs[:, sup] * (s_evals[sup] ** exponent)) @ s_vecs[:, sup].conj().T
+    mu = np.linalg.eigvalsh(sand @ rho @ sand)
+    if alpha == INF:
+        return math.log(float(np.max(mu)))
+    total = float(np.sum(mu[mu > 1e-14] ** alpha))
+    return INF if total <= 0.0 else math.log(total) / (alpha - 1.0)
+
+
+class TestBatchedSandwichedRenyi:
+    ORDERS = [a for a in DEFAULT_ALPHA_GRID if a >= 0.5] + [0.0, 1.0, INF, 0.5, 2.0]
+
+    def _pairs(self):
+        """Non-commuting pairs, d = 1..32, with a reference of full rank, with
+        a kernel the state leaks into, and with a kernel it stays out of."""
+        rng = rng_from_seed(23)
+        for d in (1, 2, 3, 5, 8, 16, 32):
+            yield random_density_matrix(rng, d), random_density_matrix(rng, d)
+            if d > 1:
+                sigma = random_density_matrix(rng, d, rank=d - 1)
+                yield random_density_matrix(rng, d), sigma
+                s_evals, s_vecs = np.linalg.eigh(sigma)
+                inside = s_vecs[:, s_evals > 1e-12]
+                rho = inside @ random_density_matrix(rng, d - 1) @ inside.conj().T
+                yield rho / np.real(np.trace(rho)), sigma
+
+    def test_batch_is_one_order_calls_to_the_bit(self):
+        leaked = kept = 0
+        for rho, sigma in self._pairs():
+            with np.errstate(over="ignore"):
+                values = renyi_divergences(rho, sigma, self.ORDERS)
+                want = [repr(_sandwiched_reference(rho, sigma, a)) for a in self.ORDERS]
+                assert [repr(v) for v in values] == want
+                assert [repr(renyi_divergence(rho, sigma, a)) for a in self.ORDERS] == want
+            assert repr(relative_entropy(rho, sigma)) == repr(values[self.ORDERS.index(1.0)])
+            leaked += values[-1] == INF
+            kept += values[-1] < INF and np.linalg.eigvalsh(sigma)[0] < 1e-12
+        assert leaked >= 5 and kept >= 5  # both kernel cases are exercised
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("-inf")])
+    def test_rejects_invalid_order(self, bad):
+        with pytest.raises(ValueError, match="alpha"):
+            renyi_divergences(np.eye(2) / 2, np.eye(2) / 2, [1.0, bad])
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            renyi_divergences(np.eye(2) / 2, np.eye(3) / 3, [2.0])
+
+
 class TestDeltaF:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, INF])
     def test_gibbs_object_vanishes(self, alpha):
@@ -380,3 +454,65 @@ class TestFreeEnergyPropositions:
             lhs = df1(rho_a_f, h_a) - df1(rho_a_i, h_a)
             rhs = df1(rho_f, h_joint) - df1(rho, h_joint)
             assert lhs >= rhs - 1e-8
+
+
+
+def _parameter_entry_points():
+    """(name, call(beta, alpha)) for each public entry point that takes an
+    inverse temperature or a Renyi order; the names of those that take an order."""
+    from thermowork import core, feasibility, quantifiers
+
+    c = ClassicalObject([0.6, 0.4], [0.0, 1.0])
+    d = ClassicalObject([0.3, 0.7], [0.0, 1.0])
+    ham = HamiltonianClass(np.diag([0.0, 1.0]))
+    q = ThermoObject(np.full((2, 2), 0.5), ham)
+    rho, sigma = np.full((2, 2), 0.5), np.eye(2) / 2
+    calls = {
+        "gibbs_weights": lambda b, a: core.gibbs_weights([0.0, 1.0], b),
+        "gibbs_state": lambda b, a: gibbs_state(ham, b),
+        "classical_gibbs": lambda b, a: core.classical_gibbs([0.0, 1.0], b),
+        "BetaContext": lambda b, a: BetaContext(b),
+        "thermo_curve": lambda b, a: feasibility.thermo_curve(c, b),
+        "thermo_majorizes": lambda b, a: feasibility.thermo_majorizes(c, d, b),
+        "decide_free": lambda b, a: feasibility.decide_free(c, d, b),
+        "gibbs_stochastic_feasible": lambda b, a: feasibility.gibbs_stochastic_feasible(c, d, b),
+        "catalytic_bruteforce": lambda b, a: feasibility.catalytic_bruteforce(c, d, b),
+        # these take an order as well
+        "delta_F_alpha classical": lambda b, a: delta_F_alpha(c, b, a),
+        "delta_F_alpha quantum": lambda b, a: delta_F_alpha(q, b, a),
+        "RenyiFreeEnergy": lambda b, a: quantifiers.RenyiFreeEnergy(a, b)(c),
+        "catalytic_necessary classical": lambda b, a: feasibility.catalytic_necessary(
+            c, d, b, alpha_grid=[a]),
+        "catalytic_necessary quantum": lambda b, a: feasibility.catalytic_necessary(
+            q, q, b, alpha_grid=[a]),
+        "decide_catalytic": lambda b, a: feasibility.decide_catalytic(c, d, b, alpha_grid=[a]),
+        # these take an order only
+        "renyi_divergence": lambda b, a: renyi_divergence(rho, sigma, a),
+        "renyi_divergences": lambda b, a: renyi_divergences(rho, sigma, [a]),
+        "classical_renyi_divergence": lambda b, a: classical_renyi_divergence(c.probs, d.probs, a),
+        "classical_renyi_divergences": lambda b, a: classical_renyi_divergences(
+            c.probs, d.probs, [a]),
+    }
+    names = list(calls)
+    beta_takers = names[:names.index("renyi_divergence")]
+    order_takers = names[names.index("delta_F_alpha classical"):]
+    return calls, beta_takers, order_takers
+
+
+_CALLS, _BETA_TAKERS, _ORDER_TAKERS = _parameter_entry_points()
+
+
+@pytest.mark.parametrize("name", _BETA_TAKERS)
+@pytest.mark.parametrize("beta", [float("nan"), INF, -INF, 0.0, -1.0])
+def test_entry_points_refuse_an_invalid_beta(name, beta):
+    with pytest.raises(ValueError, match="beta"):
+        _CALLS[name](beta, 2.0)
+
+
+@pytest.mark.parametrize("name", _ORDER_TAKERS)
+@pytest.mark.parametrize("alpha", [float("nan"), -INF, -1.0, -1e-300])
+def test_entry_points_refuse_an_invalid_order(name, alpha):
+    # alpha = 0 (the support overlap) and alpha = inf (the max-relative entropy)
+    # are orders of the family, so only NaN and negative orders are refused
+    with pytest.raises(ValueError, match="alpha"):
+        _CALLS[name](1.0, alpha)

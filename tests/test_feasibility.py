@@ -14,11 +14,12 @@ from thermowork.core import (
     classical_gibbs,
     classical_tensor,
     classical_to_object,
+    gibbs_state,
     is_gibbs,
     partial_trace,
     tensor,
 )
-from thermowork.divergences import delta_F_alpha
+from thermowork.divergences import INF, delta_F_alpha
 from thermowork import feasibility
 from thermowork.feasibility import (
     DEFAULT_ALPHA_GRID,
@@ -43,8 +44,10 @@ from thermowork.feasibility import (
 from thermowork.feasibility import _catalysts, _interp_rows, _Prepared, _screen
 from thermowork.sampling import (
     random_classical_object,
+    random_density_matrix,
     random_energy_conserving_unitary,
     random_gibbs_stochastic,
+    random_hamiltonian,
     rng_from_seed,
 )
 from test_divergences import _mp_renyi
@@ -301,7 +304,8 @@ class TestGibbsStochasticLP:
         for _ in range(50):
             src = random_classical_object(rng, int(rng.integers(1, 7)))
             dst = random_classical_object(rng, int(rng.integers(1, 7)))
-            for got, want in zip(_constraints_for(src, dst, 0.7), _loop_constraints(src, dst, 0.7)):
+            a_eq, b_eq = _constraints_for(src, dst, 0.7)
+            for got, want in zip((a_eq.toarray(), b_eq), _loop_constraints(src, dst, 0.7)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_agreement_with_curve_oracle(self):
@@ -328,6 +332,39 @@ class TestGibbsStochasticLP:
             joint = classical_tensor(p, q)
             verdict = gibbs_stochastic_feasible(joint, p, 1.0)
             assert verdict.is_feasible
+
+    def test_solver_gets_the_csc_of_the_dense_constraints(self, monkeypatch):
+        # the phase-1 matrix handed to linprog is the CSC scipy builds from the dense
+        # array, so HiGHS sees the same problem; a zero probability and a Gibbs
+        # weight that underflows to 0 leave no explicit zero behind
+        import scipy.optimize
+        from scipy.sparse import csc_array
+
+        handed, linprog = [], scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda c, **kw: handed.append(kw["A_eq"]) or linprog(c, **kw))
+        energies = [0.0, 1.0, 1e4]  # exp(-1e4) underflows to 0
+        cases = [(ClassicalObject([0.5, 0.5, 0.0], energies),
+                  ClassicalObject([0.0, 1.0, 0.0], energies), 1.0),
+                 (ClassicalObject([0.0, 0.2, 0.8], energies),
+                  ClassicalObject([1.0, 0.0], [0.0, 2.0]), 1.0),
+                 (ClassicalObject([1.0], [0.0]), ClassicalObject([0.3, 0.7], [0.0, 0.1]), 2.0)]
+        rng = rng_from_seed(13)
+        cases += [(random_classical_object(rng, int(rng.integers(1, 7))),
+                   random_classical_object(rng, int(rng.integers(1, 7))), 0.8) for _ in range(20)]
+        dropped = 0
+        for src, dst, beta in cases:
+            gibbs_stochastic_feasible(src, dst, beta)
+            a_eq = _loop_constraints(src, dst, beta)[0]
+            m = len(a_eq)
+            want = csc_array(np.hstack([a_eq, np.eye(m), -np.eye(m)]))
+            got = handed.pop()
+            assert got.format == "csc" and got.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                mine, theirs = getattr(got, part), getattr(want, part)
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            dropped += want.nnz < 3 * a_eq.shape[1] + 2 * m
+        assert dropped >= 2
 
 
 def _constraints_for(src, dst, beta):
@@ -385,6 +422,37 @@ class TestThermalOperations:
             assert delta_F_alpha(out, beta, 1.0) <= delta_F_alpha(p, beta, 1.0) + 1e-9
 
 
+def _quantum_pairs() -> list:
+    """Non-commuting (src, dst, beta) pairs, d = 2..32: from and to the Gibbs
+    state and between random states."""
+    rng = rng_from_seed(29)
+    pairs = []
+    for d in (2, 3, 4, 8, 16, 32):
+        ham = random_hamiltonian(rng, d, scale=float(rng.uniform(0.3, 3.0)))
+        beta = float(rng.uniform(0.4, 2.0))
+        gibbs = gibbs_state(ham, beta)
+        states = [ThermoObject(random_density_matrix(rng, d, rank), ham) for rank in (d, 1, d)]
+        pairs += [(gibbs, states[0], beta), (states[0], gibbs, beta),
+                  (states[0], states[2], beta), (states[2], states[0], beta),
+                  (states[1], states[0], beta)]
+    return pairs
+
+
+def _loop_necessary(src, dst, beta, grid) -> dict:
+    """catalytic_necessary of non-commuting objects, one delta_F_alpha call per
+    order and object: the JSON the batched monotone stage must reproduce."""
+    for alpha in DEFAULT_ALPHA_GRID if grid is None else grid:
+        if alpha < 0.5:
+            continue
+        f_src, f_dst = delta_F_alpha(src, beta, alpha), delta_F_alpha(dst, beta, alpha)
+        if f_dst > f_src + feasibility.MONOTONE_TOL:
+            return FeasibilityVerdict(Status.INFEASIBLE, {
+                "kind": "monotone_increase", "monotone": "delta_F_alpha", "alpha": alpha,
+                "gap": float(f_dst - f_src), "src_value": float(f_src),
+                "dst_value": float(f_dst)}).to_json()
+    return UNDETERMINED.to_json()
+
+
 class TestCatalyticNecessary:
     def test_gibbs_target_never_flagged(self):
         rng = rng_from_seed(10)
@@ -418,6 +486,18 @@ class TestCatalyticNecessary:
     def test_default_grid_contains_limits(self):
         assert 1.0 in DEFAULT_ALPHA_GRID
         assert float("inf") in DEFAULT_ALPHA_GRID
+
+    def test_quantum_verdicts_match_a_per_order_loop(self):
+        grids = [None, [2.0, 0.3, INF, 0.5, 1.0, 0.0, 7.5]]
+        kinds = set()
+        for n, (src, dst, beta) in enumerate(_quantum_pairs()):
+            for grid in grids:
+                with np.errstate(over="ignore"):  # sum mu ** 100 overflows at d = 8
+                    got = catalytic_necessary(src, dst, beta, alpha_grid=grid).to_json()
+                    want = _loop_necessary(src, dst, beta, grid)
+                assert json.dumps(got) == json.dumps(want), n
+                kinds.add((got["status"], (got["witness"] or {}).get("alpha")))
+        assert len(kinds) >= 4  # undetermined, and refuted at several orders
 
     def test_quantum_inputs_drop_small_alpha_certificates(self):
         # data processing below alpha = 1/2 is unsound for non-commuting
@@ -701,13 +781,14 @@ class TestPreparedFreeEnergies:
         assert DEFAULT_ALPHA_GRID[39] == 100.0
         assert prep.delta_F(100.0) == pytest.approx(want, rel=1e-12)
 
-    def test_quantum_objects_keep_the_scalar_path(self):
+    def test_quantum_objects_fill_every_order_in_one_batch(self):
         ham = HamiltonianClass(np.diag([0.0, 1.0]))
         obj = ThermoObject(np.full((2, 2), 0.5), ham)
         prep = _Prepared(obj, 1.0)
         prep.fill_free(self.ORDERS)
-        assert prep._free == {}
-        assert prep.delta_F(3.0) == delta_F_alpha(obj, 1.0, 3.0)
+        assert set(prep._free) == set(self.ORDERS)
+        assert [repr(prep.delta_F(alpha)) for alpha in self.ORDERS] == [
+            repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
 
 
 class TestCatalystScreen:

@@ -1,5 +1,6 @@
-"""Every top-level import in a library module is used by that module, and
-every private module-level function or class is used somewhere in the package.
+"""Every top-level import in a library module is used by that module, every
+private module-level function or class is used somewhere in the package, and
+importing the package (or asking the CLI for help) loads no scipy.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library instead.  ``__init__.py`` is exempt from the import
@@ -7,6 +8,9 @@ check: its imports are the package's public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -81,3 +85,25 @@ def test_detects_an_orphaned_private_helper():
 def test_no_orphaned_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _orphaned_private_definitions(sources) == []
+
+
+_LOADED_SCIPY = """
+import sys
+import thermowork
+from thermowork import cli
+sys.argv = ["thermowork", "--help"]
+try:
+    cli.entry()
+except SystemExit:
+    pass
+print(sorted(name for name in sys.modules if name.split(".")[:2] in
+             (["scipy", "optimize"], ["scipy", "sparse"])))
+"""
+
+
+def test_import_and_help_load_no_scipy_solver():
+    # scipy.optimize is most of a cold import; only the LP needs it
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
