@@ -172,6 +172,7 @@ def renyi_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     return renyi_divergences(rho, sigma, (alpha,))[0]
 
 
+@np.errstate(over="ignore")
 def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     """Sandwiched Renyi divergence of rho from sigma at each order of ``alphas``.
 
@@ -179,7 +180,7 @@ def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     support leak and support eigenvectors serve every order; each order then
     costs its own sandwich and eigvalsh, so a value is that of its one-order
     call to the bit.  From alpha = 1 up (and at inf) a leak of rho into the
-    kernel makes the divergence +inf.
+    kernel makes the divergence +inf.  A power sum of inf or 0 goes by log-sum-exp.
     """
     listed = [_check_alpha(alpha) for alpha in alphas]
     rho = np.asarray(rho, dtype=complex)
@@ -213,8 +214,10 @@ def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
                 top = float(np.max(mu))
                 values.append(math.log(top) if top > 0.0 else INF)
             else:
-                total = float(np.sum(mu[mu > EIG_ZERO] ** alpha))
-                values.append(INF if total <= 0.0 else math.log(total) / (alpha - 1.0))
+                pos = mu[mu > EIG_ZERO]
+                total = float(np.sum(pos ** alpha))
+                values.append(math.log(total) / (alpha - 1.0) if 0.0 < total < INF
+                              else _log_domain(pos, np.ones_like(pos), alpha))
     return values
 
 

@@ -143,6 +143,19 @@ class ThermoCurve:
         points.flags.writeable = False
         object.__setattr__(self, "_points", points)
 
+    @classmethod
+    def _from_points(cls, points: np.ndarray) -> ThermoCurve:  # keeps points, read-only
+        points.flags.writeable = False
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "_points", points)
+        return curve
+
+    def __getattr__(self, name):  # breakpoints of a curve from _from_points, made when read
+        if name != "breakpoints":
+            raise AttributeError(name)
+        object.__setattr__(self, name, tuple(map(tuple, self._points.tolist())))
+        return self.breakpoints
+
     def xs(self) -> np.ndarray:
         return self._points[:, 0]
 
@@ -176,28 +189,39 @@ def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
 
 
 def _curve(probs: np.ndarray, g: np.ndarray) -> ThermoCurve:
-    """thermo_curve of the levels with probabilities ``probs`` and Gibbs weights ``g``."""
+    """thermo_curve of the levels with probabilities ``probs`` and Gibbs weights ``g``.
+
+    Sorted by descending ratio, a run takes each next ratio r with (r0 - r <= tol0) |
+    (r == r0) for its first ratio r0 (np.isclose, rtol 1e-9, atol 1e-12).  A ratio not
+    tied so with its predecessor is not with a larger r0 either, save by rounding at the
+    edge; so the walk starts only at tied ratios, and runs on until the rule fails."""
     # Gibbs weights that underflow to 0 give p/0 = inf, subnormal ones overflow p/g to inf,
     # and 0/0 = nan sorts last; inf - inf below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = probs / g
-        order = np.argsort(-ratios, kind="stable")
-        rs, n = ratios[order], len(ratios)
-        # One breakpoint per run of ratios tied (np.isclose, rtol 1e-9, atol 1e-12) with
-        # the run's first; ties of rs[i] follow it, so binary lifting finds all run ends.
+        order = (-ratios).argsort(kind="stable")
+        rs = ratios[order]
         tol = np.where(np.isfinite(rs), 1e-12 + 1e-9 * np.abs(rs), 0.0)
-        end = np.arange(1, n + 1)
-        for step in 2 ** np.arange((n - 1).bit_length())[::-1]:
-            x = rs[np.minimum(end + step - 1, n - 1)]  # x <= rs, so |x - rs| = rs - x
-            end = np.where((end + step <= n) & ((rs - x <= tol) | (x == rs)), end + step, end)
-    ends, starts = end.tolist(), [0]
-    while ends[starts[-1]] < n:  # one step per breakpoint
-        starts.append(ends[starts[-1]])
-    xs = np.concatenate(([0.0], np.cumsum(np.add.reduceat(g[order], starts))))
-    ys = np.concatenate(([0.0], np.cumsum(np.add.reduceat(probs[order], starts))))
-    if abs(xs[-1] - 1) < 1e-9 and abs(ys[-1] - 1) < 1e-9:  # close numerically to (1, 1)
-        xs[-1] = ys[-1] = 1.0
-    return ThermoCurve(tuple(zip(xs.tolist(), ys.tolist())))
+        tied = (rs[:-1] - rs[1:] <= tol[:-1]) | (rs[1:] == rs[:-1])
+    gs, ps = g[order], probs[order]
+    joins = tied.nonzero()[0]
+    if len(joins):
+        rs, tol, taken, stop = rs.tolist(), tol.tolist(), [], 1  # levels below stop are decided
+        for k in (joins + 1).tolist():
+            if k >= stop:
+                first = k - 1  # stop - 1, or a level not tied with its predecessor
+                while k < len(rs) and (rs[first] - rs[k] <= tol[first] or rs[k] == rs[first]):
+                    taken.append(k)
+                    k += 1
+                stop = k + 1
+        starts = np.delete(np.arange(len(rs)), taken)
+        gs, ps = np.add.reduceat(gs, starts), np.add.reduceat(ps, starts)
+    points = np.zeros((len(gs) + 1, 2))
+    np.add.accumulate(gs, out=points[1:, 0])
+    np.add.accumulate(ps, out=points[1:, 1])
+    if abs(points[-1, 0] - 1) < 1e-9 and abs(points[-1, 1] - 1) < 1e-9:  # close to (1, 1)
+        points[-1] = 1.0
+    return ThermoCurve._from_points(points)
 
 
 def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
@@ -244,7 +268,7 @@ class _Prepared:
 
     def __init__(self, obj, beta: float):
         self.obj, self.beta = obj, beta
-        self._gibbs, self._curve, self._free, self._joint = {}, None, {}, {}
+        self._gibbs, self._free, self._joint = {}, {}, {}
 
     def gibbs(self, cat_dim: int = 1) -> np.ndarray:
         """Gibbs weights of a classical object in tensor with a catalyst of
@@ -259,19 +283,15 @@ class _Prepared:
                 self._gibbs[cat_dim] = gibbs_state(self.obj.hamiltonian, self.beta).state
         return self._gibbs[cat_dim]
 
-    @property
+    @functools.cached_property
     def curve(self) -> ThermoCurve:
-        if self._curve is None:
-            self._curve = _curve(self.obj.probs, self.gibbs())
-        return self._curve
+        return _curve(self.obj.probs, self.gibbs())
 
     def delta_F(self, alpha: float) -> float:
-        if alpha not in self._free:
-            self.fill_free((alpha,))
-        return self._free[alpha]
+        return float(self.fill_free((alpha,))[0])
 
-    def fill_free(self, grid) -> None:
-        """Compute delta_F at the orders of ``grid`` not yet known, in one batch."""
+    def fill_free(self, grid) -> np.ndarray:
+        """delta_F at the orders of ``grid``, those not yet known computed in one batch."""
         missing = [alpha for alpha in grid if alpha not in self._free]
         if missing:
             if isinstance(self.obj, ClassicalObject):
@@ -279,6 +299,7 @@ class _Prepared:
             else:
                 values = renyi_divergences(self.obj.state, self.gibbs(), missing)
             self._free.update((alpha, v / self.beta) for alpha, v in zip(missing, values))
+        return np.array([self._free[alpha] for alpha in grid])
 
     def with_catalyst(self, comp: tuple, cat: ClassicalObject) -> ThermoCurve:
         if comp not in self._joint:
@@ -444,14 +465,18 @@ def _order_grid(alpha_grid) -> tuple:
 
 
 def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdict:
-    for i, alpha in enumerate(grid):
-        if i == 1:  # the first order alone, where most refutations come; the rest at once
-            src.fill_free(grid)
-            dst.fill_free(grid)
-        f_src, f_dst = src.delta_F(alpha), dst.delta_F(alpha)
-        if f_dst > f_src + MONOTONE_TOL:
-            return _increase(alpha, f_src, f_dst)
+    for orders in (grid[:1], grid) if grid else ():  # most refutations come at the first
+        f_src, f_dst = src.fill_free(orders), dst.fill_free(orders)
+        refuted, k = _raised(f_src, f_dst)
+        if refuted:
+            return _increase(orders[k], f_src[k], f_dst[k])
     return UNDETERMINED
+
+
+def _raised(f_src: np.ndarray, f_dst: np.ndarray):
+    """Whether delta_F rises from f_src to f_dst at an order (last axis), and the first."""
+    raised = f_dst > f_src + MONOTONE_TOL
+    return raised.any(axis=-1), raised.argmax(axis=-1)
 
 
 def _increase(alpha: float, f_src: float, f_dst: float) -> FeasibilityVerdict:
@@ -698,9 +723,8 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, p
         i, j = (list(column) for column in zip(*pairs[start:start + step]))
         dropped = np.max(yd[j] - _interp_rows(xd[j], xs[i], ys[i]), axis=1) > (
             MAJORIZE_TOL + _SCREEN_SLACK)
-        raised = fd[j] > fs[i] + MONOTONE_TOL
-        for a, b, drop, refuted, k in zip(i, j, dropped.tolist(), raised.any(axis=1).tolist(),
-                                          raised.argmax(axis=1).tolist()):
+        raised, first = _raised(fs[i], fd[j])
+        for a, b, drop, refuted, k in zip(i, j, dropped.tolist(), raised.tolist(), first.tolist()):
             verdict = UNDETERMINED if drop else _curve_dominance(prepare(0, a).curve,
                                                                  prepare(1, b).curve)
             if not verdict.is_feasible:

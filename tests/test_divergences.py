@@ -260,8 +260,14 @@ def _sandwiched_reference(rho, sigma, alpha) -> float:
     mu = np.linalg.eigvalsh(sand @ rho @ sand)
     if alpha == INF:
         return math.log(float(np.max(mu)))
-    total = float(np.sum(mu[mu > 1e-14] ** alpha))
-    return INF if total <= 0.0 else math.log(total) / (alpha - 1.0)
+    pos = mu[mu > 1e-14]
+    total = float(np.sum(pos ** alpha))
+    if 0.0 < total < INF:
+        return math.log(total) / (alpha - 1.0)
+    if not len(pos):
+        return INF
+    t = alpha * np.log(pos)  # an overflowed power sum, by log-sum-exp
+    return (float(t.max()) + math.log(float(np.exp(t - t.max()).sum()))) / (alpha - 1.0)
 
 
 class TestBatchedSandwichedRenyi:

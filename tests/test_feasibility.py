@@ -3,8 +3,10 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermowork.core import (
     ClassicalObject,
@@ -28,6 +30,7 @@ from thermowork.feasibility import (
     FeasibilityVerdict,
     Status,
     ThermalOperationSpec,
+    ThermoCurve,
     UNDETERMINED,
     apply_thermal_operation,
     catalytic_bruteforce,
@@ -41,7 +44,7 @@ from thermowork.feasibility import (
     thermo_curve,
     thermo_majorizes,
 )
-from thermowork.feasibility import _catalysts, _interp_rows, _Prepared, _screen
+from thermowork.feasibility import _catalysts, _curve, _interp_rows, _Prepared, _screen
 from thermowork.sampling import (
     random_classical_object,
     random_density_matrix,
@@ -75,6 +78,42 @@ def _loop_curve(c, beta):
     if abs(acc_x - 1) < 1e-9 and abs(acc_y - 1) < 1e-9:
         points[-1] = (1.0, 1.0)
     return points
+
+
+def _lifted_curve(probs, g) -> np.ndarray:
+    """The breakpoints of the former _curve, which found the end of the run from
+    every level by binary lifting and then walked from run end to run end: the
+    reference the one-pass curve must equal to the bit."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = probs / g
+        order = np.argsort(-ratios, kind="stable")
+        rs, n = ratios[order], len(ratios)
+        tol = np.where(np.isfinite(rs), 1e-12 + 1e-9 * np.abs(rs), 0.0)
+        end = np.arange(1, n + 1)
+        for step in 2 ** np.arange((n - 1).bit_length())[::-1]:
+            x = rs[np.minimum(end + step - 1, n - 1)]
+            end = np.where((end + step <= n) & ((rs - x <= tol) | (x == rs)), end + step, end)
+    ends, starts = end.tolist(), [0]
+    while ends[starts[-1]] < n:
+        starts.append(ends[starts[-1]])
+    xs = np.concatenate(([0.0], np.cumsum(np.add.reduceat(g[order], starts))))
+    ys = np.concatenate(([0.0], np.cumsum(np.add.reduceat(probs[order], starts))))
+    if abs(xs[-1] - 1) < 1e-9 and abs(ys[-1] - 1) < 1e-9:
+        xs[-1] = ys[-1] = 1.0
+    return np.array(tuple(zip(xs.tolist(), ys.tolist()))).reshape(-1, 2)
+
+
+def _tol(r: float) -> float:
+    """The tie tolerance of ratio r (np.isclose, rtol 1e-9, atol 1e-12)."""
+    return 1e-12 + 1e-9 * abs(r)
+
+
+def _chain(top: float, length: int, step) -> np.ndarray:
+    """``length`` ratios from ``top``, each ``step`` of the one before it."""
+    ratios = [top]
+    for _ in range(length - 1):
+        ratios.append(step(ratios[-1]))
+    return np.array(ratios)
 
 
 def _loop_constraints(src, dst, beta):
@@ -204,6 +243,122 @@ class TestThermoCurve:
         rows = curve.to_csv_rows()
         assert len(rows) == len(curve.breakpoints)
         assert all("," in row for row in rows)
+
+
+class TestOnePassCurve:
+    """_curve against the former binary-lifting build, breakpoint bytes equal."""
+
+    @staticmethod
+    def _same(probs, g):
+        probs, g = np.asarray(probs, dtype=float), np.asarray(g, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = _curve(probs, g)
+        want = _lifted_curve(probs, g)
+        got = np.array(curve.breakpoints).reshape(-1, 2)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert curve.xs().tobytes() == want[:, 0].tobytes()
+        assert curve.ys().tobytes() == want[:, 1].tobytes()
+        return curve
+
+    @pytest.mark.parametrize("top", [1e-6, 0.37, 1.0, 3.3, 1e4])
+    def test_gaps_at_the_tolerance_and_one_ulp_around_it(self, top):
+        exact = lambda r: r - _tol(r)  # noqa: E731
+        steps = [exact, lambda r: np.nextafter(exact(r), -np.inf),
+                 lambda r: np.nextafter(exact(r), np.inf)]
+        rng = rng_from_seed(3)
+        for step in steps:
+            for length in (2, 3, 9, 64):
+                ratios = _chain(top, length, step)
+                self._same(ratios, np.ones(length))  # the ratios are the probabilities
+                self._same(ratios[::-1], np.ones(length))
+                mixed = _chain(top, length, lambda r: steps[int(rng.integers(3))](r))
+                self._same(mixed, np.ones(length))
+                self._same(mixed / length, np.full(length, 1.0 / length))
+
+    def test_walk_goes_past_the_end_of_a_chain(self):
+        # second is 1 ulp below first, and so is its tolerance below first's; last is not
+        # tied with second, but its difference to first rounds (half to even) down onto
+        # first's tolerance, so the run of first takes last too
+        first, second, last = 1.009742059657091e-12, 1.0097420596570908e-12, 9.742058647348738e-15
+        assert not second - last <= _tol(second) and first - last <= _tol(first)
+        for ratios in ([first, second, last], [2.0, first, second, last, 0.0],
+                       [last, second, first]):
+            assert len(self._same(ratios, np.ones(len(ratios))).breakpoints) == len(ratios) - 1
+
+    @pytest.mark.parametrize("length", [2, 3, 5, 31, 256, 1024])
+    def test_near_tie_chains_in_both_directions(self, length):
+        for factor in (0.3, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5):
+            down = _chain(1.0, length, lambda r: r - factor * _tol(r))
+            up = _chain(1.0, length, lambda r: r + factor * _tol(r))
+            for ratios in (down, down[::-1], up, up[::-1]):
+                g = np.full(length, 1.0 / length)
+                self._same(ratios * g / np.sum(ratios * g), g)
+                self._same(ratios, np.ones(length))
+        # a chain each neighbour of which is tied, its ends 1000 tolerances apart
+        self._same((1 + 0.9e-9 * (np.arange(length) - length / 2)) / length,
+                   np.full(length, 1.0 / length))
+
+    def test_exact_ties_inf_and_zero_over_zero_levels(self):
+        rng = rng_from_seed(5)
+        for _ in range(300):
+            d = int(rng.integers(1, 12))
+            probs = rng.choice([0.0, 0.1, 0.2, 0.2 + 1e-13, 0.3], d)
+            g = np.where(rng.random(d) < 0.3, rng.choice([0.0, 5e-324, 1e-310], d),
+                         rng.choice([0.1, 0.2, 0.3], d))
+            self._same(probs, g)
+        underflow = ClassicalObject([0.5, 0.2, 0.2, 0.1, 0.0], [0.0, 800.0, 900.0, 900.0, 950.0])
+        self._same(underflow.probs, underflow.gibbs_weights(1.0))
+
+    def test_one_level(self):
+        for probs, g in (([1.0], [1.0]), ([1.0], [0.0]), ([0.0], [0.0]), ([0.3], [0.7])):
+            assert len(self._same(probs, g).breakpoints) == 2
+
+    def test_tied_catalyst_products(self):
+        rng = rng_from_seed(6)
+        for k in (2, 3, 4):
+            for comp, cat in _catalysts(k, 16)[:20]:
+                c = random_classical_object(rng, int(rng.integers(2, 6)), energy_scale=2.0)
+                prep = _Prepared(c, 1.0)
+                self._same(np.outer(c.probs, cat.probs).ravel(), prep.gibbs(k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-8, 1e8), st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3]),
+                                           min_size=0, max_size=40),
+           st.lists(st.sampled_from(["gibbs", "inf", "nan"]), max_size=4), st.randoms())
+    def test_agrees_with_binary_lifting(self, top, gaps, extra, random):
+        ratios = [top]
+        for gap in gaps:
+            ratios.append(ratios[-1] - gap * _tol(ratios[-1]))
+        g = [1.0] * len(ratios)
+        probs = list(ratios)
+        for kind in extra:  # a level of zero Gibbs weight, with or without probability
+            probs.append({"gibbs": top, "inf": 1.0, "nan": 0.0}[kind])
+            g.append(1.0 if kind == "gibbs" else 0.0)
+        order = list(range(len(probs)))
+        random.shuffle(order)
+        self._same(np.array(probs)[order], np.array(g)[order])
+
+    def test_curve_from_arrays_equals_one_from_its_breakpoints(self):
+        rng = rng_from_seed(8)
+        objects = [random_classical_object(rng, d, energy_scale=2.0) for d in (1, 2, 3, 7, 64)]
+        objects += [classical_tensor(random_classical_object(rng, 3),
+                                     ClassicalObject(np.full(3, 1 / 3), np.zeros(3))),
+                    ClassicalObject([0.5, 0.5, 0.0], [0.0, 800.0, 900.0])]
+        for c in objects:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                built, again = thermo_curve(c, 1.0), thermo_curve(c, 1.0)
+            rebuilt = ThermoCurve(built.breakpoints)
+            assert again == rebuilt and rebuilt == again  # compared before either is read
+            assert built == rebuilt and hash(built) == hash(rebuilt) == hash(again)
+            assert repr(built) == repr(rebuilt)
+            assert built.breakpoints is built.breakpoints  # made once
+            for a, b in ((built.xs(), rebuilt.xs()), (built.ys(), rebuilt.ys())):
+                assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+                assert not a.flags.writeable and not b.flags.writeable
+            assert built.to_csv_rows() == rebuilt.to_csv_rows()
 
 
 class TestThermoMajorizes:
@@ -451,6 +606,40 @@ def _loop_necessary(src, dst, beta, grid) -> dict:
                 "gap": float(f_dst - f_src), "src_value": float(f_src),
                 "dst_value": float(f_dst)}).to_json()
     return UNDETERMINED.to_json()
+
+
+def _mp_sandwiched(rho, sigma, alpha: float) -> float:
+    """The sandwiched Renyi divergence at a finite order alpha != 1, with 40
+    digits, over the eigenvalues of the sandwich above 1e-14."""
+    with mpmath.workdps(40):
+        lam, vecs = mpmath.eighe(mpmath.matrix(np.asarray(sigma).tolist()))
+        exponent = (1 - mpmath.mpf(alpha)) / (2 * mpmath.mpf(alpha))
+        sand = vecs * mpmath.diag([x ** exponent for x in lam]) * vecs.H
+        mu, _ = mpmath.eighe(sand * mpmath.matrix(np.asarray(rho).tolist()) * sand)
+        total = mpmath.fsum(m ** alpha for m in mu if m > 1e-14)
+        return float(mpmath.log(total) / (mpmath.mpf(alpha) - 1))
+
+
+class TestSandwichedLargeOrders:
+    def test_order_100_is_finite_and_below_order_inf(self):
+        # sum mu ** 100 overflows a float for the d = 8 non-Gibbs objects
+        objects = {id(obj): (obj, beta) for src, dst, beta in _quantum_pairs()[15:20]
+                   for obj in (src, dst)}
+        checked = 0
+        for obj, beta in objects.values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                top = delta_F_alpha(obj, beta, INF)
+                value = delta_F_alpha(obj, beta, 100.0)
+                batch = _Prepared(obj, beta).fill_free(DEFAULT_ALPHA_GRID)
+            if top < 1.0:  # the Gibbs state, whose values are rounding
+                continue
+            want = _mp_sandwiched(obj.state, gibbs_state(obj.hamiltonian, beta).state, 100.0)
+            assert math.isfinite(value) and value <= top
+            assert value == pytest.approx(want / beta, rel=1e-12)
+            assert batch[DEFAULT_ALPHA_GRID.index(100.0)] == value
+            checked += 1
+        assert checked == 3
 
 
 class TestCatalyticNecessary:
