@@ -48,11 +48,13 @@ def as_beta(ctx) -> float:
     return beta
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if math.isnan(alpha) or alpha < 0:
-        raise ValueError(f"alpha must lie in [0, inf], got {alpha}")
-    return alpha
+def _check_alphas(alphas) -> list:
+    """The orders as floats, checked in one pass; ValueError names the first bad one."""
+    listed = list(map(float, alphas))
+    if not all(map((0.0).__le__, listed)):  # False at NaN too
+        bad = next(alpha for alpha in listed if not alpha >= 0)
+        raise ValueError(f"alpha must lie in [0, inf], got {bad}")
+    return listed
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -93,7 +95,7 @@ def classical_renyi_divergences(p, q, alphas) -> list:
     groups of one support size, each row's support levels moved to the front,
     so a row adds the same terms in the same order as its one-row call.
     """
-    listed = [_check_alpha(alpha) for alpha in alphas]
+    listed = _check_alphas(alphas)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
@@ -182,7 +184,7 @@ def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     call to the bit.  From alpha = 1 up (and at inf) a leak of rho into the
     kernel makes the divergence +inf.  A power sum of inf or 0 goes by log-sum-exp.
     """
-    listed = [_check_alpha(alpha) for alpha in alphas]
+    listed = _check_alphas(alphas)
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
@@ -230,7 +232,6 @@ def delta_F_alpha(p, ctx, alpha: float) -> float:
     objects; classical inputs use the classical formula directly.
     """
     beta = as_beta(ctx)
-    alpha = _check_alpha(alpha)
     if isinstance(p, ClassicalObject):
         return classical_renyi_divergence(p.probs, p.gibbs_weights(beta), alpha) / beta
     omega = gibbs_state(p.hamiltonian, beta)

@@ -38,7 +38,7 @@ from .core import (
 )
 from .divergences import (
     INF,
-    _check_alpha,
+    _check_alphas,
     as_beta,
     classical_renyi_divergences,
     renyi_divergences,
@@ -236,13 +236,14 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
 
 
 def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdict:
-    xs = np.unique(np.concatenate([src_c.xs(), dst_c.xs()]))
-    sv = src_c.value(xs)
-    dv = dst_c.value(xs)
+    xs = np.concatenate((src_c.xs(), dst_c.xs()))
+    xs.sort()
+    xs = np.concatenate((xs[:1], xs[1:][xs[1:] != xs[:-1]]))  # np.unique's, without its wrappers
+    sv, dv = src_c.value(xs), dst_c.value(xs)
     deficit = dv - sv
     bad = deficit > MAJORIZE_TOL
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    if bad.any():
+        k = int(bad.argmax())
         return infeasible({
             "kind": "curve_crossing",
             "x": float(xs[k]),
@@ -252,8 +253,8 @@ def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdi
         })
     return feasible({
         "kind": "curve_dominance",
-        "min_margin": float(np.min(sv - dv)),
-        "checked_points": int(len(xs)),
+        "min_margin": float((sv - dv).min()),
+        "checked_points": len(xs),
     })
 
 
@@ -298,7 +299,8 @@ class _Prepared:
                 values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
             else:
                 values = renyi_divergences(self.obj.state, self.gibbs(), missing)
-            self._free.update((alpha, v / self.beta) for alpha, v in zip(missing, values))
+            for alpha, v in zip(missing, values):
+                self._free[alpha] = v / self.beta
         return np.array([self._free[alpha] for alpha in grid])
 
     def with_catalyst(self, comp: tuple, cat: ClassicalObject) -> ThermoCurve:
@@ -459,8 +461,7 @@ def _order_grid(alpha_grid) -> tuple:
     if alpha_grid is None:
         return DEFAULT_ALPHA_GRID
     grid = tuple(alpha_grid)
-    for alpha in grid:
-        _check_alpha(alpha)
+    _check_alphas(grid)
     return grid
 
 
@@ -700,15 +701,16 @@ def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = 2, grid_steps: in
     return _bruteforce(src, dst, max_cat_dim, grid_steps)
 
 
-def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, pairs: list,
-                  beta: float):
-    """_decide on src_m (x) cands[i] and dst_m (x) cands[j] for each (i, j) of
-    ``pairs``, lazily, from one row per joint object: its curve as in _screen
+def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i: np.ndarray,
+                  j: np.ndarray, beta: float):
+    """(n, _decide's verdict) on src_m (x) cands[i[n]] and dst_m (x) cands[j[n]],
+    lazily in order of n, from one row per joint object: its curve as in _screen
     and its free energies on DEFAULT_ALPHA_GRID, the values _Prepared computes.
     _curve_dominance, the only judge of the direct stage, checks the pairs the
     screen keeps, which by _screen's argument include every pair it accepts;
     a pair is refuted at the first order where the rows show an increase, and
-    the others are searched with _decide's default budget."""
+    the others are searched with _decide's default budget.  A pair the screen
+    drops and the rows refute is Infeasible whatever else: it is skipped."""
     rows = [_tensor_rows(base, cands, beta) for base in (src_m, dst_m)]
     (xs, ys), (xd, yd) = (_joint_curves(*row) for row in rows)
     fs, fd = (np.array(classical_renyi_divergences(p, g, DEFAULT_ALPHA_GRID)) / beta
@@ -719,18 +721,20 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, p
         return _Prepared(classical_tensor((src_m, dst_m)[side], cands[k]), beta)
 
     step = max(1, _SCREEN_LEVELS // (xs.shape[1] + xd.shape[1] + len(DEFAULT_ALPHA_GRID)))
-    for start in range(0, len(pairs), step):
-        i, j = (list(column) for column in zip(*pairs[start:start + step]))
-        dropped = np.max(yd[j] - _interp_rows(xd[j], xs[i], ys[i]), axis=1) > (
+    for start in range(0, len(i), step):
+        a, b = i[start:start + step], j[start:start + step]
+        dropped = np.max(yd[b] - _interp_rows(xd[b], xs[a], ys[a]), axis=1) > (
             MAJORIZE_TOL + _SCREEN_SLACK)
-        raised, first = _raised(fs[i], fd[j])
-        for a, b, drop, refuted, k in zip(i, j, dropped.tolist(), raised.tolist(), first.tolist()):
-            verdict = UNDETERMINED if drop else _curve_dominance(prepare(0, a).curve,
-                                                                 prepare(1, b).curve)
+        raised, first = _raised(fs[a], fd[b])
+        kept = np.flatnonzero(~(dropped & raised))
+        for n, s, d, drop, refuted, k in zip(*(x.tolist() for x in (
+                kept + start, a[kept], b[kept], dropped[kept], raised[kept], first[kept]))):
+            verdict = UNDETERMINED if drop else _curve_dominance(prepare(0, s).curve,
+                                                                 prepare(1, d).curve)
             if not verdict.is_feasible:
-                verdict = (_increase(DEFAULT_ALPHA_GRID[k], fs[a, k], fd[b, k]) if refuted
-                           else _bruteforce(prepare(0, a), prepare(1, b), 2, 32))
-            yield verdict
+                verdict = (_increase(DEFAULT_ALPHA_GRID[k], fs[s, k], fd[d, k]) if refuted
+                           else _bruteforce(prepare(0, s), prepare(1, d), 2, 32))
+            yield n, verdict
 
 
 def _tensor_rows(base: ClassicalObject, objs: list, beta: float):

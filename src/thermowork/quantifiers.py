@@ -11,6 +11,7 @@ work of transition, work value and work cost.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -30,13 +31,16 @@ from .core import (
     partial_trace,
     trace_norm,
 )
-from .divergences import BetaContext, INF, _check_alpha, as_beta, delta_F_alpha
+from .divergences import (BetaContext, INF, _check_alphas, as_beta,
+                          classical_renyi_divergences, delta_F_alpha)
 from .feasibility import (
     MONOTONE_TOL,
     FeasibilityVerdict,
+    Status,
     _as_classical,
     _decide_pairs,
     _json_safe,
+    _tensor_rows,
     decide_catalytic,
     thermo_majorizes,
 )
@@ -66,6 +70,16 @@ class Monotone:
     def __call__(self, obj) -> float:
         raise NotImplementedError
 
+    def _values(self, objs) -> np.ndarray:
+        """M of each object, NaN where M raises ValueError or KeyError."""
+        m = np.empty(len(objs))
+        for k, c in enumerate(objs):
+            try:
+                m[k] = self(c)
+            except (ValueError, KeyError):
+                m[k] = np.nan
+        return m
+
 
 @dataclass(frozen=True)
 class RenyiFreeEnergy(Monotone):
@@ -75,7 +89,7 @@ class RenyiFreeEnergy(Monotone):
     ctx: BetaContext
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        _check_alphas((self.alpha,))
 
     @property
     def name(self) -> str:
@@ -86,6 +100,14 @@ class RenyiFreeEnergy(Monotone):
         if isinstance(obj, NonInteractingObject):
             obj = obj.obj
         return delta_F_alpha(obj, self.ctx, self.alpha)
+
+    def _values(self, objs) -> np.ndarray:
+        """For classical objects one row call, each value that of self(c) to the bit."""
+        if not all(isinstance(c, ClassicalObject) for c in objs):
+            return super()._values(objs)
+        beta = as_beta(self.ctx)
+        rows = _tensor_rows(EMPTY_CLASSICAL, objs, beta)
+        return np.array(classical_renyi_divergences(*rows, (self.alpha,)))[:, 0] / beta
 
 
 @dataclass(frozen=True)
@@ -204,8 +226,9 @@ def _qubit_distances(obj, delta: float):
     return _eigenstate_distances(obj)[1:] if ok else None
 
 
-def _epsilon_grid(epsilon: float, delta: float, grid: int, closed: bool) -> list:
-    """Classical qubit states within epsilon of an energy eigenstate.
+@functools.cache
+def _epsilon_grid(epsilon: float, delta: float, grid: int, closed: bool) -> tuple:
+    """Classical qubit states within epsilon of an energy eigenstate, built once.
 
     The boundary states at distance exactly 2 epsilon belong to the closed
     (wbit) ball only.
@@ -213,14 +236,11 @@ def _epsilon_grid(epsilon: float, delta: float, grid: int, closed: bool) -> list
     out = [ClassicalObject([1.0, 0.0], [0.0, delta]),
            ClassicalObject([0.0, 1.0], [0.0, delta])]
     if epsilon > 0:
-        ts = np.linspace(0.0, epsilon, max(2, grid // 4), endpoint=False)
-        for t in ts[1:]:
-            out.append(ClassicalObject([1.0 - t, t], [0.0, delta]))
-            out.append(ClassicalObject([t, 1.0 - t], [0.0, delta]))
-        if closed:
-            out.append(ClassicalObject([1.0 - epsilon, epsilon], [0.0, delta]))
-            out.append(ClassicalObject([epsilon, 1.0 - epsilon], [0.0, delta]))
-    return out
+        ts = np.linspace(0.0, epsilon, max(2, grid // 4), endpoint=False)[1:].tolist()
+        for t in ts + ([epsilon] if closed else []):
+            out += [ClassicalObject([1.0 - t, t], [0.0, delta]),
+                    ClassicalObject([t, 1.0 - t], [0.0, delta])]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -268,7 +288,7 @@ class _EpsilonBall(RestrictionSet):
         return d <= 1e-12 or (d <= radius + 1e-12 if self.closed else d < radius)
 
     def candidates(self, anchors=(), grid: int = 32) -> list:
-        return [EMPTY_CLASSICAL] + _epsilon_grid(self.epsilon, self.delta, grid, self.closed)
+        return [EMPTY_CLASSICAL, *_epsilon_grid(self.epsilon, self.delta, grid, self.closed)]
 
 
 class EpsilonDet(_EpsilonBall):
@@ -448,11 +468,8 @@ def check_additive_monotonicity(monotone: Monotone, srcs, dsts, oracle,
     srcs, dsts = list(srcs), list(dsts)
     if len(srcs) != len(dsts):
         raise ValueError("need matching source and destination batches")
-    joint_src = srcs[0]
-    joint_dst = dsts[0]
-    for s, d in zip(srcs[1:], dsts[1:]):
-        joint_src = classical_tensor(joint_src, s)
-        joint_dst = classical_tensor(joint_dst, d)
+    joint_src, joint_dst = (functools.reduce(classical_tensor, batch[1:], batch[0])
+                            for batch in (srcs, dsts))
     verdict = oracle(joint_src, joint_dst)
     report = CheckReport(
         checker="additive_monotonicity",
@@ -578,36 +595,34 @@ def work_of_transition(quantifier: WorkQuantifier, restriction: RestrictionSet,
     check runs only where the screen, read on the target's breakpoints with
     slack above MAJORIZE_TOL, may accept, and the screen keeps every pair
     the exact check accepts, so the exact check still decides each pair and
-    ``tested`` and the certificate are those of a pair-by-pair search.
+    ``tested`` and the certificate are those of a pair-by-pair search.  Pairs
+    _decide_pairs skips get their Infeasible entries in bulk.
     """
     beta = as_beta(ctx)
     src_m = _as_classical(src_m)
     dst_m = _as_classical(dst_m)
     cands = restriction.candidates(anchors=(src_m, dst_m), grid=grid)
-    m = np.empty(len(cands))
-    for k, c in enumerate(cands):
-        try:
-            m[k] = quantifier.monotone(c)
-        except (ValueError, KeyError):
-            m[k] = np.nan
+    m = quantifier.monotone._values(cands)
     with np.errstate(invalid="ignore"):  # inf - inf: work undefined
         works = (m[None, :] - m[:, None]).ravel()  # row: storage before, column: after
     order = np.flatnonzero(np.isfinite(works))
-    order = order[np.argsort(-works[order], kind="stable")].tolist()
-    pairs = [divmod(k, len(cands)) for k in order]
+    order = order[np.argsort(-works[order], kind="stable")]
+    i, j = np.divmod(order, len(cands))
     if oracle is None:
-        verdicts = _decide_pairs(src_m, dst_m, cands, pairs, beta)
+        verdicts = _decide_pairs(src_m, dst_m, cands, i, j, beta)
     else:
-        verdicts = (oracle(classical_tensor(src_m, cands[i]), classical_tensor(dst_m, cands[j]))
-                    for i, j in pairs)
-    tested = []
-    for k, (i, j), verdict in zip(order, pairs, verdicts):
-        w = float(works[k])
-        tested.append({"work": w, "status": verdict.status.value})
+        verdicts = enumerate(oracle(classical_tensor(src_m, cands[a]),
+                                    classical_tensor(dst_m, cands[b])) for a, b in zip(i, j))
+    ws, tested = works[order].tolist(), []
+    refuted = Status.INFEASIBLE.value  # read once: an Enum's value costs a descriptor call
+    for n, verdict in verdicts:
+        tested += [{"work": w, "status": refuted} for w in ws[len(tested):n]]
+        tested.append({"work": ws[n], "status": verdict.status.value})
         if verdict.is_feasible:
-            record = TransitionRecord(cands[i], cands[j], w, verdict)
-            return {"lower_bound": w, "certificate": record, "tested": tested,
+            record = TransitionRecord(cands[i[n]], cands[j[n]], ws[n], verdict)
+            return {"lower_bound": ws[n], "certificate": record, "tested": tested,
                     "explanation": "best certified value over the discretization"}
+    tested += [{"work": w, "status": refuted} for w in ws[len(tested):]]
     return {"lower_bound": -INF, "certificate": None, "tested": tested,
             "explanation": "no certified feasible transition in the discretization"}
 
@@ -616,10 +631,8 @@ def work_value(quantifier: WorkQuantifier, restriction: RestrictionSet, p_m,
                ctx, oracle=None, grid: int = 32) -> dict:
     """Certified lower bound on the work extractable from the fuel object."""
     beta = as_beta(ctx)
-    p_m = _as_classical(p_m)
-    omega = classical_gibbs(p_m.energies, beta)
-    res = work_of_transition(quantifier, restriction, p_m, omega, beta,
-                             oracle=oracle, grid=grid)
+    omega = classical_gibbs(_as_classical(p_m).energies, beta)
+    res = work_of_transition(quantifier, restriction, p_m, omega, beta, oracle=oracle, grid=grid)
     return {"value": res["lower_bound"], "certificate": res["certificate"],
             "bound_direction": "lower", "tested": res["tested"]}
 
@@ -632,10 +645,8 @@ def work_cost(quantifier: WorkQuantifier, restriction: RestrictionSet, p_m,
     +inf when nothing in the grid certifies.
     """
     beta = as_beta(ctx)
-    p_m = _as_classical(p_m)
-    omega = classical_gibbs(p_m.energies, beta)
-    res = work_of_transition(quantifier, restriction, omega, p_m, beta,
-                             oracle=oracle, grid=grid)
+    omega = classical_gibbs(_as_classical(p_m).energies, beta)
+    res = work_of_transition(quantifier, restriction, omega, p_m, beta, oracle=oracle, grid=grid)
     cost = -res["lower_bound"]
     return {"cost": cost, "certificate": res["certificate"],
             "bound_direction": "upper", "tested": res["tested"]}
@@ -736,14 +747,8 @@ def swap_cycle_sequence(objects, ctx) -> tuple:
     if len(cycle) < 2 or not _classical_close(cycle[0], cycle[-1], 1e-10):
         raise ValueError("cycle must close (last object equal to first)")
     n = len(cycle)
-
-    def tensor_all(factors):
-        out = EMPTY_CLASSICAL
-        for f in factors:
-            out = classical_tensor(out, f)
-        return out
-
-    cs = [tensor_all(cycle[:k - 1] + cycle[k:n - 1]) for k in range(1, n)]
+    cs = [functools.reduce(classical_tensor, cycle[:k - 1] + cycle[k:n - 1], EMPTY_CLASSICAL)
+          for k in range(1, n)]
     assistants = [(cs[k], cs[(k + 1) % (n - 1)]) for k in range(n - 1)]
     steps = list(zip(cycle[:-1], cycle[1:]))
     verdicts = []

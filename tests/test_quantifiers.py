@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermowork.core import (
     EMPTY,
@@ -393,16 +394,45 @@ class TestCandidateTable:
     @pytest.mark.parametrize("restriction", [EpsilonDet(0.1, 1.0), MeanLadder(4, 0.5)],
                              ids=["EpsilonDet", "MeanLadder"])
     def test_every_pair_is_decided_as_by_decide(self, restriction):
-        # past the first Feasible pair too, which work_of_transition never reaches
+        # drained past the first Feasible pair, which work_of_transition never reaches
         for fuel in self.FUELS:
             omega = classical_gibbs(fuel.energies, 1.0)
             cands = restriction.candidates(anchors=(fuel, omega), grid=32)
-            pairs = [(i, j) for i in range(len(cands)) for j in range(len(cands))]
-            got = [v.to_json() for v in _decide_pairs(fuel, omega, cands, pairs, 1.0)]
-            want = [_decide(_Prepared(classical_tensor(fuel, cands[i]), 1.0),
-                            _Prepared(classical_tensor(omega, cands[j]), 1.0)).to_json()
-                    for i, j in pairs]
-            assert json.dumps(got) == json.dumps(want)
+            i, j = np.divmod(np.arange(len(cands) ** 2), len(cands))
+            yielded = [(n, v.to_json()) for n, v in _decide_pairs(fuel, omega, cands, i, j, 1.0)]
+            got = dict(yielded)
+            assert list(got) == sorted(got) and len(got) == len(yielded)
+            statuses = [v["status"] for v in got.values()]
+            assert statuses.index("Feasible") + 1 < len(statuses)  # pairs after it decided too
+            skipped = 0
+            for n, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+                want = _decide(_Prepared(classical_tensor(fuel, cands[a]), 1.0),
+                               _Prepared(classical_tensor(omega, cands[b]), 1.0)).to_json()
+                if n in got:
+                    assert json.dumps(got[n]) == json.dumps(want), n
+                else:  # skipped: refuted by a monotone
+                    skipped += 1
+                    assert want["status"] == "Infeasible"
+                    assert want["witness"]["kind"] == "monotone_increase"
+            assert skipped > 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from((0.0, 0.5, 1.0, 2.0, INF)) | st.floats(1e-2, 1e2),
+           st.floats(0.1, 10.0), st.integers(1, 4).flatmap(
+               lambda d: st.tuples(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),
+                                   st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))))
+    def test_batched_monotone_values_are_its_calls(self, alpha, beta, fuel):
+        weights, energies = (np.array(x) for x in fuel)
+        if not weights.sum() > 0:
+            return
+        fuel = ClassicalObject(weights / weights.sum(), energies)
+        m = RenyiFreeEnergy(alpha, BetaContext(beta))
+        anchors = (fuel, classical_gibbs(fuel.energies, 1.0))
+        q1, q2 = (ClassicalObject([p, 1.0 - p], [0.0, 1.0]) for p in (0.9, 0.6))
+        for restriction in (Unrestricted(), EpsilonDet(0.1, 1.0), WbitSet(0.1, 1.0),
+                            MeanLadder(4, 0.5), FiniteList((q1, fuel, q2))):
+            cands = restriction.candidates(anchors=anchors, grid=32)
+            assert [repr(float(v)) for v in m._values(cands)] == [repr(m(c)) for c in cands]
 
     def test_custom_table_with_a_skipped_candidate(self):
         q1, q2, q3 = (ClassicalObject([p, 1.0 - p], [0.0, 1.0]) for p in (0.9, 0.6, 0.3))
