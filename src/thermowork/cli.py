@@ -92,7 +92,7 @@ def _scenario_blocks(args, cfg: dict | None) -> list:
     flags = {}
     for key in ("beta", "delta", "d", "epsilon", "alpha", "seed", "levels",
                 "spacing", "grid_steps"):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             flags[key] = value
     if cfg is not None:
@@ -147,12 +147,7 @@ def cmd_scenario(args) -> int:
 def _build_quantifier(args, ctx: BetaContext):
     kind = args.quantifier
     if kind == "dfalpha":
-        if args.alpha is None:
-            alpha = 1.0
-        elif args.alpha == "inf":
-            alpha = math.inf
-        else:
-            alpha = float(args.alpha)
+        alpha = 1.0 if args.alpha is None else float(args.alpha)
         return WorkQuantifier(RenyiFreeEnergy(alpha, ctx))
     if kind == "mean":
         return WorkQuantifier(MeanEnergy(ctx))
@@ -280,8 +275,7 @@ def cmd_divergence(args) -> int:
     print(HEADER)
     obj = _load_object(args.object)
     ctx = BetaContext(args.beta)
-    alpha = math.inf if args.alpha == "inf" else float(args.alpha)
-    value = delta_F_alpha(obj, ctx, alpha)
+    value = delta_F_alpha(obj, ctx, float(args.alpha))
     print(f"delta_F_alpha(alpha={args.alpha}, beta={args.beta}) = {value!r}")
     return EXIT_OK
 

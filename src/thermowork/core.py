@@ -211,12 +211,13 @@ EMPTY_CLASSICAL = ClassicalObject(np.array([1.0]), np.array([0.0]))
 
 
 def gibbs_weights(energies, beta: float) -> np.ndarray:
-    """Normalized exp(-beta E)/Z, with the max Boltzmann factor pulled out."""
+    """Normalized exp(-beta E)/Z along the last axis (each row of a table of
+    energies on its own), with the max Boltzmann factor pulled out."""
     if not (beta > 0 and np.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-beta * (e - np.min(e)))
-    return w / np.sum(w)
+    w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
+    return w / np.add.reduce(w, -1, keepdims=True)
 
 
 def check_tensor_dim(d: int) -> None:

@@ -261,15 +261,14 @@ def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdi
 class _Prepared:
     """An object with what the deciders ask of it, each computed once: its
     Gibbs weights alone and beside a catalyst of each dimension (for a quantum
-    object its Gibbs state), its curve, its free energy at each order asked
-    for, and its curve in tensor with each catalyst.  Free energies come from
-    one batch per fill_free call, classical_renyi_divergences for a classical
-    object and renyi_divergences for a quantum one, equal to delta_F_alpha's
-    values to the bit."""
+    object its Gibbs state), its curve and its free energy at each order asked
+    for.  Free energies come from one batch per fill_free call,
+    classical_renyi_divergences for a classical object and renyi_divergences
+    for a quantum one, equal to delta_F_alpha's values to the bit."""
 
     def __init__(self, obj, beta: float):
         self.obj, self.beta = obj, beta
-        self._gibbs, self._free, self._joint = {}, {}, {}
+        self._gibbs, self._free = {}, {}
 
     def gibbs(self, cat_dim: int = 1) -> np.ndarray:
         """Gibbs weights of a classical object in tensor with a catalyst of
@@ -288,9 +287,6 @@ class _Prepared:
     def curve(self) -> ThermoCurve:
         return _curve(self.obj.probs, self.gibbs())
 
-    def delta_F(self, alpha: float) -> float:
-        return float(self.fill_free((alpha,))[0])
-
     def fill_free(self, grid) -> np.ndarray:
         """delta_F at the orders of ``grid``, those not yet known computed in one batch."""
         missing = [alpha for alpha in grid if alpha not in self._free]
@@ -302,12 +298,6 @@ class _Prepared:
             for alpha, v in zip(missing, values):
                 self._free[alpha] = v / self.beta
         return np.array([self._free[alpha] for alpha in grid])
-
-    def with_catalyst(self, comp: tuple, cat: ClassicalObject) -> ThermoCurve:
-        if comp not in self._joint:
-            self._joint[comp] = _curve(np.outer(self.obj.probs, cat.probs).ravel(),
-                                       self.gibbs(cat.dim))
-        return self._joint[comp]
 
 
 def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
@@ -503,17 +493,10 @@ def _descending_compositions(total: int, parts: int):
 
 
 @functools.cache
-def _catalysts(cat_dim: int, grid_steps: int) -> tuple:
-    """(composition, catalyst) pairs of the catalyst search, in search order."""
-    return tuple((comp, ClassicalObject(np.array(comp, dtype=float) / grid_steps,
-                                        np.zeros(cat_dim)))
-                 for comp in _descending_compositions(grid_steps, cat_dim))
-
-
-@functools.cache
 def _catalyst_probs(cat_dim: int, grid_steps: int) -> np.ndarray:
-    """The probabilities of _catalysts(cat_dim, grid_steps), one row per catalyst."""
-    probs = np.array([cat.probs for _, cat in _catalysts(cat_dim, grid_steps)])
+    """The probabilities of the catalysts of the search (all levels at zero
+    energy), one row per catalyst, in search order."""
+    probs = np.array(list(_descending_compositions(grid_steps, cat_dim)), dtype=float) / grid_steps
     probs.flags.writeable = False
     return probs
 
@@ -557,22 +540,22 @@ def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
     for cat_dim in range(2, max_cat_dim + 1):
         check_tensor_dim(src.obj.dim * cat_dim)
         check_tensor_dim(dst.obj.dim * cat_dim)
-        catalysts = _catalysts(cat_dim, grid_steps)
+        cats = _catalyst_probs(cat_dim, grid_steps)
         for index in _screen(src, dst, cat_dim, grid_steps):
-            comp, cat = catalysts[index]
-            verdict = _curve_dominance(src.with_catalyst(comp, cat), dst.with_catalyst(comp, cat))
+            verdict = _curve_dominance(*(_curve(np.outer(p.obj.probs, cats[index]).ravel(),
+                                                p.gibbs(cat_dim)) for p in (src, dst)))
             if verdict.is_feasible:
                 return feasible({
                     "kind": "catalyst",
-                    "catalyst_probs": cat.probs,
-                    "catalyst_energies": cat.energies,
+                    "catalyst_probs": cats[index],
+                    "catalyst_energies": np.zeros(cat_dim),
                     "joint_margin": verdict.witness["min_margin"],
                 })
     return UNDETERMINED
 
 
 def _screen(src: _Prepared, dst: _Prepared, cat_dim: int, grid_steps: int):
-    """Indices of the catalysts of _catalysts(cat_dim, grid_steps) that
+    """Indices of the rows of _catalyst_probs(cat_dim, grid_steps) that
     _curve_dominance may accept, in enumeration order, screened a chunk at a time.
 
     Each joint curve is built as an array with every level its own breakpoint,
@@ -591,8 +574,13 @@ def _screen(src: _Prepared, dst: _Prepared, cat_dim: int, grid_steps: int):
         chunk = cats[start:start + rows, None, :]
         (xs, ys), (xd, yd) = (_joint_curves((p.obj.probs[:, None] * chunk).reshape(len(chunk), -1),
                                             p.gibbs(cat_dim)) for p in (src, dst))
-        deficit = np.max(yd - _interp_rows(xd, xs, ys), axis=1)
-        yield from (start + np.flatnonzero(~(deficit > MAJORIZE_TOL + _SCREEN_SLACK))).tolist()
+        yield from (start + np.flatnonzero(~_dropped(xs, ys, xd, yd))).tolist()
+
+
+def _dropped(xs: np.ndarray, ys: np.ndarray, xd: np.ndarray, yd: np.ndarray) -> np.ndarray:
+    """Whether the screen drops each row: the target curve (xd, yd) rises above the
+    source curve (xs, ys) at some breakpoint by more than MAJORIZE_TOL + _SCREEN_SLACK."""
+    return np.max(yd - _interp_rows(xd, xs, ys), axis=1) > MAJORIZE_TOL + _SCREEN_SLACK
 
 
 def _joint_curves(joint: np.ndarray, g: np.ndarray):
@@ -634,12 +622,8 @@ def revalidate_catalyst(verdict: FeasibilityVerdict, src, dst, ctx) -> bool:
     beta = as_beta(ctx)
     cat = ClassicalObject(np.asarray(verdict.witness["catalyst_probs"], dtype=float),
                           np.asarray(verdict.witness["catalyst_energies"], dtype=float))
-    src = _as_classical(src)
-    dst = _as_classical(dst)
-    if cat.dim == 1:
-        return thermo_majorizes(src, dst, beta).is_feasible
-    return thermo_majorizes(classical_tensor(src, cat),
-                            classical_tensor(dst, cat), beta).is_feasible
+    return thermo_majorizes(classical_tensor(_as_classical(src), cat),
+                            classical_tensor(_as_classical(dst), cat), beta).is_feasible
 
 
 def correlated_catalytic_check(src_ab, ctx, dst=None) -> FeasibilityVerdict:
@@ -723,8 +707,7 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
     step = max(1, _SCREEN_LEVELS // (xs.shape[1] + xd.shape[1] + len(DEFAULT_ALPHA_GRID)))
     for start in range(0, len(i), step):
         a, b = i[start:start + step], j[start:start + step]
-        dropped = np.max(yd[b] - _interp_rows(xd[b], xs[a], ys[a]), axis=1) > (
-            MAJORIZE_TOL + _SCREEN_SLACK)
+        dropped = _dropped(xs[a], ys[a], xd[b], yd[b])
         raised, first = _raised(fs[a], fd[b])
         kept = np.flatnonzero(~(dropped & raised))
         for n, s, d, drop, refuted, k in zip(*(x.tolist() for x in (
@@ -749,9 +732,8 @@ def _tensor_rows(base: ClassicalObject, objs: list, beta: float):
         cp = np.array([objs[k].probs for k in at])[:, None, :]
         energies = (base.energies[:, None] + np.array([objs[k].energies for k in at])[:, None, :]
                     ).reshape(len(at), -1)
-        w = np.exp(-beta * (energies - energies.min(axis=1, keepdims=True)))
         probs[at, :base.dim * dim] = (base.probs[:, None] * cp).reshape(len(at), -1)
-        gibbs[at, :base.dim * dim] = w / np.add.reduce(w, 1, keepdims=True)
+        gibbs[at, :base.dim * dim] = gibbs_weights(energies, beta)
     return probs, gibbs
 
 

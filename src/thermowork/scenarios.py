@@ -576,10 +576,8 @@ def _irrev_from_config(cfg: dict) -> ScenarioReport:
 
 
 def _superadd_from_config(cfg: dict) -> ScenarioReport:
-    alpha = cfg.get("alpha", 2.0)
-    alpha = math.inf if alpha in ("inf", "Infinity") else float(alpha)
     return superadditivity_violation_search(
-        alpha, dims=tuple(cfg.get("dims", (2, 2))),
+        float(cfg.get("alpha", 2.0)), dims=tuple(cfg.get("dims", (2, 2))),
         grid_steps=int(cfg.get("grid_steps", 16)),
         beta=float(cfg.get("beta", 1.0)), seed=int(cfg.get("seed", 0)),
         budget=int(cfg.get("budget", 4000)))

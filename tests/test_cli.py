@@ -122,6 +122,16 @@ class TestCheckCommand:
                      "--samples", "20", "--output-dir", str(outdir / "ax")])
         assert code == 0
 
+    def test_axiom1_dfalpha_infinite_order(self, outdir, capsys):
+        code = main(["check", "axiom1", "--quantifier", "dfalpha", "--alpha", "inf",
+                     "--samples", "20", "--output-dir", str(outdir / "ax-inf")])
+        assert code == 0
+        assert "check axiom1: samples=80 skipped=0 violations=0" in capsys.readouterr().out
+        report = json.loads((outdir / "ax-inf" / "check-axiom1.json").read_text())
+        assert report["checker"] == "axiom1_cycle"
+        assert (report["samples"], report["skipped"], report["violations"]) == (80, 0, [])
+        assert report["passed"]
+
     def test_lemma2_clean(self, outdir):
         code = main(["check", "lemma2", "--quantifier", "dfalpha", "--alpha", "1",
                      "--samples", "20", "--output-dir", str(outdir / "lm")])

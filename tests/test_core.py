@@ -15,6 +15,7 @@ from thermowork.core import (
     classical_tensor,
     classical_to_object,
     gibbs_state,
+    gibbs_weights,
     is_gibbs,
     non_interacting,
     object_from_json,
@@ -183,6 +184,19 @@ class TestGibbs:
             h = rng.normal(size=(4, 4))
             g = gibbs_state(0.5 * (h + h.T), float(rng.uniform(0.2, 4)))
             assert abs(np.trace(g.state).real - 1.0) <= 1e-12
+
+    def test_rows_are_each_their_own_weights_to_the_bit(self):
+        rng = rng_from_seed(10)
+        for d in (1, 2, 3, 7, 64):
+            rows = rng.uniform(0.0, 5.0, size=(6, d))
+            rows[1, -1] = rows[2, 0] = 5000.0  # a weight that underflows to 0
+            rows[3] = 0.0
+            for beta in (0.3, 1.0, 2.5):
+                weights = gibbs_weights(rows, beta)
+                assert weights.shape == rows.shape
+                assert (weights == 0.0).any() or d == 1
+                for row, w in zip(rows, weights):
+                    assert w.tobytes() == gibbs_weights(row, beta).tobytes()
 
     def test_shift_invariance(self):
         h = np.diag([0.0, 1.0])

@@ -44,7 +44,7 @@ from thermowork.feasibility import (
     thermo_curve,
     thermo_majorizes,
 )
-from thermowork.feasibility import _catalysts, _curve, _interp_rows, _Prepared, _screen
+from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _Prepared, _screen
 from thermowork.sampling import (
     random_classical_object,
     random_density_matrix,
@@ -318,7 +318,8 @@ class TestOnePassCurve:
     def test_tied_catalyst_products(self):
         rng = rng_from_seed(6)
         for k in (2, 3, 4):
-            for comp, cat in _catalysts(k, 16)[:20]:
+            for row in _catalyst_probs(k, 16)[:20]:
+                cat = ClassicalObject(row, np.zeros(k))
                 c = random_classical_object(rng, int(rng.integers(2, 6)), energy_scale=2.0)
                 prep = _Prepared(c, 1.0)
                 self._same(np.outer(c.probs, cat.probs).ravel(), prep.gibbs(k))
@@ -715,6 +716,19 @@ class TestCatalyticBruteforce:
         assert abs(probs[0] - 0.6) < 0.05
         assert revalidate_catalyst(verdict, JP_SRC, JP_DST, 1.0)
 
+    def test_no_catalyst_witness_revalidates_as_the_direct_check(self):
+        cases, decided = golden_corpus(), 0
+        for name, src, dst, beta in cases:
+            direct = thermo_majorizes(src, dst, beta).is_feasible
+            verdict = catalytic_bruteforce(src, dst, beta, max_cat_dim=2, grid_steps=4)
+            if verdict.is_feasible and verdict.witness.get("note") == "no catalyst needed":
+                assert direct and revalidate_catalyst(verdict, src, dst, beta), name
+                decided += 1
+            forged = FeasibilityVerdict(Status.FEASIBLE, {
+                "kind": "catalyst", "catalyst_probs": [1.0], "catalyst_energies": [0.0]})
+            assert revalidate_catalyst(forged, src, dst, beta) is direct, name
+        assert 0 < decided < len(cases)
+
     def test_never_claims_infeasible(self):
         omega = classical_gibbs([0.0, 1.0], 1.0)
         target = ClassicalObject([0.9, 0.1], [0.0, 1.0])
@@ -828,7 +842,8 @@ class TestAssistedComposition:
 def _loop_accepts(src, dst, beta, cat_dim, grid_steps):
     """Indices of the catalysts of one dimension that the per-catalyst check
     accepts: the reference for the screen."""
-    return [i for i, (_, cat) in enumerate(_catalysts(cat_dim, grid_steps))
+    cats = [ClassicalObject(row, np.zeros(cat_dim)) for row in _catalyst_probs(cat_dim, grid_steps)]
+    return [i for i, cat in enumerate(cats)
             if thermo_majorizes(classical_tensor(src, cat), classical_tensor(dst, cat),
                                 beta).is_feasible]
 
@@ -844,7 +859,8 @@ def _loop_decide(src, dst, beta, max_cat_dim, grid_steps):
         if necessary.is_infeasible:
             return necessary
     for cat_dim in range(2, max_cat_dim + 1):
-        for _, cat in _catalysts(cat_dim, grid_steps):
+        for row in _catalyst_probs(cat_dim, grid_steps):
+            cat = ClassicalObject(row, np.zeros(cat_dim))
             joint = thermo_majorizes(classical_tensor(src, cat), classical_tensor(dst, cat), beta)
             if joint.is_feasible:
                 return FeasibilityVerdict(Status.FEASIBLE, {
@@ -953,7 +969,7 @@ class TestPreparedFreeEnergies:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 want = [repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
-            assert [repr(prep.delta_F(alpha)) for alpha in self.ORDERS] == want
+            assert [repr(float(prep.fill_free((alpha,))[0])) for alpha in self.ORDERS] == want
 
     def test_overflowed_power_sum_is_finite(self):
         # p ** 100 underflows to 0 and q ** -99 overflows on some levels: the power
@@ -968,7 +984,7 @@ class TestPreparedFreeEnergies:
             warnings.simplefilter("error")
             prep.fill_free(DEFAULT_ALPHA_GRID)
         assert DEFAULT_ALPHA_GRID[39] == 100.0
-        assert prep.delta_F(100.0) == pytest.approx(want, rel=1e-12)
+        assert float(prep.fill_free((100.0,))[0]) == pytest.approx(want, rel=1e-12)
 
     def test_quantum_objects_fill_every_order_in_one_batch(self):
         ham = HamiltonianClass(np.diag([0.0, 1.0]))
@@ -976,7 +992,7 @@ class TestPreparedFreeEnergies:
         prep = _Prepared(obj, 1.0)
         prep.fill_free(self.ORDERS)
         assert set(prep._free) == set(self.ORDERS)
-        assert [repr(prep.delta_F(alpha)) for alpha in self.ORDERS] == [
+        assert [repr(float(prep.fill_free((alpha,))[0])) for alpha in self.ORDERS] == [
             repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
 
 
@@ -990,7 +1006,7 @@ class TestCatalystScreen:
             assert set(want) <= set(got), name
             assert got == sorted(set(got)), name
             accepted, screened = accepted + len(want), screened + len(got)
-            total += len(_catalysts(cat_dim, steps))
+            total += len(_catalyst_probs(cat_dim, steps))
         assert 0 < accepted <= screened < total
 
     def test_decide_matches_the_per_catalyst_loop(self):
@@ -1024,7 +1040,7 @@ class TestCatalystScreen:
     def test_memory_is_bounded_at_the_cost_guards(self):
         big = random_classical_object(rng_from_seed(43), 1024, energy_scale=5.0)
         mixed = ClassicalObject(0.7 * big.probs + 0.3 * big.gibbs_weights(1.0), big.energies)
-        assert len(_catalysts(MAX_CAT_DIM, MAX_GRID_STEPS)) == 1906
+        assert len(_catalyst_probs(MAX_CAT_DIM, MAX_GRID_STEPS)) == 1906
         tracemalloc.start()
         try:
             verdict = catalytic_bruteforce(mixed, big, 1.0, max_cat_dim=MAX_CAT_DIM,
