@@ -14,6 +14,7 @@ reachability problem is out of scope.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -537,44 +538,66 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
 def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
                 grid_steps: int) -> FeasibilityVerdict:
     """The catalyst search of catalytic_bruteforce, once the direct check has failed."""
+    return _search(lambda k: (src.obj.probs[None], src.gibbs(k)[None],
+                              dst.obj.probs[None], dst.gibbs(k)[None]),
+                   [(src.obj.dim, dst.obj.dim)], max_cat_dim, grid_steps)[0]
+
+
+def _search(rows, dims: list, max_cat_dim: int, grid_steps: int) -> list:
+    """_bruteforce's verdicts on pairs 0, 1, ... (source and target of dims[n] levels)
+    up to the first found Feasible, screened together; rows(cat_dim) gives _screen's
+    rows of them.  _curve_dominance confirms each pair's kept catalysts in order."""
+    found, upto = [], len(dims)  # the last verdict found Feasible; pairs below upto open
     for cat_dim in range(2, max_cat_dim + 1):
-        check_tensor_dim(src.obj.dim * cat_dim)
-        check_tensor_dim(dst.obj.dim * cat_dim)
+        if not upto:
+            break
+        for side_dims in zip(*dims[:upto]):  # source, then target
+            check_tensor_dim(max(side_dims) * cat_dim)
+        sp, sg, dp, dg = [x[:upto] for x in rows(cat_dim)]
         cats = _catalyst_probs(cat_dim, grid_steps)
-        for index in _screen(src, dst, cat_dim, grid_steps):
-            verdict = _curve_dominance(*(_curve(np.outer(p.obj.probs, cats[index]).ravel(),
-                                                p.gibbs(cat_dim)) for p in (src, dst)))
+        for n, index in _screen(sp, sg, dp, dg, cat_dim, grid_steps):
+            verdict = _curve_dominance(*(
+                _curve(np.outer(p[n, :d], cats[index]).ravel(), g[n, :d * cat_dim])
+                for p, g, d in ((sp, sg, dims[n][0]), (dp, dg, dims[n][1]))))
             if verdict.is_feasible:
-                return feasible({
+                upto, found = n, [feasible({
                     "kind": "catalyst",
                     "catalyst_probs": cats[index],
                     "catalyst_energies": np.zeros(cat_dim),
                     "joint_margin": verdict.witness["min_margin"],
-                })
-    return UNDETERMINED
+                })]
+                break
+    return [UNDETERMINED] * upto + found
 
 
-def _screen(src: _Prepared, dst: _Prepared, cat_dim: int, grid_steps: int):
-    """Indices of the rows of _catalyst_probs(cat_dim, grid_steps) that
-    _curve_dominance may accept, in enumeration order, screened a chunk at a time.
+def _screen(sp: np.ndarray, sg: np.ndarray, dp: np.ndarray, dg: np.ndarray, cat_dim: int,
+            grid_steps: int):
+    """(pair, index) of the rows of _catalyst_probs(cat_dim, grid_steps) that
+    _curve_dominance may accept, for pairs of source and target rows of zero-padded
+    probabilities (sp, dp) and Gibbs weights beside the catalyst (sg, dg), pair by
+    pair in enumeration order, a chunk of _SCREEN_LEVELS joint levels per side at once.
 
     Each joint curve is built as an array with every level its own breakpoint,
     and the source curve is read at the target's breakpoints.  Between two
     breakpoints of either exact (tie-merged) curve both exact curves are linear,
     so an accepted catalyst has deficit at most MAJORIZE_TOL everywhere.  A
-    screened curve sorts its levels by the same ratios (equal ratios in any
-    order, which leaves the curve as it is), so it differs from the exact one
-    only inside a run of merged ties, where it lies above the run's chord by at
-    most the run's ratio spread (1e-12 + 1e-9 r) times its Gibbs mass, about
-    1e-9, plus rounding of order levels * 1e-16.  _SCREEN_SLACK covers both.
+    screened curve sorts its levels by the same ratios (equal ratios in any order,
+    which leaves the curve as it is; zero padding last), so it differs from the
+    exact one only inside a run of merged ties, where it lies above the run's
+    chord by at most the run's ratio spread (1e-12 + 1e-9 r) times its Gibbs mass,
+    about 1e-9, plus rounding of order levels * 1e-16.  _SCREEN_SLACK covers both.
     """
     cats = _catalyst_probs(cat_dim, grid_steps)
-    rows = max(1, _SCREEN_LEVELS // (cat_dim * max(src.obj.dim, dst.obj.dim)))
-    for start in range(0, len(cats), rows):
-        chunk = cats[start:start + rows, None, :]
-        (xs, ys), (xd, yd) = (_joint_curves((p.obj.probs[:, None] * chunk).reshape(len(chunk), -1),
-                                            p.gibbs(cat_dim)) for p in (src, dst))
-        yield from (start + np.flatnonzero(~_dropped(xs, ys, xd, yd))).tolist()
+    rows = max(1, _SCREEN_LEVELS // (cat_dim * max(sp.shape[1], dp.shape[1])))
+    pairs, k = min(len(sp), max(1, rows // len(cats))), min(rows, len(cats))  # per chunk
+    for p0, c0 in itertools.product(range(0, len(sp), pairs), range(0, len(cats), k)):
+        chunk = cats[c0:c0 + k]
+        (xs, ys), (xd, yd) = (_joint_curves(
+            (p[p0:p0 + pairs, None, :, None] * chunk[:, None, :]).reshape(-1, p.shape[1] * cat_dim),
+            g[p0] if pairs == 1 else np.repeat(g[p0:p0 + pairs], len(chunk), axis=0))
+            for p, g in ((sp, sg), (dp, dg)))
+        kept = np.flatnonzero(~_dropped(xs, ys, xd, yd)).tolist()
+        yield from ((p0 + x // len(chunk), c0 + x % len(chunk)) for x in kept)
 
 
 def _dropped(xs: np.ndarray, ys: np.ndarray, xd: np.ndarray, yd: np.ndarray) -> np.ndarray:
@@ -688,52 +711,66 @@ def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = 2, grid_steps: in
 def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i: np.ndarray,
                   j: np.ndarray, beta: float):
     """(n, _decide's verdict) on src_m (x) cands[i[n]] and dst_m (x) cands[j[n]],
-    lazily in order of n, from one row per joint object: its curve as in _screen
-    and its free energies on DEFAULT_ALPHA_GRID, the values _Prepared computes.
-    _curve_dominance, the only judge of the direct stage, checks the pairs the
-    screen keeps, which by _screen's argument include every pair it accepts;
-    a pair is refuted at the first order where the rows show an increase, and
-    the others are searched with _decide's default budget.  A pair the screen
-    drops and the rows refute is Infeasible whatever else: it is skipped."""
+    lazily in order of n, from one row per joint object: its curve as in _screen and
+    its free energies at alpha = 0.01 and inf (a full-grid call's values, by the
+    kernel's repr contract).  _curve_dominance checks the pairs the screen keeps.
+    A pair the screen drops and either order refutes is Infeasible, as one Renyi
+    second law suffices: it is skipped.  The two orders skip 37,466 of the 37,482
+    pairs the whole grid does at seed 1 of the work-quantify benchmark.  A pair the
+    direct check fails gets the grid for its two rows: its first refuting order, or
+    the search with _decide's budget.  The dropped pairs neither order refutes are
+    settled at the first of a chunk, by one grid batch per side and one screen."""
     rows = [_tensor_rows(base, cands, beta) for base in (src_m, dst_m)]
+    dims = [np.array([base.dim * c.dim for c in cands]) for base in (src_m, dst_m)]
     (xs, ys), (xd, yd) = (_joint_curves(*row) for row in rows)
-    fs, fd = (np.array(classical_renyi_divergences(p, g, DEFAULT_ALPHA_GRID)) / beta
+    fs, fd = (np.array(classical_renyi_divergences(p, g, (DEFAULT_ALPHA_GRID[0], INF))) / beta
               for p, g in rows)
+    curve = functools.cache(lambda side, k: _curve(*(x[k, :dims[side][k]] for x in rows[side])))
 
-    @functools.cache
-    def prepare(side, k):  # src_m (x) cands[k] on side 0, dst_m (x) cands[k] on side 1
-        return _Prepared(classical_tensor((src_m, dst_m)[side], cands[k]), beta)
+    def settle(at) -> dict:  # _decide's verdicts on kept pairs ``at``, direct check failed
+        n, s, d = ns[at], a[at], b[at]
+        f_src, f_dst = ((np.array(classical_renyi_divergences(p[u], g[u], DEFAULT_ALPHA_GRID))
+                         / beta)[back] for (p, g), (u, back) in
+                        zip(rows, (np.unique(x, return_inverse=True) for x in (s, d))))
+        refuted, first = _raised(f_src, f_dst)
+        out = {int(n[m]): _increase(DEFAULT_ALPHA_GRID[k], f_src[m, k], f_dst[m, k])
+               for m, k in enumerate(first.tolist()) if refuted[m]}
+        n, s, d = n[~refuted].tolist(), s[~refuted], d[~refuted]
+        out.update(zip(n, _search(lambda k: (*_tensor_rows(src_m, [cands[x] for x in s], beta, k),
+                                             *_tensor_rows(dst_m, [cands[x] for x in d], beta, k)),
+                                  list(zip(dims[0][s].tolist(), dims[1][d].tolist())), 2, 32)))
+        return out
 
-    step = max(1, _SCREEN_LEVELS // (xs.shape[1] + xd.shape[1] + len(DEFAULT_ALPHA_GRID)))
+    step = max(1, _SCREEN_LEVELS // (xs.shape[1] + xd.shape[1] + 2))
     for start in range(0, len(i), step):
         a, b = i[start:start + step], j[start:start + step]
         dropped = _dropped(xs[a], ys[a], xd[b], yd[b])
-        raised, first = _raised(fs[a], fd[b])
-        kept = np.flatnonzero(~(dropped & raised))
-        for n, s, d, drop, refuted, k in zip(*(x.tolist() for x in (
-                kept + start, a[kept], b[kept], dropped[kept], raised[kept], first[kept]))):
-            verdict = UNDETERMINED if drop else _curve_dominance(prepare(0, s).curve,
-                                                                 prepare(1, d).curve)
-            if not verdict.is_feasible:
-                verdict = (_increase(DEFAULT_ALPHA_GRID[k], fs[s, k], fd[d, k]) if refuted
-                           else _bruteforce(prepare(0, s), prepare(1, d), 2, 32))
-            yield n, verdict
+        kept = np.flatnonzero(~(dropped & _raised(fs[a], fd[b])[0]))
+        ns, a, b, drops, settled = kept + start, a[kept], b[kept], dropped[kept], {}
+        for at, (n, s, d, drop) in enumerate(zip(*(x.tolist() for x in (ns, a, b, drops)))):
+            if drop and n not in settled:  # settle this chunk's open pairs from here on
+                try:
+                    settled = settle(at + np.flatnonzero(drops[at:]))
+                except ValueError:  # a later pair's own error waits until it is reached
+                    settled = settle([at])
+            verdict = settled[n] if drop else _curve_dominance(curve(0, s), curve(1, d))
+            yield n, verdict if drop or verdict.is_feasible else settle([at])[n]
 
 
-def _tensor_rows(base: ClassicalObject, objs: list, beta: float):
-    """Probabilities and Gibbs weights of base (x) c for each c of ``objs``, one
-    row each, zero-padded: the arrays of classical_tensor and gibbs_weights,
-    computed for all objects of one dimension at once."""
+def _tensor_rows(base: ClassicalObject, objs: list, beta: float, cat_dim: int = 1):
+    """Probabilities of base (x) c for each c of ``objs`` and their Gibbs weights beside
+    ``cat_dim`` zero-energy catalyst levels, one zero-padded row each: the arrays of
+    classical_tensor and _Prepared.gibbs, computed for all objects of one dimension at once."""
     width = base.dim * max(c.dim for c in objs)
     check_tensor_dim(width)
-    probs, gibbs = np.zeros((2, len(objs), width))
+    probs, gibbs = np.zeros((len(objs), width)), np.zeros((len(objs), width * cat_dim))
     for dim in {c.dim for c in objs}:
         at = [k for k, c in enumerate(objs) if c.dim == dim]
         cp = np.array([objs[k].probs for k in at])[:, None, :]
         energies = (base.energies[:, None] + np.array([objs[k].energies for k in at])[:, None, :]
                     ).reshape(len(at), -1)
         probs[at, :base.dim * dim] = (base.probs[:, None] * cp).reshape(len(at), -1)
-        gibbs[at, :base.dim * dim] = gibbs_weights(energies, beta)
+        gibbs[at, :base.dim * dim * cat_dim] = gibbs_weights(np.repeat(energies, cat_dim, 1), beta)
     return probs, gibbs
 
 

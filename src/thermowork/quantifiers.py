@@ -243,6 +243,12 @@ def _epsilon_grid(epsilon: float, delta: float, grid: int, closed: bool) -> tupl
     return tuple(out)
 
 
+@functools.cache
+def _qubit_ladder(delta: float, grid: int) -> tuple:
+    """Classical qubit states with energies (0, delta) and populations on a grid, built once."""
+    return tuple(ClassicalObject([1.0 - t, t], [0.0, delta]) for t in np.linspace(0.0, 1.0, grid))
+
+
 @dataclass(frozen=True)
 class Unrestricted(RestrictionSet):
     """All objects are allowed; the optimum is to hand the object over."""
@@ -256,11 +262,8 @@ class Unrestricted(RestrictionSet):
     def candidates(self, anchors=(), grid: int = 32) -> list:
         out = [EMPTY_CLASSICAL]
         for a in map(_as_classical, anchors):
-            out.append(a)
-            out.append(classical_gibbs(a.energies, self.beta))
-        for t in np.linspace(0.0, 1.0, grid):
-            out.append(ClassicalObject([1.0 - t, t], [0.0, self.qubit_delta]))
-        return out
+            out += [a, classical_gibbs(a.energies, self.beta)]
+        return out + list(_qubit_ladder(self.qubit_delta, grid))
 
 
 @dataclass(frozen=True)
@@ -322,13 +325,13 @@ class MeanLadder(RestrictionSet):
         return False
 
     def candidates(self, anchors=(), grid: int = 32) -> list:
-        out = [EMPTY_CLASSICAL]
-        e = self.energies()
-        for x in range(self.levels):
-            probs = np.zeros(self.levels)
-            probs[x] = 1.0
-            out.append(ClassicalObject(probs, e))
-        return out
+        return [EMPTY_CLASSICAL, *_eigenstates(self.levels, self.spacing)]
+
+
+@functools.cache
+def _eigenstates(levels: int, spacing: float) -> tuple:
+    """The energy eigenstates of the ladder with ``levels`` levels ``spacing`` apart, built once."""
+    return tuple(ClassicalObject(probs, spacing * np.arange(levels)) for probs in np.eye(levels))
 
 
 @dataclass(frozen=True)

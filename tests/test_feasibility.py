@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -45,6 +46,8 @@ from thermowork.feasibility import (
     thermo_majorizes,
 )
 from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _Prepared, _screen
+from thermowork.feasibility import _search, _tensor_rows
+from thermowork.quantifiers import FiniteList
 from thermowork.sampling import (
     random_classical_object,
     random_density_matrix,
@@ -848,6 +851,12 @@ def _loop_accepts(src, dst, beta, cat_dim, grid_steps):
                                 beta).is_feasible]
 
 
+def _pair_screen(src, dst, beta, cat_dim, grid_steps) -> list:
+    """The catalysts _screen keeps for one pair."""
+    rows = [(p.probs[None], _Prepared(p, beta).gibbs(cat_dim)[None]) for p in (src, dst)]
+    return [index for _, index in _screen(*rows[0], *rows[1], cat_dim, grid_steps)]
+
+
 def _loop_decide(src, dst, beta, max_cat_dim, grid_steps):
     """decide_catalytic with one scalar order and one catalyst at a time: the
     reference for the batched orders and the screened catalyst search."""
@@ -1002,7 +1011,7 @@ class TestCatalystScreen:
         for n, (name, src, dst, beta) in enumerate(_screen_corpus()):
             cat_dim, steps = _setting(n, src)
             want = _loop_accepts(src, dst, beta, cat_dim, steps)
-            got = list(_screen(_Prepared(src, beta), _Prepared(dst, beta), cat_dim, steps))
+            got = _pair_screen(src, dst, beta, cat_dim, steps)
             assert set(want) <= set(got), name
             assert got == sorted(set(got)), name
             accepted, screened = accepted + len(want), screened + len(got)
@@ -1023,19 +1032,84 @@ class TestCatalystScreen:
         gibbs = classical_gibbs(np.zeros(2), 1.0)
         assert thermo_majorizes(gibbs, tied, 1.0).is_feasible
         assert tied.probs[0] - 0.5 > feasibility.MAJORIZE_TOL
-        assert list(_screen(_Prepared(gibbs, 1.0), _Prepared(tied, 1.0), 2, 8)) == [0, 1, 2, 3]
+        assert _pair_screen(gibbs, tied, 1.0, 2, 8) == [0, 1, 2, 3]
 
     def test_chunks_keep_enumeration_order(self, monkeypatch):
         rng = rng_from_seed(45)
         pairs = [(JP_SRC, JP_DST)] + [(random_classical_object(rng, 3),
                                        random_classical_object(rng, 3)) for _ in range(10)]
-        whole = [list(_screen(_Prepared(s, 1.0), _Prepared(d, 1.0), 3, 32)) for s, d in pairs]
+        whole = [_pair_screen(s, d, 1.0, 3, 32) for s, d in pairs]
         verdicts = [catalytic_bruteforce(s, d, 1.0, 3, 32).to_json() for s, d in pairs]
         monkeypatch.setattr(feasibility, "_SCREEN_LEVELS", 1)  # one catalyst per chunk
-        assert [list(_screen(_Prepared(s, 1.0), _Prepared(d, 1.0), 3, 32))
-                for s, d in pairs] == whole
+        assert [_pair_screen(s, d, 1.0, 3, 32) for s, d in pairs] == whole
         assert [catalytic_bruteforce(s, d, 1.0, 3, 32).to_json() for s, d in pairs] == verdicts
         assert any(whole)
+
+    @staticmethod
+    def _table():
+        """Source and target bases and the candidates of a FiniteList, joint rows of 2
+        to 8 levels: base (x) JP_SRC reaches base (x) JP_DST with a qubit catalyst,
+        and base (x) the third object the fourth with a qutrit one only."""
+        rng = rng_from_seed(46)
+        objs = (JP_SRC, JP_DST, ClassicalObject([0.2735, 0.3535, 0.2923, 0.0807], np.zeros(4)),
+                ClassicalObject([0.0995, 0.307, 0.3404, 0.2531], np.zeros(4)),
+                ClassicalObject([0.5, 0.5], [0.0, 0.3]),
+                ClassicalObject(rng.dirichlet(np.ones(4)), np.zeros(4)))
+        base = ClassicalObject([0.8, 0.2], [0.0, 0.2])
+        return (base, base), FiniteList(objs).candidates()
+
+    @pytest.mark.parametrize(("cat_dim", "steps"), [(2, 32), (3, 16)])
+    def test_screen_of_several_pairs_keeps_every_catalyst_the_loop_accepts(self, monkeypatch,
+                                                                          cat_dim, steps):
+        bases, cands = self._table()
+        i, j = np.divmod(np.arange(len(cands) ** 2), len(cands))
+        (sp, sg), (dp, dg) = (_tensor_rows(base, cands, 1.0, cat_dim) for base in bases)
+        assert sp.shape[1] == 8
+        levels, joint_curves = [], feasibility._joint_curves
+
+        def counted(joint, g):  # joint levels of one side, all rows
+            levels.append(joint.size)
+            return joint_curves(joint, g)
+
+        monkeypatch.setattr(feasibility, "_joint_curves", counted)
+        got = list(_screen(sp[i], sg[i], dp[j], dg[j], cat_dim, steps))
+        assert got == sorted(set(got))  # pair by pair, in enumeration order
+        assert levels and max(levels) <= feasibility._SCREEN_LEVELS
+        accepted = 0
+        for n, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            want = _loop_accepts(classical_tensor(bases[0], cands[a]),
+                                 classical_tensor(bases[1], cands[b]), 1.0, cat_dim, steps)
+            assert set(want) <= {index for m, index in got if m == n}, n
+            accepted += len(want)
+        assert 0 < accepted <= len(got) < len(i) * len(_catalyst_probs(cat_dim, steps))
+        monkeypatch.setattr(feasibility, "_SCREEN_LEVELS", 64)
+        levels.clear()
+        assert list(_screen(sp[i], sg[i], dp[j], dg[j], cat_dim, steps)) == got
+        assert len(levels) > 2 and max(levels) <= 64
+
+    def test_search_of_several_pairs_finds_each_first_catalyst(self, monkeypatch):
+        bases, cands = self._table()
+        pairs = list(itertools.product(range(len(cands)), repeat=2))
+        want = []
+        for a, b in pairs:
+            src, dst = classical_tensor(bases[0], cands[a]), classical_tensor(bases[1], cands[b])
+            want.append(next((_catalyst_probs(cat_dim, 16)[index].tolist() for cat_dim in (2, 3)
+                              for index in _loop_accepts(src, dst, 1.0, cat_dim, 16)[:1]), None))
+
+        def search():  # every pair, resumed after each pair found Feasible
+            out = []
+            while len(out) < len(pairs):
+                rest = pairs[len(out):]
+                sides = [[cands[x] for x in side] for side in zip(*rest)]
+                out += _search(lambda k: (*_tensor_rows(bases[0], sides[0], 1.0, k),
+                                          *_tensor_rows(bases[1], sides[1], 1.0, k)),
+                               [(2 * cands[a].dim, 2 * cands[b].dim) for a, b in rest], 3, 16)
+            return [v.witness["catalyst_probs"].tolist() if v.is_feasible else None for v in out]
+
+        assert search() == want
+        assert None in want and any(w and len(w) == 3 for w in want)  # Undetermined, a qutrit
+        monkeypatch.setattr(feasibility, "_SCREEN_LEVELS", 1)  # one joint row per chunk
+        assert search() == want
 
     def test_memory_is_bounded_at_the_cost_guards(self):
         big = random_classical_object(rng_from_seed(43), 1024, energy_scale=5.0)

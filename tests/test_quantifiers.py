@@ -17,8 +17,17 @@ from thermowork.core import (
     classical_to_object,
 )
 from thermowork.divergences import BetaContext, INF, delta_F_alpha
-from thermowork.feasibility import UNDETERMINED, decide_catalytic, decide_free, thermo_majorizes
-from thermowork.feasibility import _decide, _decide_pairs, _Prepared
+from thermowork import feasibility
+from thermowork.feasibility import (
+    DEFAULT_ALPHA_GRID,
+    MONOTONE_TOL,
+    UNDETERMINED,
+    decide_catalytic,
+    decide_free,
+    thermo_majorizes,
+)
+from thermowork.feasibility import _decide, _decide_pairs, _dropped, _joint_curves, _Prepared
+from thermowork.feasibility import _tensor_rows
 from thermowork.quantifiers import (
     AssistedSequence,
     CustomTable,
@@ -155,6 +164,17 @@ class TestRestrictionSets:
         for s in [EpsilonDet(0.1, 1.0), WbitSet(0.1, 1.0), MeanLadder(4, 0.5)]:
             for cand in s.candidates():
                 assert s.contains(cand)
+
+
+    def test_fixed_candidates_are_built_once_and_listed_fresh(self):
+        fuel = ClassicalObject([0.3, 0.7], [0.0, 1.0])
+        for restriction, fixed in ((Unrestricted(), 32), (MeanLadder(4, 0.5), 4),
+                                   (EpsilonDet(0.1, 1.0), 16)):
+            first = restriction.candidates(anchors=(fuel,), grid=32)
+            first.append(fuel)
+            second = restriction.candidates(anchors=(fuel,), grid=32)
+            assert len(second) == len(first) - 1  # a fresh list each call
+            assert all(a is b for a, b in zip(first[-1 - fixed:-1], second[-fixed:]))
 
 
 class TestAxiom1Cycle:
@@ -391,10 +411,14 @@ class TestCandidateTable:
                     searched += sum(t["status"] == "Undetermined" for t in got["tested"])
         assert searched > 0
 
-    @pytest.mark.parametrize("restriction", [EpsilonDet(0.1, 1.0), MeanLadder(4, 0.5)],
+    @pytest.mark.parametrize(("restriction", "hard"), [(EpsilonDet(0.1, 1.0), True),
+                                                       (MeanLadder(4, 0.5), False)],
                              ids=["EpsilonDet", "MeanLadder"])
-    def test_every_pair_is_decided_as_by_decide(self, restriction):
+    def test_every_pair_is_decided_as_by_decide(self, restriction, hard, monkeypatch):
         # drained past the first Feasible pair, which work_of_transition never reaches
+        ends = (DEFAULT_ALPHA_GRID[0], INF)
+        interior = 0  # pairs the screen drops that only an order inside the grid refutes
+        orders, searched = set(), 0  # with nothing dropped: refuting orders, searched pairs
         for fuel in self.FUELS:
             omega = classical_gibbs(fuel.energies, 1.0)
             cands = restriction.candidates(anchors=(fuel, omega), grid=32)
@@ -404,17 +428,65 @@ class TestCandidateTable:
             assert list(got) == sorted(got) and len(got) == len(yielded)
             statuses = [v["status"] for v in got.values()]
             assert statuses.index("Feasible") + 1 < len(statuses)  # pairs after it decided too
-            skipped = 0
+            skipped, wants = 0, []
             for n, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-                want = _decide(_Prepared(classical_tensor(fuel, cands[a]), 1.0),
-                               _Prepared(classical_tensor(omega, cands[b]), 1.0)).to_json()
+                src, dst = (_Prepared(classical_tensor(x, cands[k]), 1.0)
+                            for x, k in ((fuel, a), (omega, b)))
+                want = _decide(src, dst).to_json()
+                wants.append(json.dumps(want))
                 if n in got:
-                    assert json.dumps(got[n]) == json.dumps(want), n
+                    assert json.dumps(got[n]) == wants[n], n
                 else:  # skipped: refuted by a monotone
                     skipped += 1
                     assert want["status"] == "Infeasible"
                     assert want["witness"]["kind"] == "monotone_increase"
+                if (want["witness"] or {}).get("kind") == "monotone_increase" and not np.any(
+                        dst.fill_free(ends) > src.fill_free(ends) + MONOTONE_TOL):
+                    curves = [_joint_curves(p.obj.probs[None], p.gibbs()) for p in (src, dst)]
+                    interior += bool(_dropped(*curves[0], *curves[1])[0])
             assert skipped > 0
+            with monkeypatch.context() as patch:  # the screen drops nothing: every pair yielded
+                patch.setattr(feasibility, "_SCREEN_SLACK", 1.0)
+                every = [v for _, v in _decide_pairs(fuel, omega, cands, i, j, 1.0)]
+            assert [json.dumps(v.to_json()) for v in every] == wants
+            orders |= {v.witness["alpha"] for v in every if v.is_infeasible}
+            searched += sum(v.is_undetermined or v.witness["kind"] == "catalyst" for v in every)
+        if hard:  # orders inside the grid refute, dropped pairs included; the search runs
+            assert interior > 0 and orders - set(ends) and searched > 0
+
+    def test_a_pair_past_the_tensor_cap_raises_only_when_reached(self):
+        # both pairs are dropped and open, so they are settled together; the second
+        # needs a catalyst search past the tensor cap, which must not cost the first
+        jp = [ClassicalObject(p, np.zeros(4))
+              for p in ([0.5, 0.25, 0.25, 0.0], [0.4, 0.4, 0.1, 0.1])]
+        wide = [ClassicalObject(np.outer(c.probs, np.full(525, 1 / 525)).ravel(), np.zeros(2100))
+                for c in jp]
+        verdicts = _decide_pairs(EMPTY_CLASSICAL, EMPTY_CLASSICAL, jp + wide, np.array([0, 2]),
+                                 np.array([1, 3]), 1.0)
+        n, verdict = next(verdicts)
+        assert n == 0 and verdict.witness["kind"] == "catalyst"
+        with pytest.raises(ValueError, match="tensor product dimension 4200 exceeds cap 4096"):
+            next(verdicts)
+
+    def test_tensor_rows_are_the_prepared_arrays(self):
+        padded = 0
+        for restriction in (Unrestricted(), EpsilonDet(0.1, 1.0), WbitSet(0.1, 1.0),
+                            MeanLadder(4, 0.5)):
+            for fuel, beta in itertools.product(self.FUELS, (1.0, 2.5)):
+                omega = classical_gibbs(fuel.energies, beta)
+                cands = restriction.candidates(anchors=(fuel, omega), grid=32)
+                for base, cat_dim in itertools.product((fuel, omega), range(1, 5)):
+                    probs, gibbs = _tensor_rows(base, cands, beta, cat_dim)
+                    assert gibbs.shape == (len(cands), probs.shape[1] * cat_dim)
+                    for k, c in enumerate(cands):
+                        joint = classical_tensor(base, c)
+                        w = joint.dim * cat_dim
+                        want = _Prepared(joint, beta).gibbs(cat_dim)
+                        assert probs[k, :joint.dim].tobytes() == joint.probs.tobytes()
+                        assert gibbs[k, :w].tobytes() == want.tobytes()
+                        assert not probs[k, joint.dim:].any() and not gibbs[k, w:].any()
+                        padded += w < gibbs.shape[1]
+        assert padded > 0
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from((0.0, 0.5, 1.0, 2.0, INF)) | st.floats(1e-2, 1e2),
