@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     ClassicalObject,
     HamiltonianClass,
+    MAX_TENSOR_DIM as _TENSOR_CAP,
     NonInteractingObject,
     ThermoObject,
     _ptrace_matrix,
@@ -54,7 +55,7 @@ MAX_GRID_STEPS = 64
 #: The catalyst search confirms a catalyst with _curve_dominance unless its
 #: screened deficit exceeds MAJORIZE_TOL by more than this (see _screen).
 _SCREEN_SLACK = 1e-8
-#: Joint levels per object screened at once, which bounds the screen's arrays.
+#: Joint levels of both sides screened at once, which bounds the screen's arrays.
 _SCREEN_LEVELS = 1 << 16
 
 #: Default alpha grid for monotone certificates: log-spaced plus the two
@@ -482,24 +483,32 @@ def _increase(alpha: float, f_src: float, f_dst: float) -> FeasibilityVerdict:
     })
 
 
-def _descending_compositions(total: int, parts: int):
-    """Strictly positive weakly-decreasing integer compositions, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total - parts + 1, (total + parts - 1) // parts - 1, -1):
-        for rest in _descending_compositions(total - first, parts - 1):
-            if rest[0] <= first:
-                yield (first,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """The compositions of total into parts nonnegative integers, one row each, in
+    lexicographic order: stars and bars, as itertools.combinations places the bars."""
+    bars = np.array(list(itertools.combinations(range(total + parts - 1), parts - 1)), dtype=int)
+    return np.diff(bars.reshape(len(bars), parts - 1), axis=1, prepend=-1,
+                   append=total + parts - 1) - 1
 
 
 @functools.cache
 def _catalyst_probs(cat_dim: int, grid_steps: int) -> np.ndarray:
-    """The probabilities of the catalysts of the search (all levels at zero
-    energy), one row per catalyst, in search order."""
-    probs = np.array(list(_descending_compositions(grid_steps, cat_dim)), dtype=float) / grid_steps
+    """Probabilities of the search's catalysts (levels at zero energy), one row each in
+    search order: the partitions of grid_steps into cat_dim positive parts, descending."""
+    parts = _compositions(grid_steps - cat_dim, cat_dim)[::-1] + 1
+    probs = parts[(parts[:, :-1] >= parts[:, 1:]).all(axis=1)] / grid_steps
     probs.flags.writeable = False
     return probs
+
+
+@functools.cache
+def _catalyst_table(lo: int, top: int, grid_steps: int):
+    """The catalysts of dimensions lo..top in search order, each zero-padded to top
+    levels, and (dimension, index in _catalyst_probs) of each row."""
+    blocks = [_catalyst_probs(k, grid_steps) for k in range(lo, top + 1)]
+    table = np.concatenate([np.pad(b, ((0, 0), (0, top - b.shape[1]))) for b in blocks])
+    table.flags.writeable = False
+    return table, [(b.shape[1], index) for b in blocks for index in range(len(b))]
 
 
 def _check_cost_guards(max_cat_dim: int, grid_steps: int) -> None:
@@ -517,8 +526,8 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
     probabilities live on a simplex grid with the given denominator.  Finds
     Feasible with the first working catalyst in enumeration order, or
     Undetermined once the grid is exhausted; the grid is not exhaustive, so
-    it never claims Infeasible.  All catalysts of one dimension are screened
-    as one array first, and only those the screen keeps get the exact check.
+    it never claims Infeasible.  The catalysts of every dimension are screened
+    as one table first, and only those the screen keeps get the exact check.
     """
     beta = as_beta(ctx)
     _check_cost_guards(max_cat_dim, grid_steps)
@@ -544,66 +553,74 @@ def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
 
 
 def _search(rows, dims: list, max_cat_dim: int, grid_steps: int) -> list:
-    """_bruteforce's verdicts on pairs 0, 1, ... (source and target of dims[n] levels)
-    up to the first found Feasible, screened together; rows(cat_dim) gives _screen's
-    rows of them.  _curve_dominance confirms each pair's kept catalysts in order."""
-    found, upto = [], len(dims)  # the last verdict found Feasible; pairs below upto open
-    for cat_dim in range(2, max_cat_dim + 1):
-        if not upto:
-            break
-        for side_dims in zip(*dims[:upto]):  # source, then target
-            check_tensor_dim(max(side_dims) * cat_dim)
-        sp, sg, dp, dg = [x[:upto] for x in rows(cat_dim)]
-        cats = _catalyst_probs(cat_dim, grid_steps)
-        for n, index in _screen(sp, sg, dp, dg, cat_dim, grid_steps):
+    """_bruteforce's verdicts on pairs 0, 1, ... (dims[n] source and target levels) up to
+    the first Feasible, rows(cat_dim) giving their rows: catalysts of dimension 2 up to the
+    tensor cap of the open pairs screened as one table, confirmed in order on their own rows."""
+    found, upto, lo, got = [], len(dims), 2, {}  # got: rows(cat_dim) by cat_dim
+    while upto and lo <= max_cat_dim:
+        sides = [max(side_dims) for side_dims in zip(*dims[:upto])]  # source, then target
+        top = min(max_cat_dim, _TENSOR_CAP // max(sides))
+        for d in sides:
+            check_tensor_dim(d * lo)  # raises where the cap allows no dimension from lo
+        got[top] = rows(top)
+        for n, cat_dim, index in _screen(*(x[:upto] for x in got[top]), lo, top, grid_steps):
+            sp, sg, dp, dg = got.get(cat_dim) or got.setdefault(cat_dim, rows(cat_dim))
+            cat = _catalyst_probs(cat_dim, grid_steps)[index]
             verdict = _curve_dominance(*(
-                _curve(np.outer(p[n, :d], cats[index]).ravel(), g[n, :d * cat_dim])
+                _curve(np.outer(p[n, :d], cat).ravel(), g[n, :d * cat_dim])
                 for p, g, d in ((sp, sg, dims[n][0]), (dp, dg, dims[n][1]))))
             if verdict.is_feasible:
                 upto, found = n, [feasible({
                     "kind": "catalyst",
-                    "catalyst_probs": cats[index],
+                    "catalyst_probs": cat,
                     "catalyst_energies": np.zeros(cat_dim),
                     "joint_margin": verdict.witness["min_margin"],
                 })]
                 break
+        lo = top + 1
     return [UNDETERMINED] * upto + found
 
 
-def _screen(sp: np.ndarray, sg: np.ndarray, dp: np.ndarray, dg: np.ndarray, cat_dim: int,
+def _screen(sp: np.ndarray, sg: np.ndarray, dp: np.ndarray, dg: np.ndarray, lo: int, top: int,
             grid_steps: int):
-    """(pair, index) of the rows of _catalyst_probs(cat_dim, grid_steps) that
-    _curve_dominance may accept, for pairs of source and target rows of zero-padded
-    probabilities (sp, dp) and Gibbs weights beside the catalyst (sg, dg), pair by
-    pair in enumeration order, a chunk of _SCREEN_LEVELS joint levels per side at once.
+    """(pair, dimension, index) of the catalysts of _catalyst_table(lo, top, grid_steps)
+    that _curve_dominance may accept, for pairs of source and target rows of zero-padded
+    probabilities (sp, dp) and Gibbs weights beside top catalyst levels (sg, dg), pair
+    by pair in search order, _SCREEN_LEVELS joint levels of both sides at once.
 
-    Each joint curve is built as an array with every level its own breakpoint,
-    and the source curve is read at the target's breakpoints.  Between two
-    breakpoints of either exact (tie-merged) curve both exact curves are linear,
-    so an accepted catalyst has deficit at most MAJORIZE_TOL everywhere.  A
-    screened curve sorts its levels by the same ratios (equal ratios in any order,
-    which leaves the curve as it is; zero padding last), so it differs from the
-    exact one only inside a run of merged ties, where it lies above the run's
-    chord by at most the run's ratio spread (1e-12 + 1e-9 r) times its Gibbs mass,
-    about 1e-9, plus rounding of order levels * 1e-16.  _SCREEN_SLACK covers both.
-    """
-    cats = _catalyst_probs(cat_dim, grid_steps)
-    rows = max(1, _SCREEN_LEVELS // (cat_dim * max(sp.shape[1], dp.shape[1])))
-    pairs, k = min(len(sp), max(1, rows // len(cats))), min(rows, len(cats))  # per chunk
-    for p0, c0 in itertools.product(range(0, len(sp), pairs), range(0, len(cats), k)):
-        chunk = cats[c0:c0 + k]
-        (xs, ys), (xd, yd) = (_joint_curves(
-            (p[p0:p0 + pairs, None, :, None] * chunk[:, None, :]).reshape(-1, p.shape[1] * cat_dim),
-            g[p0] if pairs == 1 else np.repeat(g[p0:p0 + pairs], len(chunk), axis=0))
-            for p, g in ((sp, sg), (dp, dg)))
-        kept = np.flatnonzero(~_dropped(xs, ys, xd, yd)).tolist()
-        yield from ((p0 + x // len(chunk), c0 + x % len(chunk)) for x in kept)
+    Each joint curve is an array with every level its own breakpoint, and the source
+    curve is read at the target's breakpoints.  Between two breakpoints of either exact
+    (tie-merged) curve both are linear, so an accepted catalyst has deficit at most
+    MAJORIZE_TOL everywhere.  A screened curve sorts its levels by the same ratios (ties
+    in any order, zero padding last), so it exceeds the exact one only inside a run of
+    merged ties, by at most the run's ratio spread (1e-12 + 1e-9 r) times its Gibbs mass.
+    A catalyst of k < top levels, zero-padded, beside Gibbs weights k / top times those
+    beside k levels has ratios top / k times theirs: each side's curve is the k-level one
+    with x scaled by k / top, then flat at its end, so the deficit is the k-level one
+    rescaled, 0 on the tail.  _SCREEN_SLACK covers the ties and rounding (1e-16 a level)."""
+    table, where = _catalyst_table(lo, top, grid_steps)
+    if sp.shape[1] != dp.shape[1]:  # both sides to one width, padding last
+        w = max(sp.shape[1], dp.shape[1])
+        sp, sg, dp, dg = (np.pad(x, ((0, 0), (0, n - x.shape[1])))
+                          for x, n in zip((sp, sg, dp, dg), (w, w * top) * 2))
+    levels = sp.shape[1] * top
+    rows = max(1, _SCREEN_LEVELS // (2 * levels))  # joint rows per side
+    k = min(rows, len(table)) or 1  # catalysts per chunk; an empty table gives no chunk
+    pairs = min(len(sp), rows // k)  # pairs per chunk
+    for p0, c0 in itertools.product(range(0, len(sp), pairs), range(0, len(table), k)):
+        at, chunk = slice(p0, p0 + pairs), table[c0:c0 + k]
+        joint = np.concatenate((sp[at], dp[at]))[:, None, :, None] * chunk[:, None, :]
+        xs, ys = _joint_curves(joint.reshape(-1, levels),
+                               np.repeat(np.concatenate((sg[at], dg[at])), len(chunk), axis=0))
+        half = len(xs) // 2  # source rows, then target rows
+        kept = np.flatnonzero(~_dropped(xs[:half], ys[:half], xs[half:], ys[half:])).tolist()
+        yield from ((p0 + x // len(chunk), *where[c0 + x % len(chunk)]) for x in kept)
 
 
 def _dropped(xs: np.ndarray, ys: np.ndarray, xd: np.ndarray, yd: np.ndarray) -> np.ndarray:
     """Whether the screen drops each row: the target curve (xd, yd) rises above the
     source curve (xs, ys) at some breakpoint by more than MAJORIZE_TOL + _SCREEN_SLACK."""
-    return np.max(yd - _interp_rows(xd, xs, ys), axis=1) > MAJORIZE_TOL + _SCREEN_SLACK
+    return (yd - _interp_rows(xd, xs, ys)).max(axis=1) > MAJORIZE_TOL + _SCREEN_SLACK
 
 
 def _joint_curves(joint: np.ndarray, g: np.ndarray):
@@ -612,10 +629,10 @@ def _joint_curves(joint: np.ndarray, g: np.ndarray):
     arrays xs, ys of shape (rows, levels + 1), snapped to (1, 1) as thermo_curve."""
     n, rows = len(joint), np.arange(len(joint))[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as in _curve
-        order = np.argsort(-(joint / g), axis=1)  # equal ratios in any order: same curve
+        order = (-(joint / g)).argsort(axis=1)  # equal ratios in any order: same curve
     xs, ys = np.zeros((n, joint.shape[1] + 1)), np.zeros((n, joint.shape[1] + 1))
-    np.cumsum(g[order] if g.ndim == 1 else g[rows, order], axis=1, out=xs[:, 1:])
-    np.cumsum(joint[rows, order], axis=1, out=ys[:, 1:])
+    (g[order] if g.ndim == 1 else g[rows, order]).cumsum(axis=1, out=xs[:, 1:])
+    joint[rows, order].cumsum(axis=1, out=ys[:, 1:])
     end = (np.abs(xs[:, -1] - 1) < 1e-9) & (np.abs(ys[:, -1] - 1) < 1e-9)
     xs[end, -1] = ys[end, -1] = 1.0
     return xs, ys
@@ -626,7 +643,7 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     xp[r, 0] <= x[r, 0]."""
     n, k = xp.shape
     rows = np.arange(n)[:, None]
-    merged = np.argsort(np.concatenate([xp, x], axis=1), axis=1, kind="stable")
+    merged = np.concatenate([xp, x], axis=1).argsort(axis=1, kind="stable")
     pos = np.empty_like(merged)
     pos[rows, merged] = np.arange(merged.shape[1])
     # before the t-th query come the t earlier queries and the points of xp <= it
@@ -761,11 +778,12 @@ def _tensor_rows(base: ClassicalObject, objs: list, beta: float, cat_dim: int = 
     """Probabilities of base (x) c for each c of ``objs`` and their Gibbs weights beside
     ``cat_dim`` zero-energy catalyst levels, one zero-padded row each: the arrays of
     classical_tensor and _Prepared.gibbs, computed for all objects of one dimension at once."""
-    width = base.dim * max(c.dim for c in objs)
+    dims = [c.dim for c in objs]
+    width = base.dim * max(dims)
     check_tensor_dim(width)
     probs, gibbs = np.zeros((len(objs), width)), np.zeros((len(objs), width * cat_dim))
-    for dim in {c.dim for c in objs}:
-        at = [k for k, c in enumerate(objs) if c.dim == dim]
+    for dim in set(dims):
+        at = [k for k, d in enumerate(dims) if d == dim]
         cp = np.array([objs[k].probs for k in at])[:, None, :]
         energies = (base.energies[:, None] + np.array([objs[k].energies for k in at])[:, None, :]
                     ).reshape(len(at), -1)

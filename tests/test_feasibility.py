@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermowork.core import (
+    MAX_TENSOR_DIM,
     ClassicalObject,
     HamiltonianClass,
     NonInteractingObject,
@@ -752,6 +753,14 @@ class TestCatalyticBruteforce:
         with pytest.raises(ValueError, match="guard"):
             decide_catalytic(JP_SRC, JP_DST, 1.0, **budget)
 
+    @pytest.mark.parametrize(("max_cat_dim", "grid_steps"), [(2, 1), (3, 2), (4, 3), (4, 1)])
+    def test_grid_without_catalysts_of_a_dimension_is_exhausted(self, max_cat_dim, grid_steps):
+        # no partition of grid_steps into max_cat_dim positive parts: nothing to try there
+        assert _catalyst_probs(max_cat_dim, grid_steps).shape == (0, max_cat_dim)
+        verdict = catalytic_bruteforce(JP_SRC, JP_DST, 1.0, max_cat_dim, grid_steps)
+        assert verdict.is_undetermined
+        assert decide_catalytic(JP_SRC, JP_DST, 1.0, max_cat_dim, grid_steps).is_undetermined
+
 
 class TestPipeline:
     def test_order_necessary_beats_bruteforce(self):
@@ -853,8 +862,14 @@ def _loop_accepts(src, dst, beta, cat_dim, grid_steps):
 
 def _pair_screen(src, dst, beta, cat_dim, grid_steps) -> list:
     """The catalysts _screen keeps for one pair."""
-    rows = [(p.probs[None], _Prepared(p, beta).gibbs(cat_dim)[None]) for p in (src, dst)]
-    return [index for _, index in _screen(*rows[0], *rows[1], cat_dim, grid_steps)]
+    return [index for _, index in _table_screen(src, dst, beta, cat_dim, grid_steps, cat_dim)]
+
+
+def _table_screen(src, dst, beta, top, grid_steps, lo=2) -> list:
+    """The (dimension, index) of the catalysts of dimensions lo..top that the one-table
+    _screen keeps for one pair."""
+    rows = [(p.probs[None], _Prepared(p, beta).gibbs(top)[None]) for p in (src, dst)]
+    return [(k, index) for _, k, index in _screen(*rows[0], *rows[1], lo, top, grid_steps)]
 
 
 def _loop_decide(src, dst, beta, max_cat_dim, grid_steps):
@@ -867,6 +882,11 @@ def _loop_decide(src, dst, beta, max_cat_dim, grid_steps):
         necessary = catalytic_necessary(src, dst, beta, alpha_grid=[alpha])
         if necessary.is_infeasible:
             return necessary
+    return _loop_search(src, dst, beta, max_cat_dim, grid_steps)
+
+
+def _loop_search(src, dst, beta, max_cat_dim, grid_steps):
+    """The catalyst search one dimension and one catalyst at a time."""
     for cat_dim in range(2, max_cat_dim + 1):
         for row in _catalyst_probs(cat_dim, grid_steps):
             cat = ClassicalObject(row, np.zeros(cat_dim))
@@ -1025,6 +1045,43 @@ class TestCatalystScreen:
             want = _loop_decide(src, dst, beta, cat_dim, steps)
             assert json.dumps(got.to_json()) == json.dumps(want.to_json()), name
 
+    def test_table_screen_keeps_every_catalyst_the_loop_accepts(self, monkeypatch):
+        accepted = screened = total = 0
+        for n, (name, src, dst, beta) in enumerate(_screen_corpus()):
+            top, steps = _setting(n, src)
+            want = {(k, index) for k in range(2, top + 1)
+                    for index in _loop_accepts(src, dst, beta, k, steps)}
+            got = _table_screen(src, dst, beta, top, steps)
+            assert want <= set(got), name
+            assert got == sorted(set(got)), name  # in search order
+            with monkeypatch.context() as m:
+                m.setattr(feasibility, "_SCREEN_LEVELS", 1)  # one catalyst per chunk
+                assert _table_screen(src, dst, beta, top, steps) == got, name
+            accepted, screened = accepted + len(want), screened + len(got)
+            total += sum(len(_catalyst_probs(k, steps)) for k in range(2, top + 1))
+        assert 0 < accepted <= screened < total
+
+    def test_bruteforce_finds_the_first_catalyst_of_the_per_dimension_loop(self, monkeypatch):
+        bases, cands = self._table()
+        pairs = [(name, src, dst, beta, *_setting(n, src))
+                 for n, (name, src, dst, beta) in enumerate(_screen_corpus())]
+        pairs += [(f"table-{a}-{b}", classical_tensor(bases[0], cands[a]),
+                   classical_tensor(bases[1], cands[b]), 1.0, top, 16)
+                  for a, b in itertools.product(range(len(cands)), repeat=2) for top in (3, 4)]
+        cases, found = [], set()
+        for name, src, dst, beta, top, steps in pairs:
+            if not thermo_majorizes(src, dst, beta).is_feasible:
+                want = _loop_search(src, dst, beta, top, steps)
+                cases.append((name, src, dst, beta, top, steps, json.dumps(want.to_json())))
+                if want.is_feasible:
+                    found.add(len(want.witness["catalyst_probs"]))
+        assert found == {2, 3}
+        for levels in (feasibility._SCREEN_LEVELS, 1):
+            monkeypatch.setattr(feasibility, "_SCREEN_LEVELS", levels)
+            for name, src, dst, beta, top, steps, want in cases:
+                got = catalytic_bruteforce(src, dst, beta, max_cat_dim=top, grid_steps=steps)
+                assert json.dumps(got.to_json()) == want, (name, levels)
+
     def test_slack_covers_merged_ties(self):
         # the exact check merges the two tied levels and accepts; every level
         # on its own gives a deficit above MAJORIZE_TOL
@@ -1072,19 +1129,19 @@ class TestCatalystScreen:
             return joint_curves(joint, g)
 
         monkeypatch.setattr(feasibility, "_joint_curves", counted)
-        got = list(_screen(sp[i], sg[i], dp[j], dg[j], cat_dim, steps))
+        got = list(_screen(sp[i], sg[i], dp[j], dg[j], cat_dim, cat_dim, steps))
         assert got == sorted(set(got))  # pair by pair, in enumeration order
         assert levels and max(levels) <= feasibility._SCREEN_LEVELS
         accepted = 0
         for n, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
             want = _loop_accepts(classical_tensor(bases[0], cands[a]),
                                  classical_tensor(bases[1], cands[b]), 1.0, cat_dim, steps)
-            assert set(want) <= {index for m, index in got if m == n}, n
+            assert set(want) <= {index for m, _, index in got if m == n}, n
             accepted += len(want)
         assert 0 < accepted <= len(got) < len(i) * len(_catalyst_probs(cat_dim, steps))
         monkeypatch.setattr(feasibility, "_SCREEN_LEVELS", 64)
         levels.clear()
-        assert list(_screen(sp[i], sg[i], dp[j], dg[j], cat_dim, steps)) == got
+        assert list(_screen(sp[i], sg[i], dp[j], dg[j], cat_dim, cat_dim, steps)) == got
         assert len(levels) > 2 and max(levels) <= 64
 
     def test_search_of_several_pairs_finds_each_first_catalyst(self, monkeypatch):
@@ -1133,6 +1190,43 @@ class TestCatalystScreen:
         dst = ClassicalObject(np.concatenate([JP_DST.probs, pad]), np.zeros(2049))
         with pytest.raises(ValueError, match="tensor product dimension 4098 exceeds cap 4096"):
             catalytic_bruteforce(src, dst, 1.0)
+
+    @staticmethod
+    def _padded(obj, dim):
+        """obj with zero-probability levels at zero energy up to ``dim`` levels."""
+        return ClassicalObject(np.concatenate([obj.probs, np.zeros(dim - obj.dim)]), np.zeros(dim))
+
+    def test_cap_refuses_a_dimension_only_after_the_smaller_ones_found_nothing(self):
+        src, dst = self._padded(JP_SRC, 1400), self._padded(JP_DST, 1400)
+        assert 2 * src.dim <= MAX_TENSOR_DIM < 3 * src.dim
+        verdict = catalytic_bruteforce(src, dst, 1.0, max_cat_dim=3)
+        assert verdict.is_feasible and len(verdict.witness["catalyst_probs"]) == 2
+        assert revalidate_catalyst(verdict, src, dst, 1.0)
+        assert decide_catalytic(src, dst, 1.0, max_cat_dim=3).to_json() == verdict.to_json()
+        # no catalyst of any dimension: the support cannot shrink
+        with pytest.raises(ValueError, match="tensor product dimension 4200 exceeds cap 4096"):
+            catalytic_bruteforce(dst, src, 1.0, max_cat_dim=3)
+
+    def test_cap_of_several_pairs_binds_only_the_pairs_still_open(self):
+        bases, cands = self._table()
+        small = [classical_tensor(bases[0], cands[k]) for k in (3, 4)]  # a qutrit catalyst only
+        big = [self._padded(p, 1400) for p in (JP_SRC, JP_DST)]
+        one = ClassicalObject([1.0], [0.0])
+
+        def search(pairs):  # _search on pairs of objects, as one table of rows
+            sides = list(zip(*pairs))
+            return _search(lambda k: (*_tensor_rows(one, sides[0], 1.0, k),
+                                      *_tensor_rows(one, sides[1], 1.0, k)),
+                           [(s.dim, d.dim) for s, d in pairs], 3, 16)
+
+        want = catalytic_bruteforce(*small, 1.0, max_cat_dim=3, grid_steps=16)
+        assert len(want.witness["catalyst_probs"]) == 3
+        got = search([tuple(small), tuple(big)])  # the big pair is found at dimension 2 first
+        assert [v.to_json() for v in got] == [want.to_json()]
+        assert [v.to_json() for v in search([tuple(big)])] == [
+            catalytic_bruteforce(*big, 1.0, max_cat_dim=3, grid_steps=16).to_json()]
+        with pytest.raises(ValueError, match="tensor product dimension 4200 exceeds cap 4096"):
+            search([tuple(small[::-1]), tuple(big[::-1])])  # neither has a catalyst
 
     def test_no_runtime_warning_from_the_array_paths(self):
         jp_src, jp_dst = JP_SRC.probs, JP_DST.probs

@@ -6,6 +6,7 @@ import pytest
 
 from thermowork.core import ClassicalObject, HamiltonianClass, classical_gibbs
 from thermowork.divergences import delta_F_alpha
+from thermowork.feasibility import _compositions
 from thermowork.scenarios import (
     LadderResolutionError,
     LadderStep,
@@ -122,7 +123,28 @@ class TestIrreversibility:
         assert report.derived["strict_gap"]["value"] is True
 
 
+def _recursive_grid(grid_steps: int, n: int) -> np.ndarray:
+    """The simplex grid as the search built it before: a recursive generator of
+    compositions, one array per state."""
+    def comps(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in comps(total - head, parts - 1):
+                yield (head,) + rest
+    return np.array([np.array(c, dtype=float) / grid_steps
+                     for c in comps(grid_steps, n)]).reshape(-1, n)
+
+
 class TestSuperadditivitySearch:
+    @pytest.mark.parametrize(("grid_steps", "n"),
+                             [(16, 4), (8, 9), (5, 2), (3, 16), (12, 1), (1, 1)])
+    def test_grid_is_the_recursive_enumeration(self, grid_steps, n):
+        got = _compositions(grid_steps, n) / grid_steps
+        assert got.shape == (math.comb(grid_steps + n - 1, n - 1), n)
+        assert got.tobytes() == _recursive_grid(grid_steps, n).tobytes()
+
     def test_alpha2_witness_and_breach(self):
         report = superadditivity_violation_search(2.0, grid_steps=16)
         assert report.derived["witness_found"]["value"] is True
