@@ -9,6 +9,7 @@ units with k_B = 1; all logarithms downstream are natural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -161,19 +162,19 @@ class ClassicalObject:
     energies: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).copy()
-        e = np.asarray(self.energies, dtype=float).copy()
+        p = np.array(self.probs, dtype=float)
+        e = np.array(self.energies, dtype=float)
         if p.ndim != 1 or e.ndim != 1 or p.shape != e.shape:
             raise ValueError(f"probs {p.shape} and energies {e.shape} must be equal-length vectors")
         if p.size == 0:
             raise ValueError("a classical object needs at least one level")
         if not (np.isfinite(p).all() and np.isfinite(e).all()):
             raise ValueError("probs and energies must be finite")
-        if np.min(p) < -PROB_CLAMP:
-            raise ValueError(f"negative probability {np.min(p):.3e} below clamp {PROB_CLAMP:.1e}")
-        p = np.clip(p, 0.0, None)
-        if abs(float(np.sum(p)) - 1.0) > STATE_TOL:
-            raise ValueError(f"probabilities sum to {np.sum(p)}, not 1")
+        if p.min() < -PROB_CLAMP:
+            raise ValueError(f"negative probability {p.min():.3e} below clamp {PROB_CLAMP:.1e}")
+        p = p.clip(0.0, None)
+        if abs(float(p.sum()) - 1.0) > STATE_TOL:
+            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
         p.flags.writeable = False
         e.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -213,7 +214,7 @@ EMPTY_CLASSICAL = ClassicalObject(np.array([1.0]), np.array([0.0]))
 def gibbs_weights(energies, beta: float) -> np.ndarray:
     """Normalized exp(-beta E)/Z along the last axis (each row of a table of
     energies on its own), with the max Boltzmann factor pulled out."""
-    if not (beta > 0 and np.isfinite(beta)):
+    if not (beta > 0 and math.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     e = np.asarray(energies, dtype=float)
     w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))

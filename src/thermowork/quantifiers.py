@@ -215,11 +215,17 @@ def _eigenstate_distances(obj) -> tuple:
 
 def _qubit_distances(obj, delta: float):
     """Trace-norm distances of a qubit object to the two energy eigenstates,
-    or None if the object is not a qubit with Hamiltonian diag(0, delta)."""
+    or None if the object is not a qubit with Hamiltonian diag(0, delta).  A
+    classical qubit's gap is tested by np.isclose's rule (atol 1e-9, rtol 1e-5)
+    on floats; its ground level is the first of equal energies, as np.argsort's."""
     if isinstance(obj, ClassicalObject):
-        e = np.sort(obj.energies - np.min(obj.energies))
-        ok = obj.dim == 2 and np.allclose(e, [0.0, delta], atol=1e-9)
-    elif isinstance(obj, ThermoObject):
+        e0, e1 = obj.energies.tolist() if obj.dim == 2 else (0.0, math.nan)  # nan: no match
+        gap = abs(e1 - e0)
+        if gap == delta or math.isfinite(delta) and abs(gap - delta) <= 1e-9 + 1e-5 * abs(delta):
+            p_ground = obj.probs.tolist()[0 if e0 <= e1 else 1]
+            return 2.0 * (1.0 - p_ground), 2.0 * p_ground
+        return None
+    if isinstance(obj, ThermoObject):
         ok = obj.dim == 2 and obj.hamiltonian == HamiltonianClass(np.diag([0.0, delta]))
     else:
         ok = False

@@ -107,6 +107,22 @@ def _lifted_curve(probs, g) -> np.ndarray:
     return np.array(tuple(zip(xs.tolist(), ys.tolist()))).reshape(-1, 2)
 
 
+def _scatter_interp_rows(x, xp, fp):
+    """_interp_rows with each query's position read by scattering the inverse
+    permutation, and 2-D gathers: the reference for its bytes."""
+    n, k = xp.shape
+    rows = np.arange(n)[:, None]
+    merged = np.concatenate([xp, x], axis=1).argsort(axis=1, kind="stable")
+    pos = np.empty_like(merged)
+    pos[rows, merged] = np.arange(merged.shape[1])
+    count = pos[:, k:] - np.arange(x.shape[1])
+    j = np.minimum(count, k - 1) - 1
+    x0, x1, y0, y1 = xp[rows, j], xp[rows, j + 1], fp[rows, j], fp[rows, j + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
+    return np.where(count < k, inside, fp[:, -1:])
+
+
 def _tol(r: float) -> float:
     """The tie tolerance of ratio r (np.isclose, rtol 1e-9, atol 1e-12)."""
     return 1e-12 + 1e-9 * abs(r)
@@ -1263,3 +1279,21 @@ class TestCatalystScreen:
                         axis=1)
             want = np.array([np.interp(x[r], xp[r], fp[r]) for r in range(n)])
             assert np.allclose(_interp_rows(x, xp, fp), want, rtol=1e-12, atol=1e-12)
+
+    def test_interp_rows_keeps_the_bytes_of_the_scatter_formulation(self):
+        rng = rng_from_seed(45)
+        past = edges = flat = 0  # queries past the last point, on a point, on a zero-width step
+        for _ in range(200):
+            n, k, m = (int(v) for v in rng.integers(1, 14, size=3))
+            steps = rng.random((n, k)) * (rng.random((n, k)) < 0.7)  # zero steps: ties in xp
+            xp = np.concatenate([np.zeros((n, 1)), np.cumsum(steps, axis=1)], axis=1)
+            fp = np.concatenate([np.zeros((n, 1)), np.cumsum(rng.random((n, k)), axis=1)], axis=1)
+            hits = xp[np.arange(n)[:, None], rng.integers(0, k + 1, size=(n, 3))]
+            beyond = xp[:, -1:] + rng.random((n, 2))
+            x = np.sort(np.concatenate([rng.random((n, m)) * (xp[:, -1:] + 0.5), hits, beyond],
+                                       axis=1), axis=1)
+            assert _interp_rows(x, xp, fp).tobytes() == _scatter_interp_rows(x, xp, fp).tobytes()
+            past += int((x > xp[:, -1:]).sum())
+            edges += sum(np.isin(x[r], xp[r]).sum() for r in range(n))
+            flat += sum(np.isin(x[r], xp[r][1:][np.diff(xp[r]) == 0]).sum() for r in range(n))
+        assert past and edges and flat

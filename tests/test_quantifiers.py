@@ -55,6 +55,7 @@ from thermowork.quantifiers import (
     work_value,
     wdet_value,
 )
+from thermowork.quantifiers import _qubit_distances
 from thermowork.sampling import random_classical_object, random_gibbs_stochastic, rng_from_seed
 
 CTX = BetaContext(1.0)
@@ -164,6 +165,47 @@ class TestRestrictionSets:
         for s in [EpsilonDet(0.1, 1.0), WbitSet(0.1, 1.0), MeanLadder(4, 0.5)]:
             for cand in s.candidates():
                 assert s.contains(cand)
+
+    def test_ball_membership_keeps_the_allclose_rule_at_its_edges(self):
+        def allclose_distances(obj, delta):  # the rule on np.sort, np.allclose and np.argsort
+            e = np.sort(obj.energies - np.min(obj.energies))
+            if not (obj.dim == 2 and np.allclose(e, [0.0, delta], atol=1e-9)):
+                return None
+            p_ground = float(obj.probs[np.argsort(obj.energies)[0]])
+            return 2.0 * (1.0 - p_ground), 2.0 * p_ground
+
+        def allclose_contains(ball, obj):
+            dists = allclose_distances(obj, ball.delta)
+            if dists is None:
+                return False
+            d, radius = min(dists), 2.0 * ball.epsilon
+            return d <= 1e-12 or (d <= radius + 1e-12 if ball.closed else d < radius)
+
+        seen = set()
+        for delta, epsilon in itertools.product((1.0, 0.5, 3.7, 1e-3, 0.0), (0.0, 0.1, 0.25)):
+            edge = delta + 1e-9 + 1e-5 * delta  # and one ulp either side of it
+            edges = [np.nextafter(edge, -INF), edge, np.nextafter(edge, INF)]
+            energy_pairs = [(0.0, delta), (delta, 0.0), (2.0, 2.0), (5.0, 5.0 + delta),
+                            (5.0 + delta, 5.0), (0.0, delta + 1.0),
+                            *((0.0, e) for e in edges), *((e, 0.0) for e in edges)]
+            for (e0, e1), ground in itertools.product(energy_pairs, (1.0, 0.9, 1 - epsilon, 0.5)):
+                for probs in ([ground, 1.0 - ground], [1.0 - ground, ground]):
+                    obj = ClassicalObject(probs, [e0, e1])
+                    assert _qubit_distances(obj, delta) == allclose_distances(obj, delta)
+                    for ball in (EpsilonDet(epsilon, delta), WbitSet(epsilon, delta)):
+                        want = allclose_contains(ball, obj)
+                        assert ball.contains(obj) == want, (ball, probs, e0, e1)
+                        seen.add(want)
+            ladder = ClassicalObject([0.5, 0.5, 0.0], [0.0, delta, 2.0 * delta])
+            assert not EpsilonDet(epsilon, delta).contains(ladder)
+            for probs in ([1.0 - epsilon, epsilon], [0.5, 0.5]):  # quantum qubits: unchanged
+                classical = ClassicalObject(probs, [0.0, delta])
+                for ball in (EpsilonDet(epsilon, delta), WbitSet(epsilon, delta)):
+                    assert ball.contains(classical_to_object(classical)) == ball.contains(classical)
+        for delta in (INF, math.nan):
+            obj = ClassicalObject([1.0, 0.0], [0.0, 1.0])
+            assert _qubit_distances(obj, delta) is allclose_distances(obj, delta) is None
+        assert seen == {True, False}
 
 
     def test_fixed_candidates_are_built_once_and_listed_fresh(self):
@@ -453,6 +495,41 @@ class TestCandidateTable:
             searched += sum(v.is_undetermined or v.witness["kind"] == "catalyst" for v in every)
         if hard:  # orders inside the grid refute, dropped pairs included; the search runs
             assert interior > 0 and orders - set(ends) and searched > 0
+
+    def test_chunk_sizes_are_invisible(self, monkeypatch):
+        # the first chunk of one pair, of the default size and of the whole list
+        yielded = searched = 0
+        for restriction, fuel in itertools.product(
+                (Unrestricted(), EpsilonDet(0.1, 1.0), WbitSet(0.1, 1.0), MeanLadder(4, 0.5)),
+                self.FUELS):
+            omega = classical_gibbs(fuel.energies, 1.0)
+            cands = restriction.candidates(anchors=(fuel, omega), grid=32)
+            works = DF1.monotone._values(cands)
+            order = np.argsort(works[None, :] - works[:, None], axis=None, kind="stable")[::-1]
+            i, j = np.divmod(order, len(cands))
+            for src, dst in ((fuel, omega), (omega, fuel)):
+                runs = []
+                for first in (1, feasibility._FIRST_PAIRS, len(i)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(feasibility, "_FIRST_PAIRS", first)
+                        runs.append([(n, v.to_json())
+                                     for n, v in _decide_pairs(src, dst, cands, i, j, 1.0)])
+                assert runs[0] == runs[1] == runs[2], (restriction, fuel)
+                yielded += len(runs[0])
+                searched += sum(v["status"] == "Undetermined" or v["witness"]["kind"] == "catalyst"
+                                for _, v in runs[0])
+        assert yielded > 0 and searched > 0
+
+    def test_the_screen_stops_at_the_chunk_of_the_certified_pair(self, monkeypatch):
+        screened, dropped = [], feasibility._dropped
+        monkeypatch.setattr(feasibility, "_dropped",
+                            lambda xs, *args: screened.append(len(xs)) or dropped(xs, *args))
+        fuel = ClassicalObject([0.7, 0.3], [0.0, 1.0])  # the README's
+        for fn in (work_value, work_cost):
+            screened.clear()
+            res = fn(DF1, Unrestricted(), fuel, 1.0, grid=32)
+            pairs = len(Unrestricted().candidates(anchors=(fuel, fuel), grid=32)) ** 2
+            assert len(res["tested"]) <= sum(screened) < pairs
 
     def test_a_pair_past_the_tensor_cap_raises_only_when_reached(self):
         # both pairs are dropped and open, so they are settled together; the second
