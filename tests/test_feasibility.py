@@ -155,6 +155,72 @@ def _loop_constraints(src, dst, beta):
     return np.array(rows), np.array(rhs)
 
 
+def _linprog_verdict(src, dst, beta) -> FeasibilityVerdict:
+    """The LP oracle through ``linprog(method="highs")``: the reference for the
+    direct HiGHS call in gibbs_stochastic_feasible, which must match it byte
+    for byte.  A scipy upgrade that changes linprog's model or options shows
+    here."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    a_eq, b_eq = feasibility._stack_constraints(src, dst, beta)
+    m, n = a_eq.shape
+    eye = sparse.eye_array(m, format="csc")
+    a_full = sparse.hstack([a_eq, eye, -eye], format="csc")
+    cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
+    res = linprog(cost, A_eq=a_full, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        return UNDETERMINED
+    gap = float(res.fun)
+    if gap <= feasibility.LP_FEAS_TOL:
+        g_mat = np.clip(res.x[:n].reshape(dst.dim, src.dim), 0.0, None)
+        return feasibility.feasible({"kind": "gibbs_stochastic_map", "matrix": g_mat,
+                                     "phase1_gap": gap})
+    witness = {"kind": "lp_phase1_gap", "gap": gap}
+    for sign in (1.0, -1.0):
+        y = sign * np.asarray(res.eqlin.marginals, dtype=float)
+        if float(np.max(a_eq.T @ y)) <= 1e-7 and float(b_eq @ y) >= 0.5 * gap:
+            witness["farkas"] = y
+            break
+    return feasibility.infeasible(witness)
+
+
+def _thermalized_image(rng, src: ClassicalObject, beta: float, layers: int = 3):
+    """dst = G p for a random Gibbs-stochastic G: layers of two-level partial
+    thermalizations on disjoint level pairs, then a full thermalization of
+    weight in [0.1, 0.3], so the reverse pair is strictly infeasible."""
+    g = src.gibbs_weights(beta)
+    p = src.probs.copy()
+    d = len(p)
+    for _ in range(layers):
+        perm = rng.permutation(d)
+        i, j = perm[0:d - 1:2], perm[1:d:2]
+        a = rng.uniform(0.0, 1.0, len(i)) * np.minimum(1.0, g[j] / g[i])
+        b = a * g[i] / g[j]
+        pi, pj = p[i].copy(), p[j].copy()
+        p[i] = (1.0 - a) * pi + b * pj
+        p[j] = a * pi + (1.0 - b) * pj
+    lam = rng.uniform(0.1, 0.3)
+    p = (1.0 - lam) * p + lam * g
+    return ClassicalObject(p / p.sum(), src.energies)
+
+
+#: One spoiled solver result per check that gibbs_stochastic_feasible keeps from
+#: linprog: (solver method, field of its result or None for the result itself,
+#: the spoiled value from the old one, whether the verdicts stay decisive).
+#: linprog's tolerance on x and on the residual is 10 * sqrt(1e-9) ~ 3.2e-4.
+_LP_FAULTS = {
+    "not optimal": ("getModelStatus", None, lambda status: type(status).kIterationLimit, False),
+    "residual above tolerance": ("getSolution", "row_value", lambda v: [r + 1e-3 for r in v],
+                                 False),
+    "residual below tolerance": ("getSolution", "row_value", lambda v: [r + 1e-4 for r in v],
+                                 True),
+    "negative x": ("getSolution", "col_value", lambda v: [-1e-3] + v[1:], False),
+    "nan in x": ("getSolution", "col_value", lambda v: [math.nan] + v[1:], False),
+    "nan objective": ("getInfo", "objective_function_value", lambda v: math.nan, False),
+}
+
+
 class TestVerdictInvariants:
     def test_decisive_requires_witness(self):
         with pytest.raises(ValueError):
@@ -510,15 +576,18 @@ class TestGibbsStochasticLP:
             assert verdict.is_feasible
 
     def test_solver_gets_the_csc_of_the_dense_constraints(self, monkeypatch):
-        # the phase-1 matrix handed to linprog is the CSC scipy builds from the dense
-        # array, so HiGHS sees the same problem; a zero probability and a Gibbs
-        # weight that underflows to 0 leave no explicit zero behind
-        import scipy.optimize
+        # the phase-1 matrix handed to HiGHS is the CSC scipy builds from the dense
+        # array, as linprog would hand it; a zero probability and a Gibbs weight
+        # that underflows to 0 leave no explicit zero behind
+        from scipy.optimize._highspy import _core
         from scipy.sparse import csc_array
 
-        handed, linprog = [], scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda c, **kw: handed.append(kw["A_eq"]) or linprog(c, **kw))
+        handed = {}  # what thermowork sets on the HighsSparseMatrix (arrays or their memoryviews)
+        for field in ("num_row_", "num_col_", "start_", "index_", "value_"):
+            kept = getattr(_core.HighsSparseMatrix, field)
+            monkeypatch.setattr(_core.HighsSparseMatrix, field, property(
+                kept.fget, lambda mat, v, kept=kept, field=field: (
+                    handed.setdefault(field, []).append(v), kept.fset(mat, v))))
         energies = [0.0, 1.0, 1e4]  # exp(-1e4) underflows to 0
         cases = [(ClassicalObject([0.5, 0.5, 0.0], energies),
                   ClassicalObject([0.0, 1.0, 0.0], energies), 1.0),
@@ -534,13 +603,69 @@ class TestGibbsStochasticLP:
             a_eq = _loop_constraints(src, dst, beta)[0]
             m = len(a_eq)
             want = csc_array(np.hstack([a_eq, np.eye(m), -np.eye(m)]))
-            got = handed.pop()
-            assert got.format == "csc" and got.shape == want.shape
-            for part in ("indptr", "indices", "data"):
-                mine, theirs = getattr(got, part), getattr(want, part)
+            assert (handed["num_row_"].pop(), handed["num_col_"].pop()) == want.shape
+            for part, field in (("indptr", "start_"), ("indices", "index_"), ("data", "value_")):
+                mine, theirs = np.asarray(handed[field].pop()), getattr(want, part)
                 assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
             dropped += want.nnz < 3 * a_eq.shape[1] + 2 * m
         assert dropped >= 2
+
+
+    def test_verdicts_are_those_of_linprog(self, capfd):
+        # the direct HiGHS call gives linprog's verdict, witness bytes included,
+        # and like linprog it logs nothing
+        import test_golden_verdicts as golden
+
+        cases = [(src, dst, beta) for _, src, dst, beta in golden.corpus()
+                 if src.dim * dst.dim <= golden.LP_MAX_DIM ** 2]
+        energies = [0.0, 1.0, 1e4]  # exp(-1e4) underflows to 0
+        cases += [(ClassicalObject([0.5, 0.5, 0.0], energies),
+                   ClassicalObject([0.0, 1.0, 0.0], energies), 1.0),
+                  (ClassicalObject([0.5, 0.5, 0.0], energies),
+                   ClassicalObject([0.2, 0.3, 0.5], energies), 1.0),
+                  (ClassicalObject([0.0, 0.2, 0.8], energies),
+                   ClassicalObject([1.0, 0.0], [0.0, 2.0]), 1.0),
+                  (ClassicalObject([1.0], [0.0]), ClassicalObject([0.3, 0.7], [0.0, 0.1]), 2.0),
+                  (ClassicalObject([0.3, 0.7], [0.0, 0.1]), ClassicalObject([1.0], [0.0]), 2.0),
+                  (ClassicalObject([1.0], [0.0]), ClassicalObject([1.0], [5.0]), 1.0)]
+        rng = rng_from_seed(15)
+        cases += [(random_classical_object(rng, int(rng.integers(1, 7))),
+                   random_classical_object(rng, int(rng.integers(1, 7))), 0.8) for _ in range(20)]
+        src = random_classical_object(rng, 64, energy_scale=3.0)
+        dst = _thermalized_image(rng, src, 1.0)
+        cases += [(src, dst, 1.0), (dst, src, 1.0)]
+        statuses = []
+        for src, dst, beta in cases:
+            got = gibbs_stochastic_feasible(src, dst, beta)
+            want = _linprog_verdict(src, dst, beta)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            statuses.append(got.status)
+        assert set(statuses) == {Status.FEASIBLE, Status.INFEASIBLE}
+        assert statuses[-2:] == [Status.FEASIBLE, Status.INFEASIBLE]
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("fault", sorted(_LP_FAULTS))
+    def test_a_solve_that_fails_linprog_checks_is_undetermined(self, monkeypatch, fault):
+        from scipy.optimize._highspy import _core
+
+        c = ClassicalObject([0.6, 0.3, 0.1], [0.0, 0.5, 1.5])
+        pairs = [(c, c), (classical_gibbs(c.energies, 1.0), c)]  # feasible, infeasible
+        assert [gibbs_stochastic_feasible(*pair, 1.0).status for pair in pairs] == [
+            Status.FEASIBLE, Status.INFEASIBLE]
+        method, field, spoil, decisive = _LP_FAULTS[fault]
+        solve = getattr(_core._Highs, method)
+
+        def spoiled(highs):
+            out = solve(highs)
+            if field is None:
+                return spoil(out)
+            setattr(out, field, spoil(getattr(out, field)))
+            return out
+
+        monkeypatch.setattr(_core, "_Highs", type("Spoiled", (_core._Highs,), {method: spoiled}))
+        got = [gibbs_stochastic_feasible(*pair, 1.0).status for pair in pairs]
+        assert got == ([Status.FEASIBLE, Status.INFEASIBLE] if decisive
+                       else [Status.UNDETERMINED] * 2)
 
 
 def _constraints_for(src, dst, beta):
