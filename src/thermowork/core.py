@@ -344,11 +344,15 @@ def gibbs_state(hamiltonian, beta: float) -> ThermoObject:
     """
     if not isinstance(hamiltonian, HamiltonianClass):
         hamiltonian = HamiltonianClass(hamiltonian)
+    return ThermoObject(_gibbs_matrix(hamiltonian, beta), hamiltonian)
+
+
+def _gibbs_matrix(hamiltonian: HamiltonianClass, beta: float) -> np.ndarray:
+    """gibbs_state's state to the bit, unchecked: made Hermitian as ThermoObject makes it."""
     evals, vecs = np.linalg.eigh(hamiltonian.matrix)
-    w = gibbs_weights(evals, beta)
-    rho = (vecs * w) @ vecs.conj().T
+    rho = (vecs * gibbs_weights(evals, beta)) @ vecs.conj().T
     rho /= np.real(np.trace(rho))
-    return ThermoObject(rho, hamiltonian)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def classical_gibbs(energies, beta: float) -> ClassicalObject:
@@ -364,18 +368,18 @@ def classical_to_object(c: ClassicalObject) -> ThermoObject:
 
 def object_to_classical(p: ThermoObject, tol: float = 1e-10) -> ClassicalObject:
     """Inverse of classical_to_object for objects diagonal in the computational basis."""
-    rho = p.state
-    ham = p.hamiltonian.original_matrix()
-    off_rho = float(np.max(np.abs(rho - np.diag(np.diag(rho))))) if p.dim > 1 else 0.0
-    off_ham = float(np.max(np.abs(ham - np.diag(np.diag(ham))))) if p.dim > 1 else 0.0
-    if off_rho > tol or off_ham > tol:
+    def off_diagonal(mat: np.ndarray) -> float:
+        return float(np.max(np.abs(mat - np.diag(np.diag(mat))))) if p.dim > 1 else 0.0
+
+    # the state first: a non-diagonal state is refused before the Hamiltonian is built
+    if off_diagonal(p.state) > tol or off_diagonal(ham := p.hamiltonian.original_matrix()) > tol:
         raise ValueError("object is not diagonal in the computational basis")
-    return ClassicalObject(np.real(np.diag(rho)), np.real(np.diag(ham)))
+    return ClassicalObject(np.real(np.diag(p.state)), np.real(np.diag(ham)))
 
 
 def is_gibbs(p: ThermoObject, beta: float) -> bool:
     """Whether the state is the Gibbs state of its own Hamiltonian at beta."""
-    return trace_norm(p.state - gibbs_state(p.hamiltonian, beta).state) <= GIBBS_TOL
+    return trace_norm(p.state - _gibbs_matrix(p.hamiltonian, beta)) <= GIBBS_TOL
 
 
 def classical_is_gibbs(c: ClassicalObject, beta: float) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassicalObject, _ptrace_matrix, classical_to_object, gibbs_state
+from .core import ClassicalObject, _gibbs_matrix, _ptrace_matrix, classical_to_object
 
 INF = float("inf")
 # Eigenvalues below this are treated as exact zeros in entropy sums.
@@ -174,7 +174,6 @@ def renyi_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     return renyi_divergences(rho, sigma, (alpha,))[0]
 
 
-@np.errstate(over="ignore")
 def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     """Sandwiched Renyi divergence of rho from sigma at each order of ``alphas``.
 
@@ -189,7 +188,13 @@ def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    s_evals, s_vecs = np.linalg.eigh(sigma)
+    return _sandwiched(rho, sigma, np.linalg.eigh(sigma), listed)
+
+
+@np.errstate(over="ignore")
+def _sandwiched(rho: np.ndarray, sigma: np.ndarray, decomposed, listed: list) -> list:
+    """renyi_divergences at checked orders, given ``decomposed``, the eigh of sigma."""
+    s_evals, s_vecs = decomposed
     kernel = s_evals < SUPPORT_TOL
     leaks = bool(kernel.any()) and float(np.real(np.trace(
         rho @ (s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T)))) > SUPPORT_TOL
@@ -234,8 +239,7 @@ def delta_F_alpha(p, ctx, alpha: float) -> float:
     beta = as_beta(ctx)
     if isinstance(p, ClassicalObject):
         return classical_renyi_divergence(p.probs, p.gibbs_weights(beta), alpha) / beta
-    omega = gibbs_state(p.hamiltonian, beta)
-    return renyi_divergence(p.state, omega.state, alpha) / beta
+    return renyi_divergence(p.state, _gibbs_matrix(p.hamiltonian, beta), alpha) / beta
 
 
 def delta_F_1_via_energy(p, ctx) -> float:
@@ -248,9 +252,9 @@ def delta_F_1_via_energy(p, ctx) -> float:
     if isinstance(p, ClassicalObject):
         p = classical_to_object(p)
     ham = p.hamiltonian.matrix
-    omega = gibbs_state(p.hamiltonian, beta)
+    omega = _gibbs_matrix(p.hamiltonian, beta)
     f_state = float(np.real(np.trace(p.state @ ham))) - von_neumann_entropy(p.state) / beta
-    f_gibbs = float(np.real(np.trace(omega.state @ ham))) - von_neumann_entropy(omega.state) / beta
+    f_gibbs = float(np.real(np.trace(omega @ ham))) - von_neumann_entropy(omega) / beta
     return f_state - f_gibbs
 
 

@@ -27,11 +27,11 @@ from .core import (
     MAX_TENSOR_DIM as _TENSOR_CAP,
     NonInteractingObject,
     ThermoObject,
+    _gibbs_matrix,
     _ptrace_matrix,
     check_unitary,
     check_tensor_dim,
     classical_tensor,
-    gibbs_state,
     gibbs_weights,
     local_sum,
     object_to_classical,
@@ -42,8 +42,8 @@ from .divergences import (
     INF,
     _check_alphas,
     as_beta,
+    _sandwiched,
     classical_renyi_divergences,
-    renyi_divergences,
 )
 
 MAJORIZE_TOL = 1e-10
@@ -187,10 +187,17 @@ def _as_classical(obj) -> ClassicalObject:
     raise TypeError(f"expected a classical or diagonal object, got {type(obj).__name__}")
 
 
+def _classified(src, dst):
+    """(src, dst) as classical objects, or None where either is not diagonal."""
+    try:
+        return _as_classical(src), _as_classical(dst)
+    except (ValueError, TypeError):
+        return None
+
+
 def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     """Thermomajorization curve of a classical object at inverse temperature beta."""
-    c = _as_classical(c)
-    return _curve(c.probs, c.gibbs_weights(as_beta(ctx)))
+    return _Prepared(_as_classical(c), as_beta(ctx)).curve
 
 
 def _curve(probs: np.ndarray, g: np.ndarray) -> ThermoCurve:
@@ -236,8 +243,8 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
     Boundary equality counts as Feasible; the Infeasible witness carries the
     first crossing point.
     """
-    beta = as_beta(ctx)
-    return _curve_dominance(thermo_curve(src, beta), thermo_curve(dst, beta))
+    src, dst = _pair(_as_classical(src), _as_classical(dst), as_beta(ctx))
+    return _curve_dominance(src.curve, dst.curve)
 
 
 def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdict:
@@ -266,10 +273,10 @@ def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdi
 class _Prepared:
     """An object with what the deciders ask of it, each computed once: its
     Gibbs weights alone and beside a catalyst of each dimension (for a quantum
-    object its Gibbs state), its curve and its free energy at each order asked
-    for.  Free energies come from one batch per fill_free call,
-    classical_renyi_divergences for a classical object and renyi_divergences
-    for a quantum one, equal to delta_F_alpha's values to the bit."""
+    object its Gibbs state and the state's eigh), its curve and its free energy
+    at each order asked for, one batch per fill_free call, equal to
+    delta_F_alpha's values to the bit.  _pair's twins share the Gibbs part, if
+    their Hamiltonians are equal bit for bit (== allows a tolerance and shifts)."""
 
     def __init__(self, obj, beta: float):
         self.obj, self.beta = obj, beta
@@ -285,7 +292,8 @@ class _Prepared:
                 self._gibbs[cat_dim] = gibbs_weights(
                     energies if cat_dim == 1 else np.repeat(energies, cat_dim), self.beta)
             else:
-                self._gibbs[cat_dim] = gibbs_state(self.obj.hamiltonian, self.beta).state
+                sigma = _gibbs_matrix(self.obj.hamiltonian, self.beta)
+                self._gibbs[cat_dim], self._gibbs["eigh"] = sigma, np.linalg.eigh(sigma)
         return self._gibbs[cat_dim]
 
     @functools.cached_property
@@ -299,7 +307,8 @@ class _Prepared:
             if isinstance(self.obj, ClassicalObject):
                 values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
             else:
-                values = renyi_divergences(self.obj.state, self.gibbs(), missing)
+                values = _sandwiched(self.obj.state, self.gibbs(), self._gibbs["eigh"],
+                                     _check_alphas(missing))
             for alpha, v in zip(missing, values):
                 self._free[alpha] = v / self.beta
         return np.array([self._free[alpha] for alpha in grid])
@@ -445,7 +454,7 @@ def apply_thermal_operation(p: ThermoObject, spec: ThermalOperationSpec, ctx) ->
     """
     beta = as_beta(ctx)
     spec.validate_for(p.hamiltonian)
-    omega_b = gibbs_state(spec.bath_hamiltonian, beta).state
+    omega_b = _gibbs_matrix(spec.bath_hamiltonian, beta)
     joint = spec.unitary @ np.kron(p.state, omega_b) @ spec.unitary.conj().T
     out = _ptrace_matrix(joint, (p.dim, spec.bath_hamiltonian.dim), [0])
     out = 0.5 * (out + out.conj().T)
@@ -466,14 +475,22 @@ def catalytic_necessary(src, dst, ctx, alpha_grid=None) -> FeasibilityVerdict:
     smaller grid points are dropped to keep the certificate sound.  A NaN or
     negative order anywhere in the grid raises ValueError.
     """
-    beta = as_beta(ctx)
-    grid = _order_grid(alpha_grid)
-    try:
-        _as_classical(src)
-        _as_classical(dst)
-    except (ValueError, TypeError):
-        grid = tuple(a for a in grid if a >= 0.5)
-    return _monotone_increase(_Prepared(src, beta), _Prepared(dst, beta), grid)
+    return _necessary(src, dst, as_beta(ctx), _order_grid(alpha_grid), _classified(src, dst))
+
+
+def _necessary(src, dst, beta: float, grid: tuple, classical) -> FeasibilityVerdict:
+    """catalytic_necessary on a checked grid, ``classical`` the pair's _classified."""
+    return _monotone_increase(*_pair(src, dst, beta),
+                              grid if classical else tuple(a for a in grid if a >= 0.5))
+
+
+def _pair(src, dst, beta: float) -> tuple:
+    """_Prepared src and dst, twins if their Hamiltonians are equal bit for bit, not just by ==."""
+    first, second = _Prepared(src, beta), _Prepared(dst, beta)
+    h, g = (x.hamiltonian.matrix if isinstance(x, ThermoObject) else x.energies for x in (src, dst))
+    if type(src) is type(dst) and h.shape == g.shape and h.tobytes() == g.tobytes():
+        second._gibbs = first._gibbs
+    return first, second
 
 
 def _order_grid(alpha_grid) -> tuple:
@@ -559,7 +576,7 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
     """
     beta = as_beta(ctx)
     _check_cost_guards(max_cat_dim, grid_steps)
-    src, dst = _Prepared(_as_classical(src), beta), _Prepared(_as_classical(dst), beta)
+    src, dst = _pair(_as_classical(src), _as_classical(dst), beta)
     direct = _curve_dominance(src.curve, dst.curve)
     if direct.is_feasible:
         return feasible({
@@ -728,15 +745,10 @@ def decide_catalytic(src, dst, ctx, max_cat_dim: int = 2, grid_steps: int = 32,
     Non-diagonal quantum inputs only pass through the monotone stage.  A NaN
     or negative order anywhere in ``alpha_grid`` raises ValueError.
     """
-    beta = as_beta(ctx)
-    grid = _order_grid(alpha_grid)
-    try:
-        src_c = _as_classical(src)
-        dst_c = _as_classical(dst)
-    except (ValueError, TypeError):
-        return catalytic_necessary(src, dst, beta, grid)
-    return _decide(_Prepared(src_c, beta), _Prepared(dst_c, beta), max_cat_dim, grid_steps,
-                   grid)
+    beta, grid, classical = as_beta(ctx), _order_grid(alpha_grid), _classified(src, dst)
+    if classical is None:
+        return _necessary(src, dst, beta, grid, None)
+    return _decide(*_pair(*classical, beta), max_cat_dim, grid_steps, grid)
 
 
 def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = 2, grid_steps: int = 32,

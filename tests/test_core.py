@@ -298,3 +298,21 @@ class TestSerialization:
         plus = np.full((2, 2), 0.5)
         doc = object_to_json(ThermoObject(plus, HamiltonianClass(np.diag([0.0, 1.0]))))
         assert "classical" not in doc
+
+
+class TestObjectToClassical:
+    MESSAGE = "^object is not diagonal in the computational basis$"
+
+    def test_a_non_diagonal_state_is_refused_before_the_hamiltonian_is_built(self, monkeypatch):
+        def unbuilt(self):
+            raise AssertionError("original_matrix was built")
+
+        monkeypatch.setattr(HamiltonianClass, "original_matrix", unbuilt)
+        obj = ThermoObject(np.full((2, 2), 0.5), HamiltonianClass(np.diag([0.0, 1.0])))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            object_to_classical(obj)
+
+    def test_a_non_diagonal_hamiltonian_is_refused(self):
+        obj = ThermoObject(np.diag([0.5, 0.5]), HamiltonianClass(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            object_to_classical(obj)

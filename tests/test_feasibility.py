@@ -47,7 +47,7 @@ from thermowork.feasibility import (
     thermo_majorizes,
 )
 from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _Prepared, _screen
-from thermowork.feasibility import _search, _tensor_rows
+from thermowork.feasibility import _pair, _search, _tensor_rows
 from thermowork.quantifiers import FiniteList
 from thermowork.sampling import (
     random_classical_object,
@@ -1422,3 +1422,141 @@ class TestCatalystScreen:
             edges += sum(np.isin(x[r], xp[r]).sum() for r in range(n))
             flat += sum(np.isin(x[r], xp[r][1:][np.diff(xp[r]) == 0]).sum() for r in range(n))
         assert past and edges and flat
+
+
+def _unshared(src, dst, beta):
+    """_pair without its sharing: the reference every pair must decide as."""
+    return _Prepared(src, beta), _Prepared(dst, beta)
+
+
+def _decisions(src, dst, beta) -> str:
+    """JSON text of the verdicts of every public decider that prepares a pair."""
+    calls = [catalytic_necessary, decide_catalytic]
+    if isinstance(src, ClassicalObject):
+        calls += [thermo_majorizes, catalytic_bruteforce]
+    with np.errstate(over="ignore"):  # sum mu ** 100 overflows at d = 8
+        return json.dumps([f(src, dst, beta).to_json() for f in calls])
+
+
+def _one_ulp_up(ham: HamiltonianClass) -> HamiltonianClass:
+    m = np.array(ham.matrix)
+    m[0, 0] = np.nextafter(m[0, 0].real, np.inf)
+    return HamiltonianClass(m)
+
+
+class TestPreparedTwins:
+    def _hamiltonians(self):
+        """d = 1..32, and degenerate spectra: all levels equal, and levels in
+        equal pairs in a random basis."""
+        rng = rng_from_seed(47)
+        hams = [random_hamiltonian(rng, d, scale=float(rng.uniform(0.3, 3.0))) for d in range(1, 33)]
+        for d in (1, 2, 5, 16, 32):
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            basis = np.linalg.qr(z)[0]
+            levels = np.repeat(rng.uniform(0.0, 3.0, size=(d + 1) // 2), 2)[:d]
+            hams += [HamiltonianClass(np.zeros((d, d))),
+                     HamiltonianClass((basis * levels) @ basis.conj().T)]
+        return hams
+
+    def _classical_pairs(self):
+        rng = rng_from_seed(48)
+        pairs = [(JP_SRC, JP_DST, 1.0)]
+        for d in (1, 2, 3, 4, 7, 64):
+            energies = rng.uniform(0.0, 3.0, size=d)
+            src, dst = (ClassicalObject(rng.dirichlet(np.ones(d)), energies) for _ in range(2))
+            pairs += [(src, dst, 1.0), (dst, src, 0.7), (src, classical_gibbs(energies, 1.3), 1.3)]
+        return pairs
+
+    def test_gibbs_state_is_that_of_gibbs_state_to_the_bit(self):
+        degenerate = 0
+        for ham in self._hamiltonians():
+            obj = ThermoObject(np.eye(ham.dim) / ham.dim, ham)
+            for beta in (0.3, 1.0, 4.0):
+                assert _Prepared(obj, beta).gibbs().tobytes() == gibbs_state(ham, beta).state.tobytes()
+            degenerate += ham.dim > 1 and bool(np.any(np.diff(ham.eigenvalues()) < 1e-9))
+        assert degenerate >= 8
+
+    def test_twins_share_and_fill_free_as_alone(self):
+        orders = DEFAULT_ALPHA_GRID + (0.0, 0.5, 2.0, 3.0)
+        for src, dst, beta in _quantum_pairs() + self._classical_pairs():
+            first, second = _pair(src, dst, beta)
+            assert second._gibbs is first._gibbs
+            alone = _Prepared(dst, beta)
+            with np.errstate(over="ignore"):
+                first.fill_free(orders)  # the twins' Gibbs part is made by the first
+                assert [repr(v) for v in second.fill_free(orders)] == [
+                    repr(v) for v in alone.fill_free(orders)]
+            if isinstance(src, ClassicalObject):
+                for k in (1, 2, 4):
+                    assert second.gibbs(k).tobytes() == alone.gibbs(k).tobytes()
+
+    def test_twins_decide_as_an_unshared_pair(self, monkeypatch):
+        pairs = _quantum_pairs() + self._classical_pairs()
+        shared = [_decisions(*pair) for pair in pairs]
+        monkeypatch.setattr(feasibility, "_pair", _unshared)
+        assert [_decisions(*pair) for pair in pairs] == shared
+
+    def test_nearly_equal_hamiltonians_are_not_twins(self, monkeypatch):
+        rng = rng_from_seed(49)
+        cases = []
+        for d in (2, 3, 8):  # one ulp apart: equal as HamiltonianClass has it
+            ham = random_hamiltonian(rng, d)
+            near = _one_ulp_up(ham)
+            assert near == ham and near.matrix.tobytes() != ham.matrix.tobytes()
+            rho = random_density_matrix(rng, d)
+            cases += [(ThermoObject(rho, ham), ThermoObject(random_density_matrix(rng, d), near)),
+                      (ThermoObject(rho, ham), gibbs_state(near, 1.0))]
+        for d in (2, 3, 4):  # shifted by a constant, or one ulp apart: equal as == has it
+            energies = rng.uniform(0.0, 3.0, size=d)
+            probs = rng.dirichlet(np.ones(d))
+            for other in (energies + 1.5, np.nextafter(energies, np.inf)):
+                assert ClassicalObject(probs, other) == ClassicalObject(probs, energies)
+                cases += [(ClassicalObject(probs, energies),
+                           ClassicalObject(rng.dirichlet(np.ones(d)), other)),
+                          (ClassicalObject(probs, other), classical_gibbs(energies, 1.0))]
+        cases.append((JP_SRC, ClassicalObject(JP_DST.probs, JP_DST.energies + 1.0)))
+        for src, dst in cases:
+            first, second = _pair(src, dst, 1.0)
+            assert second._gibbs is not first._gibbs
+        decided = [_decisions(src, dst, 1.0) for src, dst in cases]
+        monkeypatch.setattr(feasibility, "_pair", _unshared)
+        assert [_decisions(src, dst, 1.0) for src, dst in cases] == decided
+
+    def test_a_shared_hamiltonian_is_decomposed_once(self, monkeypatch):
+        # one eigh of H and one of the Gibbs state; one eigvalsh per order and side
+        rng = rng_from_seed(50)
+        ham = random_hamiltonian(rng, 16)
+        rho = random_density_matrix(rng, 16)
+        src = ThermoObject(rho, ham)
+        dst = ThermoObject(0.5 * rho + 0.5 * gibbs_state(ham, 1.0).state, ham)  # a Gibbs-preserving image
+        orders = sum(alpha >= 0.5 for alpha in DEFAULT_ALPHA_GRID)
+        calls = {}
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for s, t, status, eigvalsh in ((dst, src, Status.INFEASIBLE, 2),
+                                       (src, dst, Status.UNDETERMINED, 2 * orders)):
+            calls.clear()
+            assert catalytic_necessary(s, t, 1.0).status is status
+            assert calls == {"eigh": 2, "eigvalsh": eigvalsh}
+        assert 2 * orders == 50
+
+
+class TestClassifiedOnce:
+    def test_a_non_diagonal_pair_is_classified_once(self, monkeypatch):
+        ham = HamiltonianClass(np.diag([0.0, 1.0]))
+        plus = ThermoObject(np.full((2, 2), 0.5), ham)
+        diagonal = ThermoObject(np.diag([0.3, 0.7]).astype(complex), ham)
+        calls = []
+
+        def counted(p, _f=feasibility.object_to_classical):
+            calls.append(p)
+            return _f(p)
+
+        monkeypatch.setattr(feasibility, "object_to_classical", counted)
+        for src, dst, want in ((plus, diagonal, [plus]), (diagonal, plus, [diagonal, plus])):
+            calls.clear()
+            decide_catalytic(src, dst, 1.0)
+            assert calls == want
