@@ -369,7 +369,8 @@ def classical_to_object(c: ClassicalObject) -> ThermoObject:
 def object_to_classical(p: ThermoObject, tol: float = 1e-10) -> ClassicalObject:
     """Inverse of classical_to_object for objects diagonal in the computational basis."""
     def off_diagonal(mat: np.ndarray) -> float:
-        return float(np.max(np.abs(mat - np.diag(np.diag(mat))))) if p.dim > 1 else 0.0
+        (a := np.abs(mat)).flat[::p.dim + 1] = 0.0
+        return float(a.max())
 
     # the state first: a non-diagonal state is refused before the Hamiltonian is built
     if off_diagonal(p.state) > tol or off_diagonal(ham := p.hamiltonian.original_matrix()) > tol:

@@ -7,10 +7,10 @@ on commuting inputs.  alpha = 1 and alpha = inf use dedicated formulas
 (relative entropy and max-relative entropy) rather than numerical limits.
 alpha = 0 is exposed for diagnostics only.
 
-Every classical divergence goes through classical_renyi_divergences, with one
-support rule for every order: entries at or below EIG_ZERO count as zeros,
-both in p and in the reference q.  The quantum divergences take the kernel of
-the reference from its eigenvalues below SUPPORT_TOL.
+Every classical divergence goes through classical_renyi_divergences, with one support
+rule for every order: entries at or below EIG_ZERO count as zeros, both in p and in the
+reference q; orders above _POW_SAFE go by log-sum-exp.  The quantum divergences take
+the kernel of the reference from its eigenvalues below SUPPORT_TOL.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ INF = float("inf")
 EIG_ZERO = 1e-14
 # Reference eigenvalues below this define the kernel in quantum support tests.
 SUPPORT_TOL = 1e-12
+#: The largest order whose power-sum terms on p, q in (EIG_ZERO, 1] stay normal floats.
+_POW_SAFE = math.floor(math.log(np.finfo(float).tiny) / math.log(EIG_ZERO))
 
 
 @dataclass(frozen=True)
@@ -80,20 +82,19 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
     return classical_renyi_divergences(p, q, (alpha,))[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def classical_renyi_divergences(p, q, alphas) -> list:
     """Classical Renyi divergence of p from q at each order of ``alphas``; for
     (rows, levels) arrays p and q a list per row, each as its one-row call.
 
-    One support rule holds at every order: levels where p > EIG_ZERO and q >
-    EIG_ZERO count, and from alpha = 1 up a level with p > EIG_ZERO and q at
-    or below it makes the divergence +inf.  alpha = 0, 1 and inf have their
-    own formulas; every other order is a power sum with its own math.log, or
-    log-sum-exp where the sum is inf, NaN or 0.  No order warns.  Several
-    orders other than 0.5 and 2 share one power sum; otherwise each keeps a
-    scalar exponent (numpy's sqrt, square and reciprocal paths).  Rows go in
-    groups of one support size, each row's support levels moved to the front,
-    so a row adds the same terms in the same order as its one-row call.
+    One support rule holds at every order: levels where p > EIG_ZERO and q > EIG_ZERO
+    count, and from alpha = 1 up a level with p > EIG_ZERO and q at or below it makes the
+    divergence +inf.  alpha = 0, 1 and inf have their own formulas.  Up to _POW_SAFE an
+    order is a power sum with its own math.log; several such orders other than 0.5 and 2
+    share one power sum, otherwise each keeps a scalar exponent (numpy's sqrt, square and
+    reciprocal paths).  Larger orders, and a power sum still inf, NaN or 0, go by log-sum-exp.
+    No order warns.  Rows go in groups of one support size, each row's support levels moved
+    to the front, so a row adds the same terms in the same order as its one-row call.
     """
     listed = _check_alphas(alphas)
     p = np.asarray(p, dtype=float)
@@ -131,17 +132,21 @@ def _compacted(mask: np.ndarray, *arrays) -> list:
 def _support_values(pb: np.ndarray, qb: np.ndarray, listed: list) -> list:
     """The values at the orders of ``listed`` (0 at order 0), a list for each
     row of pb, qb: the levels in both supports."""
-    powered = [alpha for alpha in listed if alpha not in (0.0, 1.0, INF)]
-    if len(powered) > 1 and 0.5 not in powered and 2.0 not in powered:
-        a = np.array(powered)[:, None]
-        sums = np.add.reduce(pb[:, None] ** a * qb[:, None] ** (1.0 - a), 2).tolist()
+    low = [alpha for alpha in listed if alpha <= _POW_SAFE and alpha not in (0.0, 1.0)]
+    if len(low) > 1 and 0.5 not in low and 2.0 not in low:
+        a, step = np.array(low)[:, None], max(1, (1 << 15) // (len(low) * pb.shape[1] or 1))
+        sums = [s for k in range(0, len(pb), step) for s in np.add.reduce(  # temporaries <= 256 KB
+            pb[k:k + step, None] ** a * qb[k:k + step, None] ** (1.0 - a), 2).tolist()]
     else:
         sums = zip(*[np.add.reduce(pb ** alpha * qb ** (1.0 - alpha), 1).tolist()
-                     for alpha in powered]) if powered else [()] * len(pb)
-    values = [[math.log(t) / (alpha - 1.0) if 0.0 < t < INF else _log_domain(pb[r], qb[r], alpha)
-               for alpha, t in zip(powered, row)] for r, row in enumerate(sums)]
-    if len(powered) < len(listed):
+                     for alpha in low]) if low else [()] * len(pb)
+    values = [[math.log(t) / (alpha - 1.0) if 0.0 < t < INF
+               else _log_sums(pb[r:r + 1], qb[r:r + 1], [alpha]).item()
+               for alpha, t in zip(low, row)] for r, row in enumerate(sums)]
+    if len(low) < len(listed):
         columns = {0.0: [0.0] * len(pb)}
+        if high := [alpha for alpha in listed if _POW_SAFE < alpha < INF]:
+            columns.update(zip(high, _log_sums(pb, qb, high).T.tolist()))
         if 1.0 in listed:
             columns[1.0] = np.add.reduce(pb * (np.log(pb) - np.log(qb)), 1).tolist()
         if INF in listed:
@@ -153,13 +158,15 @@ def _support_values(pb: np.ndarray, qb: np.ndarray, listed: list) -> list:
     return values
 
 
-def _log_domain(pb: np.ndarray, qb: np.ndarray, alpha: float) -> float:
-    """(1/(alpha-1)) ln sum pb^alpha qb^(1-alpha) by log-sum-exp; +inf on no level."""
-    if not len(pb):
-        return INF
-    t = alpha * np.log(pb) + (1.0 - alpha) * np.log(qb)
-    top = float(t.max())
-    return (top + math.log(float(np.exp(t - top).sum()))) / (alpha - 1.0)
+def _log_sums(pb: np.ndarray, qb: np.ndarray, orders: list) -> np.ndarray:
+    """Renyi divergences of pb from qb, (rows, orders), by log-sum-exp; +inf on no level."""
+    if not pb.shape[1]:
+        return np.full((len(pb), len(orders)), INF)
+    t = np.array(orders)[:, None] * np.log(pb / qb)[:, None] + np.log(qb)[:, None]
+    top = np.maximum.reduce(t, 2)  # each row and order shifted by its largest term
+    sums = np.add.reduce(np.exp(t - top[..., None]), 2)
+    logs = np.fromiter(map(math.log, sums.ravel().tolist()), float, sums.size).reshape(sums.shape)
+    return (top + logs) / (np.array(orders) - 1.0)
 
 
 def renyi_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
@@ -224,7 +231,7 @@ def _sandwiched(rho: np.ndarray, sigma: np.ndarray, decomposed, listed: list) ->
                 pos = mu[mu > EIG_ZERO]
                 total = float(np.sum(pos ** alpha))
                 values.append(math.log(total) / (alpha - 1.0) if 0.0 < total < INF
-                              else _log_domain(pos, np.ones_like(pos), alpha))
+                              else _log_sums(pos[None], np.ones((1, len(pos))), [alpha]).item())
     return values
 
 

@@ -504,11 +504,22 @@ def _order_grid(alpha_grid) -> tuple:
 
 def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdict:
     for orders in (grid[:1], grid) if grid else ():  # most refutations come at the first
-        f_src, f_dst = src.fill_free(orders), dst.fill_free(orders)
+        f_src, f_dst = _pair_free(src, dst, orders)
         refuted, k = _raised(f_src, f_dst)
         if refuted:
             return _increase(orders[k], f_src[k], f_dst[k])
     return UNDETERMINED
+
+
+def _pair_free(src: _Prepared, dst: _Prepared, orders) -> list:
+    """delta_F of both sides at ``orders``; a classical pair's grid in one two-row call, the
+    narrower side zero-padded: padded levels lie outside the support, so rows keep their bytes."""
+    if len(orders) == 1 or not all(isinstance(x.obj, ClassicalObject) for x in (src, dst)):
+        return [src.fill_free(orders), dst.fill_free(orders)]
+    p, q = np.zeros((2, 2, max(src.obj.dim, dst.obj.dim)))
+    for k, side in enumerate((src, dst)):
+        p[k, :side.obj.dim], q[k, :side.obj.dim] = side.obj.probs, side.gibbs()
+    return [np.array(values) / src.beta for values in classical_renyi_divergences(p, q, orders)]
 
 
 def _raised(f_src: np.ndarray, f_dst: np.ndarray):
@@ -779,7 +790,7 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
     36,389 the whole grid does.  A pair the direct check fails gets the grid for its
     two rows: its first refuting order, or the search with _decide's budget.  The
     dropped pairs neither order refutes are settled at the first of a chunk, by one
-    grid batch per side and one screen."""
+    grid batch for both sides and one screen."""
     width, half = max(src_m.dim, dst_m.dim) * max(c.dim for c in cands), len(cands)
     joint, gibbs = (np.concatenate(x) for x in zip(*(  # source rows, then target rows
         _tensor_rows(base, cands, beta, width=width) for base in (src_m, dst_m))))
@@ -792,9 +803,10 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
 
     def settle(at) -> dict:  # _decide's verdicts on kept pairs ``at``, direct check failed
         n, s, d = ns[at], a[at], b[at]
-        f_src, f_dst = ((np.array(classical_renyi_divergences(p[u], g[u], DEFAULT_ALPHA_GRID))
-                         / beta)[back] for (p, g), (u, back) in
-                        zip(rows, (np.unique(x, return_inverse=True) for x in (s, d))))
+        (us, bs), (ud, bd) = (np.unique(x, return_inverse=True) for x in (s, d))
+        f = np.array(classical_renyi_divergences(joint[u := np.r_[us, half + ud]], gibbs[u],
+                                                 DEFAULT_ALPHA_GRID)) / beta  # both sides at once
+        f_src, f_dst = f[:len(us)][bs], f[len(us):][bd]
         refuted, first = _raised(f_src, f_dst)
         out = {int(n[m]): _increase(DEFAULT_ALPHA_GRID[k], f_src[m, k], f_dst[m, k])
                for m, k in enumerate(first.tolist()) if refuted[m]}

@@ -316,3 +316,21 @@ class TestObjectToClassical:
         obj = ThermoObject(np.diag([0.5, 0.5]), HamiltonianClass(np.array([[0.0, 1.0], [1.0, 0.0]])))
         with pytest.raises(ValueError, match=self.MESSAGE):
             object_to_classical(obj)
+
+    def test_a_one_level_object_converts(self):
+        back = object_to_classical(classical_to_object(ClassicalObject([1.0], [7.5])))
+        assert (back.probs.tolist(), back.energies.tolist()) == ([1.0], [7.5])
+
+    @pytest.mark.parametrize("off, refused",
+                             [(1e-10j, False), (1.01e-10j, True), (-1.01e-10, True)])
+    def test_off_diagonal_moduli_count_against_the_tolerance_and_the_diagonal_never(
+            self, off, refused):
+        ham = HamiltonianClass(np.diag([0.0, 20.0, 35.0, 50.0]))
+        state = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        state[0, 3], state[3, 0] = off, np.conj(off)
+        if refused:
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                object_to_classical(ThermoObject(state, ham))
+        else:
+            back = object_to_classical(ThermoObject(state, ham))
+            assert back.probs.tolist() == [0.4, 0.3, 0.2, 0.1]

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from thermowork import divergences
 from thermowork.core import (
     EMPTY,
+    MAX_TENSOR_DIM,
     ClassicalObject,
     HamiltonianClass,
     ThermoObject,
@@ -15,8 +18,11 @@ from thermowork.core import (
     tensor,
 )
 from thermowork.divergences import (
+    EIG_ZERO,
     BetaContext,
     INF,
+    _POW_SAFE,
+    _support_values,
     classical_renyi_divergence,
     classical_renyi_divergences,
     delta_F_1_via_energy,
@@ -229,6 +235,76 @@ class TestBatchedClassicalRenyi:
             assert value == pytest.approx(_mp_renyi(p, q, alpha), rel=1e-12), alpha
         if p == [1.0]:  # the value of every order, alpha = inf included
             assert values[grid.index(DEFAULT_ALPHA_GRID[39])] == pytest.approx(28.63, abs=5e-3)
+
+
+def _levels(kind: str, rng, rows: int, levels: int) -> np.ndarray:
+    """Support levels in (EIG_ZERO, 1]: all just above EIG_ZERO, all 1.0, or each
+    one of those two or log-uniform in between."""
+    tiny = np.nextafter(EIG_ZERO, 1.0)
+    if kind != "mixed":
+        return np.full((rows, levels), tiny if kind == "tiny" else 1.0)
+    between = np.maximum(10.0 ** rng.uniform(-14.0, 0.0, (rows, levels)), tiny)
+    return np.choose(rng.integers(0, 3, (rows, levels)), [np.full((rows, levels), tiny),
+                                                          np.ones((rows, levels)), between])
+
+
+class TestLargeOrdersByLogSumExp:
+    LOW = [a for a in DEFAULT_ALPHA_GRID if a <= _POW_SAFE and a != 1.0] + [float(_POW_SAFE)]
+    STRADDLE = [_POW_SAFE - 1e-9, float(_POW_SAFE), _POW_SAFE + 1e-9, 100.0, 1e4]
+
+    @staticmethod
+    def _large_oracles_row():
+        """A d = 1024 row shaped as large-oracles draws it: Dirichlet p with its
+        smallest entry near 1e-8, Gibbs weights of energies uniform in [0, 3]."""
+        rng = rng_from_seed(130)
+        p = rng.dirichlet(np.ones(1024))
+        g = np.exp(-rng.uniform(0.0, 3.0, 1024))
+        return p, g / g.sum()
+
+    def test_the_bound_is_where_a_power_of_eig_zero_leaves_the_normal_floats(self):
+        tiny = np.finfo(float).tiny
+        assert _POW_SAFE == 21
+        assert EIG_ZERO ** _POW_SAFE > tiny > EIG_ZERO ** (_POW_SAFE + 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, MAX_TENSOR_DIM), st.integers(1, 3),
+           st.sampled_from(["tiny", "one", "mixed"]), st.sampled_from(["tiny", "one", "mixed"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(MAX_TENSOR_DIM, 2, "tiny", "one", 0)
+    @example(MAX_TENSOR_DIM, 2, "one", "tiny", 0)
+    @example(MAX_TENSOR_DIM, 3, "mixed", "mixed", 1)
+    def test_power_sums_up_to_the_bound_stay_normal(self, levels, rows, p_kind, q_kind, seed):
+        # every order up to the bound, batched and one by one (scalar exponents),
+        # needs no log-sum-exp and raises no floating-point flag
+        rng = rng_from_seed(seed)
+        pb, qb = _levels(p_kind, rng, rows, levels), _levels(q_kind, rng, rows, levels)
+        refused = AssertionError("a power sum left (0, inf)")
+        with np.errstate(under="raise", over="raise", invalid="raise"), \
+                mock.patch.object(divergences, "_log_sums", side_effect=refused):
+            for orders in [self.LOW, [0.5, 2.0]] + [[a] for a in self.LOW]:
+                values = _support_values(pb, qb, orders)
+                assert all(math.isfinite(v) for row in values for v in row), orders
+
+    def test_large_orders_match_an_mpmath_reference(self):
+        p, q = self._large_oracles_row()
+        assert p.min() < 1e-7
+        high = [a for a in DEFAULT_ALPHA_GRID if _POW_SAFE < a < INF]
+        assert len(high) == 7
+        values = classical_renyi_divergences(p, q, DEFAULT_ALPHA_GRID)
+        for alpha in high:
+            value = values[DEFAULT_ALPHA_GRID.index(alpha)]
+            assert value == pytest.approx(_mp_renyi(p, q, alpha), rel=1e-12), alpha
+
+    def test_orders_straddling_the_bound_are_one_order_calls(self):
+        p, q = self._large_oracles_row()
+        rows = (np.stack([p, p[::-1]]), np.stack([q, q]))
+        grid = self.STRADDLE + list(DEFAULT_ALPHA_GRID)
+        for p_row, q_row, values in zip(*rows, classical_renyi_divergences(*rows, grid)):
+            want = [repr(classical_renyi_divergence(p_row, q_row, a)) for a in grid]
+            assert [repr(v) for v in values] == want
+            assert [repr(v) for v in classical_renyi_divergences(p_row, q_row, grid)] == want
+            backwards = classical_renyi_divergences(p_row, q_row, grid[::-1])
+            assert [repr(v) for v in backwards] == want[::-1]
 
 
 def _leak(rho, s_vecs, kernel) -> float:

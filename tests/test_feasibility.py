@@ -1544,6 +1544,47 @@ class TestPreparedTwins:
         assert 2 * orders == 50
 
 
+class TestClassicalPairGrid:
+    @staticmethod
+    def _pairs():
+        """Large-oracles-shaped classical pairs at beta = 1: twins at d = 1024, unequal
+        dimensions (1024 and 700, 3 and 5) each way, one side a Gibbs object, and twins
+        whose supports differ in size."""
+        rng = rng_from_seed(130)
+        energies = {d: rng.uniform(0.0, 3.0, d) for d in (3, 5, 700, 1024)}
+        obj = {d: ClassicalObject(rng.dirichlet(np.ones(d)), e) for d, e in energies.items()}
+        twin = ClassicalObject(rng.dirichlet(np.ones(1024)), energies[1024])
+        gibbs = classical_gibbs(energies[700], 1.0)
+        holes = ClassicalObject([0.5, 0.0, 0.3, 0.0, 0.2], energies[5])
+        return [(obj[1024], twin), (obj[1024], obj[700]), (obj[700], obj[1024]),
+                (obj[3], obj[5]), (obj[5], obj[3]), (obj[1024], gibbs), (holes, obj[5])]
+
+    def test_the_two_row_grid_call_is_delta_f_alpha_per_side(self):
+        grid = list(DEFAULT_ALPHA_GRID) + [0.0, 0.5, 2.0, 150.0]
+        for src, dst in self._pairs():
+            for side, values in zip((src, dst), feasibility._pair_free(*_pair(src, dst, 1.0), grid)):
+                assert list(map(repr, values.tolist())) == [
+                    repr(delta_F_alpha(side, 1.0, a)) for a in grid]
+
+    def test_a_pair_reaching_the_grid_makes_three_kernel_calls(self, monkeypatch):
+        # two one-row calls at the first order, then one two-row call for the grid
+        calls = []
+
+        def counted(p, q, alphas, _f=feasibility.classical_renyi_divergences):
+            calls.append((np.ndim(p), len(alphas)))
+            return _f(p, q, alphas)
+
+        monkeypatch.setattr(feasibility, "classical_renyi_divergences", counted)
+        rng = rng_from_seed(51)
+        energies = rng.uniform(0.0, 3.0, 4)
+        src = ClassicalObject(rng.dirichlet(np.ones(4)), energies)
+        mixed = ClassicalObject(0.5 * src.probs + 0.5 * src.gibbs_weights(1.0), energies)
+        for s, t in ((src, mixed), (src, classical_gibbs(rng.uniform(0.0, 3.0, 6), 1.0))):
+            calls.clear()
+            assert catalytic_necessary(s, t, 1.0).status is Status.UNDETERMINED
+            assert calls == [(1, 1), (1, 1), (2, len(DEFAULT_ALPHA_GRID))]
+
+
 class TestClassifiedOnce:
     def test_a_non_diagonal_pair_is_classified_once(self, monkeypatch):
         ham = HamiltonianClass(np.diag([0.0, 1.0]))
