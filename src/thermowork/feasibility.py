@@ -342,7 +342,10 @@ def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
     Solver failures yield Undetermined, never a silently wrong answer.
     scipy's HiGHS gets the model and options of ``linprog(method="highs")``,
     so it returns linprog's vertex, checked by linprog's rule, without
-    linprog's Python glue.  scipy is imported on the first call.
+    linprog's Python glue.  Presolve is off only where no coefficient was dropped
+    and none, nor any right-hand side, is under 10x HiGHS's primal feasibility
+    tolerance: with a slack pair per row it then removes nothing, and HiGHS
+    solves an unreduced model as passed.  scipy is imported on the first call.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -353,29 +356,26 @@ def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
     m, n = a_eq.shape
     # Phase-1 form: minimize the total slack of A x + s+ - s- = b over
     # x, s+, s- >= 0; a zero optimum certifies feasibility of A x = b, x >= 0.
-    # Column n + k is s+ of row k (+1), column n + m + k its s- (-1).  The
-    # CSC arrays go as memoryviews (.data), which pybind11 copies 2-4x faster.
-    lp, cols = highs.HighsLp(), n + 2 * m
-    a_full = lp.a_matrix_
-    lp.num_col_, lp.num_row_, a_full.num_col_, a_full.num_row_ = cols, m, cols, m
-    a_full.format_ = highs.MatrixFormat.kColwise
-    rows = np.arange(m, dtype=np.int32)
-    slack_ends = a_eq.nnz + 1 + np.arange(2 * m, dtype=np.int32)
-    a_full.start_ = np.concatenate([a_eq.indptr, slack_ends]).data
-    a_full.index_ = np.concatenate([a_eq.indices, rows, rows]).data
-    a_full.value_ = np.concatenate([a_eq.data, np.ones(m), -np.ones(m)]).data
-    lp.col_cost_ = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    lp.col_lower_, lp.col_upper_ = np.zeros(cols), np.full(cols, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
+    # Column n + k is s+ of row k (+1), column n + m + k its s- (-1).  HiGHS
+    # copies the numpy arrays in one go; integrality 0 means continuous.
+    cols, rows = n + 2 * m, np.arange(m, dtype=np.int32)
+    model = (cols, m, a_eq.nnz + 2 * m, int(highs.MatrixFormat.kColwise),
+             int(highs.ObjSense.kMinimize), 0.0, np.concatenate([np.zeros(n), np.ones(2 * m)]),
+             np.zeros(cols), np.full(cols, np.inf), b_eq, b_eq,
+             np.concatenate([a_eq.indptr[:-1], a_eq.nnz + np.arange(2 * m, dtype=np.int32)]),
+             np.concatenate([a_eq.indices, rows, rows]),
+             np.concatenate([a_eq.data, np.ones(m), -np.ones(m)]), np.zeros(cols, np.int32))
     options = highs.HighsOptions()
-    options.presolve = "on"
+    floor = 10 * options.primal_feasibility_tolerance
+    unreducible = a_eq.nnz == 3 * n and min(a_eq.data.min(), b_eq.min()) >= floor
+    options.presolve = "off" if unreducible else "on"
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = options.log_to_console = False
     solver = highs._Highs()
     solver.passOptions(options)
     error = highs.HighsStatus.kError
-    if (solver.passModel(lp) == error or solver.run() == error
+    if (solver.passModel(*model) == error or solver.run() == error
             or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
         return UNDETERMINED  # iteration cap or numerical trouble: refuse to guess
     solution = solver.getSolution()

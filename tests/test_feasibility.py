@@ -221,6 +221,67 @@ _LP_FAULTS = {
 }
 
 
+def _recording_highs(monkeypatch) -> list:
+    """Make every HiGHS solver record (options.presolve, the model arrays) in
+    the returned list when it is handed its model."""
+    from scipy.optimize._highspy import _core
+
+    handed = []
+
+    class Recording(_core._Highs):
+        def passOptions(self, options):
+            self.presolve = options.presolve
+            return super().passOptions(options)
+
+        def passModel(self, *model):
+            handed.append((self.presolve, model))
+            return super().passModel(*model)
+
+    monkeypatch.setattr(_core, "_Highs", Recording)
+    return handed
+
+
+def _presolve_corpus() -> list:
+    """(src, dst, beta) shaped like the LP's traffic, with values at and under
+    presolve's reach: the golden LP pairs; random pairs at three temperatures,
+    with Gibbs sources and targets, trivial Hamiltonians, a catalyst, energies
+    up to 12, entries set to 1e-6..1e-5 and target levels set to 1e-8 and 1e-7
+    (before renormalizing); and benchmark-shaped pairs at d = 16 and 32 in
+    both directions."""
+    import test_golden_verdicts as golden
+
+    cases = [(src, dst, beta) for _, src, dst, beta in golden.corpus()
+             if src.dim * dst.dim <= golden.LP_MAX_DIM ** 2]
+    rng = rng_from_seed(21)
+
+    def with_level(obj, value):
+        probs = obj.probs.copy()
+        probs[rng.integers(obj.dim)] = value
+        return ClassicalObject(probs / probs.sum(), obj.energies)
+
+    cat = random_classical_object(rng, 2)
+    for beta in (0.3, 1.0, 3.0):
+        for _ in range(12):
+            src, dst = (random_classical_object(rng, int(rng.integers(1, 9)), energy_scale=2.0)
+                        for _ in range(2))
+            hot = random_classical_object(rng, int(rng.integers(2, 9)), energy_scale=12.0)
+            flat = ClassicalObject(dst.probs, np.zeros(dst.dim))
+            cases += [(src, dst, beta), (classical_gibbs(src.energies, beta), dst, beta),
+                      (src, classical_gibbs(dst.energies, beta), beta),
+                      (ClassicalObject(src.probs, np.zeros(src.dim)), flat, beta),
+                      (classical_tensor(src, cat), classical_tensor(dst, cat), beta),
+                      (hot, src, beta), (src, hot, beta),
+                      (with_level(src, rng.uniform(1e-6, 1e-5)), dst, beta),
+                      (src, with_level(dst, rng.uniform(1e-6, 1e-5)), beta),
+                      (src, with_level(dst, 1e-7), beta), (src, with_level(dst, 1e-8), beta)]
+    for d in (16, 32):
+        for _ in range(2):
+            src = random_classical_object(rng, d, energy_scale=3.0)
+            dst = _thermalized_image(rng, src, 1.0)
+            cases += [(src, dst, 1.0), (dst, src, 1.0)]
+    return cases
+
+
 class TestVerdictInvariants:
     def test_decisive_requires_witness(self):
         with pytest.raises(ValueError):
@@ -579,15 +640,9 @@ class TestGibbsStochasticLP:
         # the phase-1 matrix handed to HiGHS is the CSC scipy builds from the dense
         # array, as linprog would hand it; a zero probability and a Gibbs weight
         # that underflows to 0 leave no explicit zero behind
-        from scipy.optimize._highspy import _core
         from scipy.sparse import csc_array
 
-        handed = {}  # what thermowork sets on the HighsSparseMatrix (arrays or their memoryviews)
-        for field in ("num_row_", "num_col_", "start_", "index_", "value_"):
-            kept = getattr(_core.HighsSparseMatrix, field)
-            monkeypatch.setattr(_core.HighsSparseMatrix, field, property(
-                kept.fget, lambda mat, v, kept=kept, field=field: (
-                    handed.setdefault(field, []).append(v), kept.fset(mat, v))))
+        handed = _recording_highs(monkeypatch)
         energies = [0.0, 1.0, 1e4]  # exp(-1e4) underflows to 0
         cases = [(ClassicalObject([0.5, 0.5, 0.0], energies),
                   ClassicalObject([0.0, 1.0, 0.0], energies), 1.0),
@@ -600,16 +655,78 @@ class TestGibbsStochasticLP:
         dropped = 0
         for src, dst, beta in cases:
             gibbs_stochastic_feasible(src, dst, beta)
-            a_eq = _loop_constraints(src, dst, beta)[0]
+            a_eq, b_eq = _loop_constraints(src, dst, beta)
             m = len(a_eq)
             want = csc_array(np.hstack([a_eq, np.eye(m), -np.eye(m)]))
-            assert (handed["num_row_"].pop(), handed["num_col_"].pop()) == want.shape
-            for part, field in (("indptr", "start_"), ("indices", "index_"), ("data", "value_")):
-                mine, theirs = np.asarray(handed[field].pop()), getattr(want, part)
+            model = handed.pop()[1]
+            cols, rows, nnz = model[:3]
+            row_lower, row_upper, start, index, value, integrality = model[9:]
+            assert (rows, cols) == want.shape
+            # HiGHS takes the column starts without the closing nnz
+            indptr = np.append(start, np.int32(nnz))
+            for mine, theirs in ((indptr, want.indptr), (index, want.indices), (value, want.data)):
                 assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            assert integrality.shape == (cols,) and not integrality.any()
+            assert row_lower.tobytes() == row_upper.tobytes() == b_eq.tobytes()
             dropped += want.nnz < 3 * a_eq.shape[1] + 2 * m
         assert dropped >= 2
 
+    def test_presolve_is_off_only_where_it_reduces_nothing(self, monkeypatch):
+        # HiGHS solves a model its presolve does not reduce exactly as passed, so
+        # skipping presolve keeps the vertex only where presolve would find nothing
+        from scipy.optimize._highspy import _core
+
+        highs = _core._Highs
+        handed = _recording_highs(monkeypatch)
+        for src, dst, beta in _presolve_corpus():
+            gibbs_stochastic_feasible(src, dst, beta)
+        reduced = {"off": 0, "on": 0}  # models presolve reduces, by the option sent
+        for presolve, model in handed:
+            options = _core.HighsOptions()
+            options.output_flag = options.log_to_console = False
+            solver = highs()
+            solver.passOptions(options)
+            solver.passModel(*model)
+            solver.presolve()
+            reduced[presolve] += (solver.getModelPresolveStatus()
+                                  != _core.HighsPresolveStatus.kNotReduced)
+        offs = sum(presolve == "off" for presolve, _ in handed)
+        assert reduced["off"] == 0, reduced
+        # the corpus reaches both sides of the rule
+        assert offs >= len(handed) // 2 and reduced["on"] >= 10, (offs, reduced, len(handed))
+        del handed[:]
+        levels = [0.0, 0.5, 1.0]
+        src = ClassicalObject([0.2, 0.3, 0.5], levels)
+        for dst in (ClassicalObject([0.1, 0.4, 0.5], levels),  # control: nothing small
+                    ClassicalObject([0.0, 0.5, 0.5], levels),  # a zero probability
+                    ClassicalObject([1e-8, 0.5, 0.5 - 1e-8], levels)):  # a target level at 1e-8
+            gibbs_stochastic_feasible(src, dst, 1.0)
+        # a Gibbs weight that underflows to 0
+        gibbs_stochastic_feasible(ClassicalObject([0.2, 0.3, 0.5], [0.0, 1.0, 1e4]),
+                                  ClassicalObject([0.4, 0.6], [0.0, 1.0]), 1.0)
+        assert [presolve for presolve, _ in handed] == ["off", "on", "on", "on"]
+
+    def test_verdicts_without_presolve_are_those_of_linprog(self, monkeypatch):
+        # the zero-free traffic that skips presolve still gets linprog's verdict,
+        # witness bytes included
+        handed = _recording_highs(monkeypatch)
+        rng = rng_from_seed(22)
+        cases = []
+        for d in (16, 32):
+            src = random_classical_object(rng, d, energy_scale=3.0)
+            dst = _thermalized_image(rng, src, 1.0)
+            cases += [(src, dst, 1.0), (dst, src, 1.0)]
+        energies = np.sort(rng.uniform(0.0, 2.0, 8))
+        cases.append((classical_gibbs(energies, 1.0), random_classical_object(rng, 8), 1.0))
+        uniform = ClassicalObject(np.full(6, 1 / 6), np.zeros(6))
+        other = ClassicalObject(random_classical_object(rng, 6).probs, np.zeros(6))
+        cases += [(uniform, other, 1.0), (other, uniform, 1.0)]
+        got = [gibbs_stochastic_feasible(src, dst, beta) for src, dst, beta in cases]
+        assert [presolve for presolve, _ in handed] == ["off"] * len(cases)
+        for verdict, (src, dst, beta) in zip(got, cases):
+            want = _linprog_verdict(src, dst, beta)
+            assert json.dumps(verdict.to_json()) == json.dumps(want.to_json())
+        assert {verdict.status for verdict in got} == {Status.FEASIBLE, Status.INFEASIBLE}
 
     def test_verdicts_are_those_of_linprog(self, capfd):
         # the direct HiGHS call gives linprog's verdict, witness bytes included,
