@@ -184,54 +184,76 @@ def renyi_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
 def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     """Sandwiched Renyi divergence of rho from sigma at each order of ``alphas``.
 
-    sigma is decomposed once, and its kernel (eigenvalues below SUPPORT_TOL),
-    support leak and support eigenvectors serve every order; each order then
-    costs its own sandwich and eigvalsh, so a value is that of its one-order
-    call to the bit.  From alpha = 1 up (and at inf) a leak of rho into the
-    kernel makes the divergence +inf.  A power sum of inf or 0 goes by log-sum-exp.
+    sigma is decomposed once, and its kernel (eigenvalues below SUPPORT_TOL), support
+    leak and support eigenvectors serve every order; the sandwiches of all orders but 0
+    and 1 go through stacked matmuls and eigvalsh, which work matrix by matrix, so a value
+    is that of its one-order call to the bit.  From alpha = 1 up (and at inf) a leak of
+    rho into the kernel makes the divergence +inf.  A power sum of inf or 0 goes by log-sum-exp.
     """
     listed = _check_alphas(alphas)
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return _sandwiched(rho, sigma, np.linalg.eigh(sigma), listed)
+    return _sandwiched(rho[None], sigma, np.linalg.eigh(sigma), listed)[0]
 
 
-@np.errstate(over="ignore")
-def _sandwiched(rho: np.ndarray, sigma: np.ndarray, decomposed, listed: list) -> list:
-    """renyi_divergences at checked orders, given ``decomposed``, the eigh of sigma."""
+def _powers(base: np.ndarray, exponents: list) -> np.ndarray:
+    """base ** exponents[k] in row k, for row k of a 2-D base or all of a 1-D one, each with
+    the bits of its scalar call: numpy's fast exponents (sqrt, square, ...) keep their paths."""
+    out = base ** np.array(exponents)[:, None]
+    for k in [k for k, e in enumerate(exponents) if e in (-1.0, 0.0, 0.5, 1.0, 2.0)]:
+        out[k] = (base if base.ndim == 1 else base[k]) ** exponents[k]
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sandwiched(rhos: np.ndarray, sigma: np.ndarray, decomposed, listed: list) -> list:
+    """renyi_divergences at checked orders for each state of the stack ``rhos``, given
+    ``decomposed``, the eigh of sigma: sandwiches shared by the states, in chunks of
+    orders, and one power-sum table, kept for rows whose eigenvalues all exceed EIG_ZERO."""
     s_evals, s_vecs = decomposed
     kernel = s_evals < SUPPORT_TOL
-    leaks = bool(kernel.any()) and float(np.real(np.trace(
-        rho @ (s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T)))) > SUPPORT_TOL
+    projector = s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T if kernel.any() else None
+    leaks = [projector is not None and float(np.real(np.trace(rho @ projector))) > SUPPORT_TOL
+             for rho in rhos]  # +inf from order 1 up: no sandwich there if every state leaks
     lam, vecs = s_evals[~kernel], s_vecs[:, ~kernel]
+    in_stack = [alpha not in (0.0, 1.0) and (alpha < 1.0 or not all(leaks)) for alpha in listed]
+    generic = [alpha for alpha, stacked in zip(listed, in_stack) if stacked]
+    sand = (vecs * _powers(lam, [-0.5 if alpha == INF else (1.0 - alpha) / (2.0 * alpha)
+                                 for alpha in generic])[:, None]) @ vecs.conj().T
+    mu, d = np.empty((len(rhos), len(generic), len(sigma))), len(sigma)
+    step = max(1, (1 << 14) // (len(rhos) * d * d))  # complex entries: chunks <= 256 KB
+    for k in range(0, len(generic), step):
+        chunk = sand[None, k:k + step]
+        mu[:, k:k + step] = np.linalg.eigvalsh(chunk @ rhos[:, None] @ chunk)
+    full, tops = (mu[..., 0] > EIG_ZERO).tolist(), mu[..., -1].tolist()  # eigvalsh ascends
+    sums = np.add.reduce(_powers(mu.reshape(-1, d), generic * len(rhos)), 1).reshape(mu.shape[:2])
     values = []
-    for alpha in listed:
-        if alpha >= 1.0 and leaks:
-            values.append(INF)
-        elif alpha == 1.0:
-            r_evals = np.linalg.eigvalsh(rho)
-            pos = r_evals[r_evals > EIG_ZERO]
-            overlaps = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs))
-            values.append(float(np.sum(pos * np.log(pos))) - float(np.sum(overlaps * np.log(lam))))
-        elif alpha == 0.0:
-            r_evals, r_vecs = np.linalg.eigh(rho)
-            sup = r_evals > SUPPORT_TOL
-            mass = float(np.real(np.trace((r_vecs[:, sup] @ r_vecs[:, sup].conj().T) @ sigma)))
-            values.append(INF if mass <= 0.0 else -math.log(mass))
-        else:
-            exponent = -0.5 if alpha == INF else (1.0 - alpha) / (2.0 * alpha)
-            sand = (vecs * (lam ** exponent)) @ vecs.conj().T
-            mu = np.linalg.eigvalsh(sand @ rho @ sand)
-            if alpha == INF:
-                top = float(np.max(mu))
-                values.append(math.log(top) if top > 0.0 else INF)
+    for s, rho in enumerate(rhos):
+        row, k = [], -1
+        for alpha, stacked in zip(listed, in_stack):
+            k += stacked
+            if alpha >= 1.0 and leaks[s]:
+                row.append(INF)
+            elif alpha == 1.0:
+                r_evals = np.linalg.eigvalsh(rho)
+                pos = r_evals[r_evals > EIG_ZERO]
+                overlaps = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs))
+                row.append(float(np.sum(pos * np.log(pos))) - float(np.sum(overlaps * np.log(lam))))
+            elif alpha == 0.0:
+                r_evals, r_vecs = np.linalg.eigh(rho)
+                sup = r_evals > SUPPORT_TOL
+                mass = float(np.real(np.trace((r_vecs[:, sup] @ r_vecs[:, sup].conj().T) @ sigma)))
+                row.append(INF if mass <= 0.0 else -math.log(mass))
+            elif alpha == INF:
+                row.append(math.log(tops[s][k]) if tops[s][k] > 0.0 else INF)
             else:
-                pos = mu[mu > EIG_ZERO]
-                total = float(np.sum(pos ** alpha))
-                values.append(math.log(total) / (alpha - 1.0) if 0.0 < total < INF
-                              else _log_sums(pos[None], np.ones((1, len(pos))), [alpha]).item())
+                pos = mu[s, k] if full[s][k] else mu[s, k][mu[s, k] > EIG_ZERO]
+                total = float(sums[s, k] if full[s][k] else np.sum(pos ** alpha))
+                row.append(math.log(total) / (alpha - 1.0) if 0.0 < total < INF
+                           else _log_sums(pos[None], np.ones((1, len(pos))), [alpha]).item())
+        values.append(row)
     return values
 
 

@@ -275,8 +275,9 @@ class _Prepared:
     Gibbs weights alone and beside a catalyst of each dimension (for a quantum
     object its Gibbs state and the state's eigh), its curve and its free energy
     at each order asked for, one batch per fill_free call, equal to
-    delta_F_alpha's values to the bit.  _pair's twins share the Gibbs part, if
-    their Hamiltonians are equal bit for bit (== allows a tolerance and shifts)."""
+    delta_F_alpha's values to the bit.  _pair's twins share the Gibbs part, if their
+    Hamiltonians are equal bit for bit (== allows a tolerance and shifts); quantum twins
+    fill their free energies in one kernel call of two states."""
 
     def __init__(self, obj, beta: float):
         self.obj, self.beta = obj, beta
@@ -300,17 +301,17 @@ class _Prepared:
     def curve(self) -> ThermoCurve:
         return _curve(self.obj.probs, self.gibbs())
 
-    def fill_free(self, grid) -> np.ndarray:
-        """delta_F at the orders of ``grid``, those not yet known computed in one batch."""
-        missing = [alpha for alpha in grid if alpha not in self._free]
+    def fill_free(self, grid, *twins) -> np.ndarray:
+        """delta_F at ``grid``, the orders not yet known computed in one batch, and ``twins``'."""
+        missing, sides = [alpha for alpha in grid if alpha not in self._free], (self, *twins)
         if missing:
             if isinstance(self.obj, ClassicalObject):
-                values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
+                rows = [classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)]
             else:
-                values = _sandwiched(self.obj.state, self.gibbs(), self._gibbs["eigh"],
-                                     _check_alphas(missing))
-            for alpha, v in zip(missing, values):
-                self._free[alpha] = v / self.beta
+                rows = _sandwiched(np.array([x.obj.state for x in sides]), self.gibbs(),
+                                   self._gibbs["eigh"], _check_alphas(missing))
+            for side, values in zip(sides, rows):
+                side._free.update((alpha, v / self.beta) for alpha, v in zip(missing, values))
         return np.array([self._free[alpha] for alpha in grid])
 
 
@@ -487,8 +488,9 @@ def _necessary(src, dst, beta: float, grid: tuple, classical) -> FeasibilityVerd
 def _pair(src, dst, beta: float) -> tuple:
     """_Prepared src and dst, twins if their Hamiltonians are equal bit for bit, not just by ==."""
     first, second = _Prepared(src, beta), _Prepared(dst, beta)
-    h, g = (x.hamiltonian.matrix if isinstance(x, ThermoObject) else x.energies for x in (src, dst))
-    if type(src) is type(dst) and h.shape == g.shape and h.tobytes() == g.tobytes():
+    h, g = (memoryview(x.hamiltonian.matrix if isinstance(x, ThermoObject) else x.energies)
+            .cast("B").cast("Q") for x in (src, dst))  # 8-byte words: no copy, no temporary
+    if type(src) is type(dst) and h == g:
         second._gibbs = first._gibbs
     return first, second
 
@@ -512,10 +514,11 @@ def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdi
 
 
 def _pair_free(src: _Prepared, dst: _Prepared, orders) -> list:
-    """delta_F of both sides at ``orders``; a classical pair's grid in one two-row call, the
-    narrower side zero-padded: padded levels lie outside the support, so rows keep their bytes."""
+    """delta_F of both sides at ``orders``; quantum twins in one two-state call, a classical
+    pair's grid in one two-row call, zero-padded: levels outside the support keep the bytes."""
     if len(orders) == 1 or not all(isinstance(x.obj, ClassicalObject) for x in (src, dst)):
-        return [src.fill_free(orders), dst.fill_free(orders)]
+        twins = [dst] * (src._gibbs is dst._gibbs and not isinstance(src.obj, ClassicalObject))
+        return [src.fill_free(orders, *twins), dst.fill_free(orders)]
     p, q = np.zeros((2, 2, max(src.obj.dim, dst.obj.dim)))
     for k, side in enumerate((src, dst)):
         p[k, :side.obj.dim], q[k, :side.obj.dim] = side.obj.probs, side.gibbs()

@@ -1640,25 +1640,116 @@ class TestPreparedTwins:
         assert [_decisions(src, dst, 1.0) for src, dst in cases] == decided
 
     def test_a_shared_hamiltonian_is_decomposed_once(self, monkeypatch):
-        # one eigh of H and one of the Gibbs state; one eigvalsh per order and side
+        # one eigh of H and one of the Gibbs state; one eigvalsh per order and side, counted
+        # as the matrices each call decomposes
         rng = rng_from_seed(50)
         ham = random_hamiltonian(rng, 16)
         rho = random_density_matrix(rng, 16)
         src = ThermoObject(rho, ham)
         dst = ThermoObject(0.5 * rho + 0.5 * gibbs_state(ham, 1.0).state, ham)  # a Gibbs-preserving image
         orders = sum(alpha >= 0.5 for alpha in DEFAULT_ALPHA_GRID)
-        calls = {}
-        for name in ("eigh", "eigvalsh"):
-            def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
-        for s, t, status, eigvalsh in ((dst, src, Status.INFEASIBLE, 2),
-                                       (src, dst, Status.UNDETERMINED, 2 * orders)):
-            calls.clear()
+        calls = {"eigh": 0, "eigvalsh": []}
+
+        def eigh(*args, _f=np.linalg.eigh, **kwargs):
+            calls["eigh"] += 1
+            return _f(*args, **kwargs)
+
+        def eigvalsh(a, *args, _f=np.linalg.eigvalsh, **kwargs):
+            calls["eigvalsh"].append(math.prod(np.shape(a)[:-2]))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        # each round: one call per chunk of both sides' sandwiches (a chunk holds 64
+        # matrices of 16 x 16), then one for each state at alpha = 1
+        for s, t, status, eigvalsh, per_call in (
+                (dst, src, Status.INFEASIBLE, 2, [2]),
+                (src, dst, Status.UNDETERMINED, 2 * orders, [2, 2 * (orders - 2), 1, 1])):
+            calls.update(eigh=0, eigvalsh=[])
             assert catalytic_necessary(s, t, 1.0).status is status
-            assert calls == {"eigh": 2, "eigvalsh": eigvalsh}
+            assert calls["eigh"] == 2 and sum(calls["eigvalsh"]) == eigvalsh
+            assert calls["eigvalsh"] == per_call
         assert 2 * orders == 50
+
+    def test_a_signed_zero_makes_no_twins(self):
+        plus = HamiltonianClass(np.diag([0.0, 1.0]))
+        m = np.array(plus.matrix)
+        m[0, 1] = m[1, 0] = -0.0
+        minus = HamiltonianClass(m)  # equal to plus by value, not bit for bit
+        assert np.array_equal(minus.matrix, plus.matrix)
+        assert minus.matrix.tobytes() != plus.matrix.tobytes()
+        cases = [(ThermoObject(np.eye(2) / 2, plus), gibbs_state(minus, 1.0)),
+                 (ClassicalObject([0.5, 0.5], [0.0, 1.0]), ClassicalObject([0.3, 0.7], [-0.0, 1.0]))]
+        for src, dst in cases:
+            first, second = _pair(src, dst, 1.0)
+            assert second._gibbs is not first._gibbs
+
+    def test_twins_are_found_without_copying_the_hamiltonians(self):
+        rng = rng_from_seed(52)
+        z = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        src, dst = (ThermoObject(random_density_matrix(rng, 256), HamiltonianClass(z + z.conj().T))
+                    for _ in range(2))
+        assert src.hamiltonian.matrix is not dst.hamiltonian.matrix
+        tracemalloc.start()
+        try:
+            first, second = _pair(src, dst, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second._gibbs is first._gibbs
+        assert peak < src.hamiltonian.matrix.nbytes  # 1 MB; a copy of each takes 2 MB
+
+    def test_the_two_state_twin_call_is_delta_f_alpha_per_side(self, monkeypatch):
+        # 48 orders other than 0 and 1 take 2, 6, 16 and 24 chunks at d = 16, 32, 48 and 64
+        # for twins; rank-1 states have negative sandwich eigenvalues; a Gibbs level at
+        # exp(-40) or below is in the kernel
+        orders = [0.0, 0.2, 1 / 3, 0.5, 1.0, 2.0, 3.0, 150.0, INF, *DEFAULT_ALPHA_GRID]
+        rng = rng_from_seed(53)
+        pairs = []
+        for d, beta in itertools.product((1, 2, 3, 8, 16, 32, 48, 64), (0.5, 1.0, 2.0)):
+            ham = random_hamiltonian(rng, d, scale=float(rng.uniform(0.3, 3.0)))
+            pairs.append((*(ThermoObject(random_density_matrix(rng, d, rank), ham)
+                            for rank in (1, d)), beta))
+        for d, beta in itertools.product((2, 3, 8), (0.5, 1.0, 2.0)):
+            basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            ham = HamiltonianClass((basis * np.r_[rng.uniform(0.0, 1.0, d - 1), 80.0]) @ basis.conj().T)
+            inside = basis[:, :-1] @ random_density_matrix(rng, d - 1) @ basis[:, :-1].conj().T
+            out = ThermoObject(inside / np.real(np.trace(inside)), ham)
+            pairs += [(out, ThermoObject(random_density_matrix(rng, d), ham), beta)]
+        stacks, matrices = [], []
+
+        def sandwiched(rhos, *args, _f=feasibility._sandwiched):
+            stacks.append(len(rhos))
+            return _f(rhos, *args)
+
+        def eigvalsh(a, _f=np.linalg.eigvalsh):
+            matrices.append(math.prod(np.shape(a)[:-2]))
+            return _f(a)
+
+        monkeypatch.setattr(feasibility, "_sandwiched", sandwiched)
+        leaked = kept = 0
+        low = sum(0.0 < a < 1.0 for a in orders)  # the orders a leaking state is sandwiched at
+        for n, (src, dst, beta) in enumerate(pairs):
+            want = [[repr(delta_F_alpha(side, beta, a)) for a in orders] for side in (src, dst)]
+            leak = [w[4] == "inf" for w in want]  # orders[4] is 1
+            sandwiches = {_pair: 2 * (low if all(leak) else 48),
+                          _unshared: sum(low if x else 48 for x in leak)}
+            for prepare, sizes in ((_pair, [2]), (_unshared, [1, 1])):
+                stacks.clear()
+                matrices.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(np.linalg, "eigvalsh", eigvalsh)
+                    got = feasibility._pair_free(*prepare(src, dst, beta), orders)
+                assert [list(map(repr, f.tolist())) for f in got] == want
+                assert stacks == sizes
+                # one sandwich per side and order other than 0 and 1 (48 of them; below 1
+                # only, if every state of the call leaks into the kernel), and at each order
+                # 1 (orders[4] and one in the grid) the state of each side that does not leak
+                assert sum(matrices) == sandwiches[prepare] + 2 * leak.count(False)
+            if len(pairs) - n <= 9:  # the kernel pairs
+                kept += want[0][orders.index(INF)] != "inf"
+                leaked += want[1][orders.index(INF)] == "inf"
+        assert kept == leaked == 9
 
 
 class TestClassicalPairGrid:
