@@ -195,12 +195,11 @@ def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return _sandwiched(rho[None], sigma, np.linalg.eigh(sigma), listed)[0]
+    return _sandwiched([rho], sigma, np.linalg.eigh(sigma), listed)[0]
 
 
 def _powers(base: np.ndarray, exponents: list) -> np.ndarray:
-    """base ** exponents[k] in row k, for row k of a 2-D base or all of a 1-D one, each with
-    the bits of its scalar call: numpy's fast exponents (sqrt, square, ...) keep their paths."""
+    """base ** exponents[k] in row k (of base too, if 2-D), with the bits of its scalar call."""
     out = base ** np.array(exponents)[:, None]
     for k in [k for k, e in enumerate(exponents) if e in (-1.0, 0.0, 0.5, 1.0, 2.0)]:
         out[k] = (base if base.ndim == 1 else base[k]) ** exponents[k]
@@ -208,10 +207,9 @@ def _powers(base: np.ndarray, exponents: list) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sandwiched(rhos: np.ndarray, sigma: np.ndarray, decomposed, listed: list) -> list:
-    """renyi_divergences at checked orders for each state of the stack ``rhos``, given
-    ``decomposed``, the eigh of sigma: sandwiches shared by the states, in chunks of
-    orders, and one power-sum table, kept for rows whose eigenvalues all exceed EIG_ZERO."""
+def _sandwiched(rhos: list, sigma: np.ndarray, decomposed, listed: list) -> list:
+    """renyi_divergences at checked orders for each state of the list ``rhos``, given
+    ``decomposed``, the eigh of sigma: each chunk of orders' sandwiches serves every state."""
     s_evals, s_vecs = decomposed
     kernel = s_evals < SUPPORT_TOL
     projector = s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T if kernel.any() else None
@@ -220,20 +218,21 @@ def _sandwiched(rhos: np.ndarray, sigma: np.ndarray, decomposed, listed: list) -
     lam, vecs = s_evals[~kernel], s_vecs[:, ~kernel]
     in_stack = [alpha not in (0.0, 1.0) and (alpha < 1.0 or not all(leaks)) for alpha in listed]
     generic = [alpha for alpha, stacked in zip(listed, in_stack) if stacked]
-    sand = (vecs * _powers(lam, [-0.5 if alpha == INF else (1.0 - alpha) / (2.0 * alpha)
-                                 for alpha in generic])[:, None]) @ vecs.conj().T
+    table = _powers(lam, [-0.5 if alpha == INF else (1.0 - alpha) / (2.0 * alpha) for alpha in generic])
     mu, d = np.empty((len(rhos), len(generic), len(sigma))), len(sigma)
-    step = max(1, (1 << 14) // (len(rhos) * d * d))  # complex entries: chunks <= 256 KB
+    n = min(len(rhos), max(1, (1 << 14) // (d * d)))  # states per call, orders per chunk:
+    step = max(1, (1 << 14) // (n * d * d))  # 2 ** 14 complex entries (256 KB), or one matrix
     for k in range(0, len(generic), step):
-        chunk = sand[None, k:k + step]
-        mu[:, k:k + step] = np.linalg.eigvalsh(chunk @ rhos[:, None] @ chunk)
+        chunk = ((vecs * table[k:k + step, None]) @ vecs.conj().T)[None]
+        for s in range(0, len(rhos), n):
+            mu[s:s + n, k:k + step] = np.linalg.eigvalsh(chunk @ np.array(rhos[s:s + n])[:, None] @ chunk)
     full, tops = (mu[..., 0] > EIG_ZERO).tolist(), mu[..., -1].tolist()  # eigvalsh ascends
     sums = np.add.reduce(_powers(mu.reshape(-1, d), generic * len(rhos)), 1).reshape(mu.shape[:2])
     values = []
     for s, rho in enumerate(rhos):
         row, k = [], -1
         for alpha, stacked in zip(listed, in_stack):
-            k += stacked
+            k += stacked  # the order's row in mu
             if alpha >= 1.0 and leaks[s]:
                 row.append(INF)
             elif alpha == 1.0:

@@ -271,13 +271,11 @@ def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdi
 
 
 class _Prepared:
-    """An object with what the deciders ask of it, each computed once: its
-    Gibbs weights alone and beside a catalyst of each dimension (for a quantum
-    object its Gibbs state and the state's eigh), its curve and its free energy
-    at each order asked for, one batch per fill_free call, equal to
-    delta_F_alpha's values to the bit.  _pair's twins share the Gibbs part, if their
-    Hamiltonians are equal bit for bit (== allows a tolerance and shifts); quantum twins
-    fill their free energies in one kernel call of two states."""
+    """An object with what the deciders ask of it, each computed once: its Gibbs weights alone
+    and beside a catalyst of each dimension (for a quantum object its Gibbs state and the state's
+    eigh), its curve and its free energy at each order asked for, one batch per fill_free call
+    (one for quantum twins), equal to delta_F_alpha's values to the bit.  _pair's twins share the
+    Gibbs part, if their Hamiltonians are equal bit for bit (== allows a tolerance and shifts)."""
 
     def __init__(self, obj, beta: float):
         self.obj, self.beta = obj, beta
@@ -301,17 +299,20 @@ class _Prepared:
     def curve(self) -> ThermoCurve:
         return _curve(self.obj.probs, self.gibbs())
 
-    def fill_free(self, grid, *twins) -> np.ndarray:
-        """delta_F at ``grid``, the orders not yet known computed in one batch, and ``twins``'."""
-        missing, sides = [alpha for alpha in grid if alpha not in self._free], (self, *twins)
+    def fill_free(self, grid, twin=None) -> np.ndarray:
+        """delta_F at ``grid``, the orders not yet known computed in one batch (a twin's too)."""
+        missing = [alpha for alpha in grid if alpha not in self._free]
         if missing:
             if isinstance(self.obj, ClassicalObject):
-                rows = [classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)]
+                values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
             else:
-                rows = _sandwiched(np.array([x.obj.state for x in sides]), self.gibbs(),
-                                   self._gibbs["eigh"], _check_alphas(missing))
-            for side, values in zip(sides, rows):
-                side._free.update((alpha, v / self.beta) for alpha, v in zip(missing, values))
+                states = [self.obj.state, twin.obj.state] if twin else [self.obj.state]
+                values, *rest = _sandwiched(states, self.gibbs(), self._gibbs["eigh"],
+                                            _check_alphas(missing))
+                for row in rest:  # the twin's
+                    twin._free.update((alpha, v / self.beta) for alpha, v in zip(missing, row))
+            for alpha, v in zip(missing, values):
+                self._free[alpha] = v / self.beta
         return np.array([self._free[alpha] for alpha in grid])
 
 
@@ -517,8 +518,8 @@ def _pair_free(src: _Prepared, dst: _Prepared, orders) -> list:
     """delta_F of both sides at ``orders``; quantum twins in one two-state call, a classical
     pair's grid in one two-row call, zero-padded: levels outside the support keep the bytes."""
     if len(orders) == 1 or not all(isinstance(x.obj, ClassicalObject) for x in (src, dst)):
-        twins = [dst] * (src._gibbs is dst._gibbs and not isinstance(src.obj, ClassicalObject))
-        return [src.fill_free(orders, *twins), dst.fill_free(orders)]
+        twin = dst if isinstance(src.obj, ThermoObject) and src._gibbs is dst._gibbs else None
+        return [src.fill_free(orders, twin), dst.fill_free(orders)]
     p, q = np.zeros((2, 2, max(src.obj.dim, dst.obj.dim)))
     for k, side in enumerate((src, dst)):
         p[k, :side.obj.dim], q[k, :side.obj.dim] = side.obj.probs, side.gibbs()

@@ -1699,6 +1699,25 @@ class TestPreparedTwins:
         assert second._gibbs is first._gibbs
         assert peak < src.hamiltonian.matrix.nbytes  # 1 MB; a copy of each takes 2 MB
 
+    def test_a_forward_check_holds_a_few_matrices_at_a_time(self):
+        # at d = 128 one sandwich fills the 256 KB a chunk may take, so the kernel holds one
+        # order of one state at a time: the twins' 48 sandwiches at once would take 50 matrices
+        rng = rng_from_seed(54)
+        ham = random_hamiltonian(rng, 128, scale=0.125)
+        rho = random_density_matrix(rng, 128)
+        src = ThermoObject(rho, ham)
+        dst = ThermoObject(0.5 * rho + 0.5 * gibbs_state(ham, 1.0).state, ham)
+        matrix = rho.nbytes
+        tracemalloc.start()
+        try:
+            verdict = catalytic_necessary(src, dst, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status is Status.UNDETERMINED  # every order computed, none leaks
+        assert np.linalg.eigvalsh(gibbs_state(ham, 1.0).state)[0] > 1e-12
+        assert peak < 8 * matrix  # 7.3: the Gibbs state, its eigh, the support, a chunk's four
+
     def test_the_two_state_twin_call_is_delta_f_alpha_per_side(self, monkeypatch):
         # 48 orders other than 0 and 1 take 2, 6, 16 and 24 chunks at d = 16, 32, 48 and 64
         # for twins; rank-1 states have negative sandwich eigenvalues; a Gibbs level at
