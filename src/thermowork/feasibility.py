@@ -138,28 +138,15 @@ class ThermoCurve:
 
     x-coordinates are partial sums of Gibbs weights taken in order of
     descending probability-to-Gibbs ratio; y-coordinates the matching
-    partial sums of probabilities.
+    partial sums of probabilities.  thermo_curve builds it from _curve's array.
     """
 
     breakpoints: tuple
 
     def __post_init__(self):
-        points = np.array(self.breakpoints, dtype=float).reshape(-1, 2)
+        points = np.fromiter(itertools.chain.from_iterable(self.breakpoints), float).reshape(-1, 2)
         points.flags.writeable = False
         object.__setattr__(self, "_points", points)
-
-    @classmethod
-    def _from_points(cls, points: np.ndarray) -> ThermoCurve:  # keeps points, read-only
-        points.flags.writeable = False
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "_points", points)
-        return curve
-
-    def __getattr__(self, name):  # breakpoints of a curve from _from_points, made when read
-        if name != "breakpoints":
-            raise AttributeError(name)
-        object.__setattr__(self, name, tuple(map(tuple, self._points.tolist())))
-        return self.breakpoints
 
     def xs(self) -> np.ndarray:
         return self._points[:, 0]
@@ -197,11 +184,11 @@ def _classified(src, dst):
 
 def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     """Thermomajorization curve of a classical object at inverse temperature beta."""
-    return _Prepared(_as_classical(c), as_beta(ctx)).curve
+    return ThermoCurve(tuple(zip(*_Prepared(_as_classical(c), as_beta(ctx)).curve.T.tolist())))
 
 
-def _curve(probs: np.ndarray, g: np.ndarray) -> ThermoCurve:
-    """thermo_curve of the levels with probabilities ``probs`` and Gibbs weights ``g``.
+def _curve(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """thermo_curve's (x, y) rows, read-only, for probabilities ``probs`` and Gibbs weights ``g``.
 
     Sorted by descending ratio, a run takes each next ratio r with (r0 - r <= tol0) |
     (r == r0) for its first ratio r0 (np.isclose, rtol 1e-9, atol 1e-12).  A ratio not
@@ -233,7 +220,8 @@ def _curve(probs: np.ndarray, g: np.ndarray) -> ThermoCurve:
     np.add.accumulate(ps, out=points[1:, 1])
     if abs(points[-1, 0] - 1) < 1e-9 and abs(points[-1, 1] - 1) < 1e-9:  # close to (1, 1)
         points[-1] = 1.0
-    return ThermoCurve._from_points(points)
+    points.flags.writeable = False
+    return points
 
 
 def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
@@ -247,11 +235,12 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
     return _curve_dominance(src.curve, dst.curve)
 
 
-def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdict:
-    xs = np.concatenate((src_c.xs(), dst_c.xs()))
+def _curve_dominance(src_c: np.ndarray, dst_c: np.ndarray) -> FeasibilityVerdict:
+    """thermo_majorizes on two _curve breakpoint arrays."""
+    xs = np.concatenate((src_c[:, 0], dst_c[:, 0]))
     xs.sort()
     xs = np.concatenate((xs[:1], xs[1:][xs[1:] != xs[:-1]]))  # np.unique's, without its wrappers
-    sv, dv = src_c.value(xs), dst_c.value(xs)
+    sv, dv = (np.interp(xs, c[:, 0], c[:, 1]) for c in (src_c, dst_c))
     deficit = dv - sv
     bad = deficit > MAJORIZE_TOL
     if bad.any():
@@ -273,13 +262,11 @@ def _curve_dominance(src_c: ThermoCurve, dst_c: ThermoCurve) -> FeasibilityVerdi
 class _Prepared:
     """An object with what the deciders ask of it, each computed once: its Gibbs weights alone
     and beside a catalyst of each dimension (for a quantum object its Gibbs state and the state's
-    eigh), its curve and its free energy at each order asked for, one batch per fill_free call
-    (one for quantum twins), equal to delta_F_alpha's values to the bit.  _pair's twins share the
-    Gibbs part, if their Hamiltonians are equal bit for bit (== allows a tolerance and shifts)."""
+    eigh) and its curve.  _pair's twins share the Gibbs part, if their Hamiltonians are equal bit
+    for bit (== allows a tolerance and shifts).  It keeps no free energies: see _pair_free."""
 
     def __init__(self, obj, beta: float):
-        self.obj, self.beta = obj, beta
-        self._gibbs, self._free = {}, {}
+        self.obj, self.beta, self._gibbs = obj, beta, {}
 
     def gibbs(self, cat_dim: int = 1) -> np.ndarray:
         """Gibbs weights of a classical object in tensor with a catalyst of
@@ -296,24 +283,17 @@ class _Prepared:
         return self._gibbs[cat_dim]
 
     @functools.cached_property
-    def curve(self) -> ThermoCurve:
+    def curve(self) -> np.ndarray:
         return _curve(self.obj.probs, self.gibbs())
 
-    def fill_free(self, grid, twin=None) -> np.ndarray:
-        """delta_F at ``grid``, the orders not yet known computed in one batch (a twin's too)."""
-        missing = [alpha for alpha in grid if alpha not in self._free]
-        if missing:
-            if isinstance(self.obj, ClassicalObject):
-                values = classical_renyi_divergences(self.obj.probs, self.gibbs(), missing)
-            else:
-                states = [self.obj.state, twin.obj.state] if twin else [self.obj.state]
-                values, *rest = _sandwiched(states, self.gibbs(), self._gibbs["eigh"],
-                                            _check_alphas(missing))
-                for row in rest:  # the twin's
-                    twin._free.update((alpha, v / self.beta) for alpha, v in zip(missing, row))
-            for alpha, v in zip(missing, values):
-                self._free[alpha] = v / self.beta
-        return np.array([self._free[alpha] for alpha in grid])
+    def fill_free(self, orders) -> np.ndarray:
+        """delta_F at ``orders`` in one kernel call, equal to delta_F_alpha's values to the bit."""
+        if isinstance(self.obj, ClassicalObject):
+            values = classical_renyi_divergences(self.obj.probs, self.gibbs(), orders)
+        else:
+            values, = _sandwiched([self.obj.state], self.gibbs(), self._gibbs["eigh"],
+                                  _check_alphas(orders))
+        return np.array(values) / self.beta
 
 
 def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
@@ -471,18 +451,18 @@ def catalytic_necessary(src, dst, ctx, alpha_grid=None) -> FeasibilityVerdict:
     dst, the transition is certainly infeasible; otherwise Undetermined
     (this is a necessary-condition check only).
 
-    Classical inputs may use the whole grid (classical Renyi divergences obey
-    data processing for every alpha >= 0).  For non-commuting inputs the
-    sandwiched divergence obeys data processing only from alpha = 1/2 up, so
-    smaller grid points are dropped to keep the certificate sound.  A NaN or
-    negative order anywhere in the grid raises ValueError.
+    Classical and diagonal inputs are checked in their classical form on the whole
+    grid (classical Renyi divergences obey data processing for every alpha >= 0).
+    For non-commuting inputs the sandwiched divergence obeys data processing only
+    from alpha = 1/2 up, so smaller grid points are dropped to keep the certificate
+    sound.  A NaN or negative order anywhere in the grid raises ValueError.
     """
     return _necessary(src, dst, as_beta(ctx), _order_grid(alpha_grid), _classified(src, dst))
 
 
 def _necessary(src, dst, beta: float, grid: tuple, classical) -> FeasibilityVerdict:
     """catalytic_necessary on a checked grid, ``classical`` the pair's _classified."""
-    return _monotone_increase(*_pair(src, dst, beta),
+    return _monotone_increase(*_pair(*(classical or (src, dst)), beta),
                               grid if classical else tuple(a for a in grid if a >= 0.5))
 
 
@@ -506,7 +486,9 @@ def _order_grid(alpha_grid) -> tuple:
 
 
 def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdict:
-    for orders in (grid[:1], grid) if grid else ():  # most refutations come at the first
+    """Infeasible at the first order of ``grid`` where delta_F rises from src to dst, else
+    Undetermined: grid[:1] first, where most refutations come, then grid[1:], each order once."""
+    for orders in filter(None, (grid[:1], grid[1:])):
         f_src, f_dst = _pair_free(src, dst, orders)
         refuted, k = _raised(f_src, f_dst)
         if refuted:
@@ -515,15 +497,20 @@ def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdi
 
 
 def _pair_free(src: _Prepared, dst: _Prepared, orders) -> list:
-    """delta_F of both sides at ``orders``; quantum twins in one two-state call, a classical
-    pair's grid in one two-row call, zero-padded: levels outside the support keep the bytes."""
-    if len(orders) == 1 or not all(isinstance(x.obj, ClassicalObject) for x in (src, dst)):
-        twin = dst if isinstance(src.obj, ThermoObject) and src._gibbs is dst._gibbs else None
-        return [src.fill_free(orders, twin), dst.fill_free(orders)]
-    p, q = np.zeros((2, 2, max(src.obj.dim, dst.obj.dim)))
-    for k, side in enumerate((src, dst)):
-        p[k, :side.obj.dim], q[k, :side.obj.dim] = side.obj.probs, side.gibbs()
-    return [np.array(values) / src.beta for values in classical_renyi_divergences(p, q, orders)]
+    """delta_F of both sides at ``orders``, delta_F_alpha's to the bit, in one call per pair kind:
+    a classical pair in one two-row kernel call, zero-padded (levels outside the support keep the
+    bytes); quantum twins in one two-state _sandwiched call; any other pair fill_free per side."""
+    if isinstance(src.obj, ClassicalObject) and isinstance(dst.obj, ClassicalObject):
+        p, q = np.zeros((2, 2, max(src.obj.dim, dst.obj.dim)))
+        for k, side in enumerate((src, dst)):
+            p[k, :side.obj.dim], q[k, :side.obj.dim] = side.obj.probs, side.gibbs()
+        values = classical_renyi_divergences(p, q, orders)
+    elif src._gibbs is dst._gibbs:  # quantum twins
+        values = _sandwiched([src.obj.state, dst.obj.state], src.gibbs(), src._gibbs["eigh"],
+                             _check_alphas(orders))
+    else:
+        return [src.fill_free(orders), dst.fill_free(orders)]
+    return [np.array(row) / src.beta for row in values]
 
 
 def _raised(f_src: np.ndarray, f_dst: np.ndarray):

@@ -201,10 +201,10 @@ def _eigenstate_distances(obj) -> tuple:
         raise TypeError(f"unsupported object type {type(obj).__name__}")
     if obj.dim != 2:
         raise ValueError("wbit states are qubits")
-    if isinstance(obj, ClassicalObject):
-        order = np.argsort(obj.energies)
-        p_ground = float(obj.probs[order[0]])
-        gap = float(obj.energies[order[1]] - obj.energies[order[0]])
+    if isinstance(obj, ClassicalObject):  # ground: the first of equal energies, as np.argsort's
+        e0, e1 = obj.energies.tolist()
+        ground, gap = (0, e1 - e0) if e0 <= e1 else (1, e0 - e1)
+        p_ground = obj.probs.tolist()[ground]
         return gap, 2.0 * (1.0 - p_ground), 2.0 * p_ground
     evals, evecs = np.linalg.eigh(obj.hamiltonian.matrix)
     ground = np.outer(evecs[:, 0], evecs[:, 0].conj())
@@ -217,18 +217,14 @@ def _qubit_distances(obj, delta: float):
     """Trace-norm distances of a qubit object to the two energy eigenstates,
     or None if the object is not a qubit with Hamiltonian diag(0, delta).  A
     classical qubit's gap is tested by np.isclose's rule (atol 1e-9, rtol 1e-5)
-    on floats; its ground level is the first of equal energies, as np.argsort's."""
+    on floats."""
     if isinstance(obj, ClassicalObject):
         e0, e1 = obj.energies.tolist() if obj.dim == 2 else (0.0, math.nan)  # nan: no match
         gap = abs(e1 - e0)
-        if gap == delta or math.isfinite(delta) and abs(gap - delta) <= 1e-9 + 1e-5 * abs(delta):
-            p_ground = obj.probs.tolist()[0 if e0 <= e1 else 1]
-            return 2.0 * (1.0 - p_ground), 2.0 * p_ground
-        return None
-    if isinstance(obj, ThermoObject):
-        ok = obj.dim == 2 and obj.hamiltonian == HamiltonianClass(np.diag([0.0, delta]))
+        ok = gap == delta or math.isfinite(delta) and abs(gap - delta) <= 1e-9 + 1e-5 * abs(delta)
     else:
-        ok = False
+        ok = (isinstance(obj, ThermoObject) and obj.dim == 2
+              and obj.hamiltonian == HamiltonianClass(np.diag([0.0, delta])))
     return _eigenstate_distances(obj)[1:] if ok else None
 
 

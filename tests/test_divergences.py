@@ -53,6 +53,21 @@ def _mp_renyi(p, q, alpha) -> float:
         return float(mpmath.log(total) / (mpmath.mpf(alpha) - 1))
 
 
+def _mp_delta_f(probs, energies, alpha) -> float:
+    """delta_F_alpha of a classical object at beta = 1, with 50 digits, its Gibbs weights
+    taken from the energies in mpmath: the reference no Gibbs underflow reaches."""
+    with mpmath.workdps(50):
+        weights = [mpmath.exp(-mpmath.mpf(e)) for e in energies]
+        z = mpmath.fsum(weights)
+        levels = [(mpmath.mpf(p), w / z) for p, w in zip(probs, weights) if p > 0]
+        if alpha == 1.0:
+            return float(mpmath.fsum(p * mpmath.log(p / g) for p, g in levels))
+        if alpha == INF:
+            return float(mpmath.log(max(p / g for p, g in levels)))
+        a = mpmath.mpf(alpha)
+        return float(mpmath.log(mpmath.fsum(p ** a * g ** (1 - a) for p, g in levels)) / (a - 1))
+
+
 class TestVonNeumannEntropy:
     def test_pure_state(self):
         assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
@@ -429,6 +444,18 @@ class TestDeltaF:
         c = ClassicalObject([0.9, 0.1], [0.0, 1.0])
         assert delta_F_alpha(c, BetaContext(2.0), 1.0) == pytest.approx(
             delta_F_alpha(c, 2.0, 1.0))
+
+
+class TestGibbsUnderflow:
+    """A Gibbs weight at or below 1e-14 is a level of the support all the same."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("gap, value", [(32.5, 31.11), (1000.0, 998.61)])
+    def test_a_tiny_gibbs_weight_keeps_delta_f_finite(self, gap, value):
+        want = _mp_delta_f([0.5, 0.5], [0.0, gap], 2.0)
+        assert want == pytest.approx(value, abs=0.005)
+        got = delta_F_alpha(ClassicalObject([0.5, 0.5], [0.0, gap]), 1.0, 2.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestDeltaF1ViaEnergy:

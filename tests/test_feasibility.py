@@ -57,7 +57,7 @@ from thermowork.sampling import (
     random_hamiltonian,
     rng_from_seed,
 )
-from test_divergences import _mp_renyi
+from test_divergences import _mp_delta_f, _mp_renyi
 from test_golden_verdicts import corpus as golden_corpus
 
 JP_SRC = ClassicalObject([0.5, 0.25, 0.25, 0.0], np.zeros(4))
@@ -391,6 +391,24 @@ class TestThermoCurve:
         assert len(rows) == len(curve.breakpoints)
         assert all("," in row for row in rows)
 
+    def test_breakpoints_parse_to_the_same_bytes_and_malformed_ones_raise(self):
+        rng = rng_from_seed(9)
+        for d in (1, 2, 5, 64, 1024):
+            c = random_classical_object(rng, d, energy_scale=2.0)
+            points = _Prepared(c, 1.0).curve
+            assert not points.flags.writeable
+            curve = thermo_curve(c, 1.0)
+            assert curve.breakpoints == tuple(map(tuple, points.tolist()))
+            want = np.array(curve.breakpoints, dtype=float).reshape(-1, 2)
+            assert curve.xs().tobytes() + curve.ys().tobytes() == want.T.tobytes()
+        for given in (((0, 0), (1, 1)), ([0.0, 0.0], [0.5, 1.0]), tuple(np.eye(2))):
+            got = ThermoCurve(given)
+            assert np.c_[got.xs(), got.ys()].tobytes() == np.array(given, float).tobytes()
+        for bad, error in ((((0.0, 0.0), (1.0,)), ValueError), ((("a", "b"),), ValueError),
+                           (((0.0, 1j),), TypeError), (((0.0, 0.0), 1.0), TypeError)):
+            with pytest.raises(error):
+                ThermoCurve(bad)
+
 
 class TestOnePassCurve:
     """_curve against the former binary-lifting build, breakpoint bytes equal."""
@@ -400,8 +418,10 @@ class TestOnePassCurve:
         probs, g = np.asarray(probs, dtype=float), np.asarray(g, dtype=float)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = _curve(probs, g)
+            points = _curve(probs, g)
+        curve = ThermoCurve(tuple(map(tuple, points.tolist())))
         want = _lifted_curve(probs, g)
+        assert points.tobytes() == want.tobytes()
         got = np.array(curve.breakpoints).reshape(-1, 2)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -1251,11 +1271,11 @@ class TestPreparedFreeEnergies:
     def test_batch_matches_delta_F_alpha_bit_for_bit(self):
         for obj in self._objects():
             prep = _Prepared(obj, 1.0)
-            prep.fill_free(self.ORDERS)
-            assert set(prep._free) == set(self.ORDERS)  # every order from the batch
+            batch = prep.fill_free(self.ORDERS)  # every order from the batch
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 want = [repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
+            assert [repr(float(v)) for v in batch] == want
             assert [repr(float(prep.fill_free((alpha,))[0])) for alpha in self.ORDERS] == want
 
     def test_overflowed_power_sum_is_finite(self):
@@ -1277,10 +1297,9 @@ class TestPreparedFreeEnergies:
         ham = HamiltonianClass(np.diag([0.0, 1.0]))
         obj = ThermoObject(np.full((2, 2), 0.5), ham)
         prep = _Prepared(obj, 1.0)
-        prep.fill_free(self.ORDERS)
-        assert set(prep._free) == set(self.ORDERS)
-        assert [repr(float(prep.fill_free((alpha,))[0])) for alpha in self.ORDERS] == [
-            repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
+        want = [repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
+        assert [repr(float(v)) for v in prep.fill_free(self.ORDERS)] == want
+        assert [repr(float(prep.fill_free((alpha,))[0])) for alpha in self.ORDERS] == want
 
 
 class TestCatalystScreen:
@@ -1793,8 +1812,8 @@ class TestClassicalPairGrid:
                 assert list(map(repr, values.tolist())) == [
                     repr(delta_F_alpha(side, 1.0, a)) for a in grid]
 
-    def test_a_pair_reaching_the_grid_makes_three_kernel_calls(self, monkeypatch):
-        # two one-row calls at the first order, then one two-row call for the grid
+    def test_a_pair_reaching_the_grid_makes_two_kernel_calls(self, monkeypatch):
+        # one two-row call at the first order, then one for the rest of the grid
         calls = []
 
         def counted(p, q, alphas, _f=feasibility.classical_renyi_divergences):
@@ -1809,7 +1828,95 @@ class TestClassicalPairGrid:
         for s, t in ((src, mixed), (src, classical_gibbs(rng.uniform(0.0, 3.0, 6), 1.0))):
             calls.clear()
             assert catalytic_necessary(s, t, 1.0).status is Status.UNDETERMINED
-            assert calls == [(1, 1), (1, 1), (2, len(DEFAULT_ALPHA_GRID))]
+            assert calls == [(2, 1), (2, len(DEFAULT_ALPHA_GRID) - 1)]
+
+
+class TestSideBySidePairs:
+    @staticmethod
+    def _pairs():
+        """(src, dst, beta) with no shared Gibbs part: a classical object against a quantum one
+        with a non-diagonal state, each way, at d = 2, 3 and 4, and quantum pairs whose
+        Hamiltonians differ, or are equal by == but one ulp apart."""
+        rng = rng_from_seed(131)
+        pairs = []
+        for d in (2, 3, 4):
+            ham = random_hamiltonian(rng, d, scale=float(rng.uniform(0.3, 3.0)))
+            energies = rng.uniform(0.0, 3.0, d)
+            near = 0.9 * gibbs_state(ham, 1.0).state + 0.1 * random_density_matrix(rng, d)
+            quantum = [ThermoObject(random_density_matrix(rng, d), ham), ThermoObject(near, ham),
+                       ThermoObject(random_density_matrix(rng, d, 1), HamiltonianClass(np.diag(energies)))]
+            classical = [ClassicalObject(rng.dirichlet(np.ones(d)), energies),
+                         ClassicalObject(np.eye(d)[-1], energies)]
+            for c, q in itertools.product(classical, quantum):
+                pairs += [(c, q, 1.0), (q, c, 1.0)]
+            other = random_hamiltonian(rng, d)
+            pairs += [(quantum[0], ThermoObject(random_density_matrix(rng, d), other), 0.7),
+                      (quantum[1], ThermoObject(quantum[0].state, _one_ulp_up(ham)), 1.0),
+                      (ThermoObject(quantum[0].state, _one_ulp_up(ham)), quantum[1], 1.0)]
+        return pairs
+
+    def test_catalytic_necessary_is_the_per_order_loop(self):
+        statuses = set()
+        for src, dst, beta in self._pairs():
+            want = _loop_necessary(src, dst, beta, None)
+            assert json.dumps(catalytic_necessary(src, dst, beta).to_json()) == json.dumps(want)
+            statuses.add(want["status"])
+        assert statuses == {"Infeasible", "Undetermined"}
+
+    def test_each_side_is_delta_f_alpha_in_one_call(self, monkeypatch):
+        orders = [a for a in DEFAULT_ALPHA_GRID if a >= 0.5] + [0.5, 2.0, 3.0, 150.0]
+        stacks = []
+
+        def sandwiched(rhos, *args, _f=feasibility._sandwiched):
+            stacks.append(len(rhos))
+            return _f(rhos, *args)
+
+        monkeypatch.setattr(feasibility, "_sandwiched", sandwiched)
+        for src, dst, beta in self._pairs():
+            first, second = _pair(src, dst, beta)
+            assert second._gibbs is not first._gibbs
+            stacks.clear()
+            got = feasibility._pair_free(first, second, orders)
+            for side, values in zip((src, dst), got):
+                assert list(map(repr, values.tolist())) == [
+                    repr(delta_F_alpha(side, beta, a)) for a in orders]
+            assert stacks == [1] * sum(isinstance(x, ThermoObject) for x in (src, dst))
+
+
+class TestDiagonalQuantumPairs:
+    def test_a_diagonal_pair_is_checked_in_its_classical_form(self):
+        # the sandwiched kernel drops sandwich eigenvalues below 1e-14, which at orders near
+        # 0.01 carry most of the power sum: taken as quantum objects, thermomajorized pairs
+        # would be refuted there
+        rng = rng_from_seed(132)
+        majorized = 0
+        for _ in range(300):
+            d = int(rng.integers(2, 5))
+            energies = rng.uniform(0.0, 3.0, d)
+            src, dst = (ClassicalObject(rng.dirichlet(np.ones(d)), energies) for _ in range(2))
+            as_quantum = [classical_to_object(x) for x in (src, dst)]
+            want = catalytic_necessary(src, dst, 1.0).to_json()
+            assert json.dumps(catalytic_necessary(*as_quantum, 1.0).to_json()) == json.dumps(want)
+            assert json.dumps(catalytic_necessary(src, as_quantum[1], 1.0).to_json()) == json.dumps(want)
+            if thermo_majorizes(src, dst, 1.0).is_feasible:
+                majorized += 1
+                assert want["status"] == "Undetermined"
+        assert majorized > 50
+
+
+class TestGibbsUnderflow:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_a_gibbs_weight_of_exp_minus_40_is_in_the_support(self):
+        # thermo_majorizes decides this pair Feasible, so no monotone may rise; the Gibbs
+        # weight e^-40 / Z under the target's 1e-12 is no reason for an infinite gap
+        energies = [0.0, 31.0, 40.0]
+        src = ClassicalObject([0.0, 1.0, 0.0], energies)
+        dst = ClassicalObject([1 - 1e-12, 0.0, 1e-12], energies)
+        assert thermo_majorizes(src, dst, 1.0).is_feasible
+        for alpha in DEFAULT_ALPHA_GRID:
+            gap = _mp_delta_f(dst.probs, energies, alpha) - _mp_delta_f(src.probs, energies, alpha)
+            assert gap < -18.0  # D_inf of the target is 40 - 27.6 against 31 for the source
+        assert catalytic_necessary(src, dst, 1.0).status is Status.UNDETERMINED
 
 
 class TestClassifiedOnce:
