@@ -26,7 +26,7 @@ from .core import (
     object_from_json,
 )
 from .divergences import BetaContext, delta_F_alpha
-from .feasibility import _as_classical, decide_catalytic, decide_free
+from .feasibility import _BUDGET, _as_classical, decide_catalytic, decide_free
 from .quantifiers import (
     CheckReport,
     MeanEnergy,
@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--dst", required=True)
     fe.add_argument("--beta", type=float, required=True)
     fe.add_argument("--catalytic", action="store_true")
-    fe.add_argument("--max-cat-dim", dest="max_cat_dim", type=int, default=2)
-    fe.add_argument("--grid-steps", dest="grid_steps", type=int, default=32)
+    fe.add_argument("--max-cat-dim", dest="max_cat_dim", type=int, default=_BUDGET[0])
+    fe.add_argument("--grid-steps", dest="grid_steps", type=int, default=_BUDGET[1])
     fe.set_defaults(func=cmd_feasible)
 
     dv = sub.add_parser("divergence", help="evaluate a free-energy difference")

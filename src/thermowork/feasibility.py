@@ -53,6 +53,8 @@ MONOTONE_TOL = 1e-9
 COMMUTATION_TOL = 1e-9
 MAX_CAT_DIM = 4
 MAX_GRID_STEPS = 64
+#: The catalyst budget (max_cat_dim, grid_steps) of every decider and of the CLI, unless given.
+_BUDGET = (2, 32)
 #: The catalyst search confirms a catalyst with _curve_dominance unless its
 #: screened deficit exceeds MAJORIZE_TOL by more than this (see _screen).
 _SCREEN_SLACK = 1e-8
@@ -387,7 +389,7 @@ def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
 def revalidate_gibbs_stochastic(verdict: FeasibilityVerdict, src, dst, ctx,
                                 tol: float = 1e-8) -> bool:
     """Check an LP witness against the constraints it claims to satisfy."""
-    if not verdict.is_feasible:
+    if not verdict.is_feasible or verdict.witness.get("kind") != "gibbs_stochastic_map":
         return False
     beta = as_beta(ctx)
     src = _as_classical(src)
@@ -461,9 +463,10 @@ def catalytic_necessary(src, dst, ctx, alpha_grid=None) -> FeasibilityVerdict:
 
 
 def _necessary(src, dst, beta: float, grid: tuple, classical) -> FeasibilityVerdict:
-    """catalytic_necessary on a checked grid, ``classical`` the pair's _classified."""
-    return _monotone_increase(*_pair(*(classical or (src, dst)), beta),
-                              grid if classical else tuple(a for a in grid if a >= 0.5))
+    """catalytic_necessary on a checked grid, ``classical`` the pair's _classified: _stages
+    with a budget of one catalyst level, which searches nothing (catalysts start at two)."""
+    return _pair_stages(*_pair(*(classical or (src, dst)), beta),
+                        grid if classical else tuple(a for a in grid if a >= 0.5), 1, _BUDGET[1])
 
 
 def _pair(src, dst, beta: float) -> tuple:
@@ -485,49 +488,59 @@ def _order_grid(alpha_grid) -> tuple:
     return grid
 
 
-def _monotone_increase(src: _Prepared, dst: _Prepared, grid) -> FeasibilityVerdict:
-    """Infeasible at the first order of ``grid`` where delta_F rises from src to dst, else
-    Undetermined: grid[:1] first, where most refutations come, then grid[1:], each order once."""
-    for orders in filter(None, (grid[:1], grid[1:])):
-        f_src, f_dst = _pair_free(src, dst, orders)
-        refuted, k = _raised(f_src, f_dst)
-        if refuted:
-            return _increase(orders[k], f_src[k], f_dst[k])
-    return UNDETERMINED
-
-
-def _pair_free(src: _Prepared, dst: _Prepared, orders) -> list:
-    """delta_F of both sides at ``orders``, delta_F_alpha's to the bit, in one call per pair kind:
-    a classical pair in one two-row kernel call, zero-padded (levels outside the support keep the
+def _pair_free(src: _Prepared, dst: _Prepared, orders) -> np.ndarray:
+    """delta_F at ``orders``, src's in row 0 and dst's in row 1, delta_F_alpha's to the bit: a
+    classical pair in one two-row kernel call, zero-padded (levels outside the support keep the
     bytes); quantum twins in one two-state _sandwiched call; any other pair fill_free per side."""
     if isinstance(src.obj, ClassicalObject) and isinstance(dst.obj, ClassicalObject):
-        p, q = np.zeros((2, 2, max(src.obj.dim, dst.obj.dim)))
-        for k, side in enumerate((src, dst)):
-            p[k, :side.obj.dim], q[k, :side.obj.dim] = side.obj.probs, side.gibbs()
+        ds, dd = src.obj.dim, dst.obj.dim
+        p, q = np.zeros((2, max(ds, dd))), np.zeros((2, max(ds, dd)))
+        p[0, :ds], p[1, :dd] = src.obj.probs, dst.obj.probs
+        q[0, :ds], q[1, :dd] = src.gibbs(), dst.gibbs()
         values = classical_renyi_divergences(p, q, orders)
     elif src._gibbs is dst._gibbs:  # quantum twins
         values = _sandwiched([src.obj.state, dst.obj.state], src.gibbs(), src._gibbs["eigh"],
                              _check_alphas(orders))
     else:
-        return [src.fill_free(orders), dst.fill_free(orders)]
-    return [np.array(row) / src.beta for row in values]
+        return np.array([src.fill_free(orders), dst.fill_free(orders)])
+    return np.array(values) / src.beta
 
 
-def _raised(f_src: np.ndarray, f_dst: np.ndarray):
-    """Whether delta_F rises from f_src to f_dst at an order (last axis), and the first."""
-    raised = f_dst > f_src + MONOTONE_TOL
-    return raised.any(axis=-1), raised.argmax(axis=-1)
+def _stages(free, rows, dims: list, grid: tuple, max_cat_dim: int, grid_steps: int) -> list:
+    """Verdicts of every decider's stages after the direct check on pairs 0, 1, ... up to the
+    first Feasible, dims[n] the levels of pair n's source and target.  The Renyi second laws:
+    Infeasible at the first order of ``grid`` where delta_F rises, grid[:1] first (most
+    refutations come there), then grid[1:] on the open pairs, each order once; free(orders,
+    open) gives delta_F of the open pairs' sources, a row each, then of their targets.  Then
+    _search on the pairs no order refutes, rows(cat_dim, open) giving their rows."""
+    verdicts, live = [UNDETERMINED] * len(dims), range(len(dims))
+    for orders in (grid[:1], grid[1:]):
+        if orders and live:
+            f = free(orders, live)
+            f_src, f_dst = f[:len(live)], f[len(live):]
+            raised = f_dst > f_src + MONOTONE_TOL
+            for m, k in enumerate(raised.argmax(axis=1).tolist()):  # k = 0 where none rises
+                if raised[m, k]:
+                    f0, f1 = f_src.item(m, k), f_dst.item(m, k)
+                    verdicts[live[m]] = infeasible({
+                        "kind": "monotone_increase", "monotone": "delta_F_alpha",
+                        "alpha": orders[k], "gap": f1 - f0, "src_value": f0, "dst_value": f1})
+            live = [n for n in live if verdicts[n] is UNDETERMINED]
+    if not live:
+        return verdicts
+    found = _search(lambda k: rows(k, live), [dims[n] for n in live], max_cat_dim, grid_steps)
+    for n, verdict in zip(live, found):
+        verdicts[n] = verdict
+    return verdicts if len(found) == len(live) else verdicts[:live[len(found) - 1] + 1]
 
 
-def _increase(alpha: float, f_src: float, f_dst: float) -> FeasibilityVerdict:
-    return infeasible({
-        "kind": "monotone_increase",
-        "monotone": "delta_F_alpha",
-        "alpha": alpha,
-        "gap": float(f_dst - f_src),
-        "src_value": float(f_src),
-        "dst_value": float(f_dst),
-    })
+def _pair_stages(src: _Prepared, dst: _Prepared, grid: tuple, max_cat_dim: int,
+                 grid_steps: int) -> FeasibilityVerdict:
+    """_stages on the one pair (src, dst)."""
+    return _stages(lambda orders, live: _pair_free(src, dst, orders),
+                   lambda k, live: (src.obj.probs[None], src.gibbs(k)[None],
+                                    dst.obj.probs[None], dst.gibbs(k)[None]),
+                   [(src.obj.dim, dst.obj.dim)], grid, max_cat_dim, grid_steps)[0]
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -565,8 +578,8 @@ def _check_cost_guards(max_cat_dim: int, grid_steps: int) -> None:
         raise ValueError(f"grid_steps {grid_steps} outside cost guard 1..{MAX_GRID_STEPS}")
 
 
-def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
-                         grid_steps: int = 32) -> FeasibilityVerdict:
+def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = _BUDGET[0],
+                         grid_steps: int = _BUDGET[1]) -> FeasibilityVerdict:
     """Grid search for a catalyst making dst (x) c thermomajorized by src (x) c.
 
     Catalyst Hamiltonians are trivial (all levels at zero energy) and
@@ -588,20 +601,12 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = 2,
             "note": "no catalyst needed",
             "direct": direct.witness,
         })
-    return _bruteforce(src, dst, max_cat_dim, grid_steps)
-
-
-def _bruteforce(src: _Prepared, dst: _Prepared, max_cat_dim: int,
-                grid_steps: int) -> FeasibilityVerdict:
-    """The catalyst search of catalytic_bruteforce, once the direct check has failed."""
-    return _search(lambda k: (src.obj.probs[None], src.gibbs(k)[None],
-                              dst.obj.probs[None], dst.gibbs(k)[None]),
-                   [(src.obj.dim, dst.obj.dim)], max_cat_dim, grid_steps)[0]
+    return _pair_stages(src, dst, (), max_cat_dim, grid_steps)
 
 
 def _search(rows, dims: list, max_cat_dim: int, grid_steps: int) -> list:
-    """_bruteforce's verdicts on pairs 0, 1, ... (dims[n] source and target levels) up to
-    the first Feasible, rows(cat_dim) giving their rows: catalysts of dimension 2 up to the
+    """The catalyst search's verdicts on pairs 0, 1, ... (dims[n] source and target levels) up
+    to the first Feasible, rows(cat_dim) giving their rows: catalysts of dimension 2 up to the
     tensor cap of the open pairs screened as one table, confirmed in order on their own rows."""
     found, upto, lo, got = [], len(dims), 2, {}  # got: rows(cat_dim) by cat_dim
     while upto and lo <= max_cat_dim:
@@ -736,7 +741,7 @@ def correlated_catalytic_check(src_ab, ctx, dst=None) -> FeasibilityVerdict:
     return UNDETERMINED
 
 
-def decide_catalytic(src, dst, ctx, max_cat_dim: int = 2, grid_steps: int = 32,
+def decide_catalytic(src, dst, ctx, max_cat_dim: int = _BUDGET[0], grid_steps: int = _BUDGET[1],
                      alpha_grid=None) -> FeasibilityVerdict:
     """Cheapest-first pipeline for catalytic reachability.
 
@@ -745,25 +750,21 @@ def decide_catalytic(src, dst, ctx, max_cat_dim: int = 2, grid_steps: int = 32,
     for Infeasible), then brute-force catalyst search (sound for Feasible).
     First decisive verdict wins; exhausted searches yield Undetermined.
     Non-diagonal quantum inputs only pass through the monotone stage.  A NaN
-    or negative order anywhere in ``alpha_grid`` raises ValueError.
+    or negative order anywhere in ``alpha_grid``, or a catalyst budget outside
+    the cost guards, raises ValueError whatever stage would decide.
     """
     beta, grid, classical = as_beta(ctx), _order_grid(alpha_grid), _classified(src, dst)
+    _check_cost_guards(max_cat_dim, grid_steps)
     if classical is None:
         return _necessary(src, dst, beta, grid, None)
     return _decide(*_pair(*classical, beta), max_cat_dim, grid_steps, grid)
 
 
-def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = 2, grid_steps: int = 32,
-            grid: tuple = DEFAULT_ALPHA_GRID) -> FeasibilityVerdict:
-    """decide_catalytic on prepared classical objects and a checked order grid."""
+def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = _BUDGET[0],
+            grid_steps: int = _BUDGET[1], grid: tuple = DEFAULT_ALPHA_GRID) -> FeasibilityVerdict:
+    """decide_catalytic on prepared classical objects, a checked order grid and budget."""
     direct = _curve_dominance(src.curve, dst.curve)
-    if direct.is_feasible:
-        return direct
-    necessary = _monotone_increase(src, dst, grid)
-    if necessary.is_infeasible:
-        return necessary
-    _check_cost_guards(max_cat_dim, grid_steps)
-    return _bruteforce(src, dst, max_cat_dim, grid_steps)
+    return direct if direct.is_feasible else _pair_stages(src, dst, grid, max_cat_dim, grid_steps)
 
 
 def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i: np.ndarray,
@@ -776,12 +777,9 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
     so a caller that stops at pair n has screened at most 2 n + _FIRST_PAIRS pairs.
     _curve_dominance checks the pairs the screen keeps.  A pair the screen drops and
     either order refutes is Infeasible, as one Renyi second law suffices: it is
-    skipped.  At seed 1 of the work-quantify benchmark the chunks up to the certified
-    pairs hold 44,832 of 65,480 pairs, and of those the two orders skip 36,373 of the
-    36,389 the whole grid does.  A pair the direct check fails gets the grid for its
-    two rows: its first refuting order, or the search with _decide's budget.  The
-    dropped pairs neither order refutes are settled at the first of a chunk, by one
-    grid batch for both sides and one screen."""
+    skipped.  The other pairs the direct check fails go through _stages with _decide's grid
+    and budget (a kept pair alone, the dropped ones from a chunk's first open one on as one
+    batch), the first order read from the table and the rest once per distinct row."""
     width, half = max(src_m.dim, dst_m.dim) * max(c.dim for c in cands), len(cands)
     joint, gibbs = (np.concatenate(x) for x in zip(*(  # source rows, then target rows
         _tensor_rows(base, cands, beta, width=width) for base in (src_m, dst_m))))
@@ -794,18 +792,19 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
 
     def settle(at) -> dict:  # _decide's verdicts on kept pairs ``at``, direct check failed
         n, s, d = ns[at], a[at], b[at]
-        (us, bs), (ud, bd) = (np.unique(x, return_inverse=True) for x in (s, d))
-        f = np.array(classical_renyi_divergences(joint[u := np.r_[us, half + ud]], gibbs[u],
-                                                 DEFAULT_ALPHA_GRID)) / beta  # both sides at once
-        f_src, f_dst = f[:len(us)][bs], f[len(us):][bd]
-        refuted, first = _raised(f_src, f_dst)
-        out = {int(n[m]): _increase(DEFAULT_ALPHA_GRID[k], f_src[m, k], f_dst[m, k])
-               for m, k in enumerate(first.tolist()) if refuted[m]}
-        n, s, d = n[~refuted].tolist(), s[~refuted], d[~refuted]
-        out.update(zip(n, _search(lambda k: (*_tensor_rows(src_m, [cands[x] for x in s], beta, k),
-                                             *_tensor_rows(dst_m, [cands[x] for x in d], beta, k)),
-                                  list(zip(dims[0][s].tolist(), dims[1][d].tolist())), 2, 32)))
-        return out
+
+        def free(orders, live):  # the screen's first order, else each distinct row once
+            if orders == DEFAULT_ALPHA_GRID[:1]:
+                return np.concatenate((fs[s[live], :1], fd[d[live], :1]))
+            (us, bs), (ud, bd) = (np.unique(x[live], return_inverse=True) for x in (s, d))
+            f = np.array(classical_renyi_divergences(joint[u := np.r_[us, half + ud]], gibbs[u],
+                                                     orders)) / beta
+            return f[np.r_[bs, len(us) + bd]]
+
+        return dict(zip(n.tolist(), _stages(
+            free, lambda k, live: (*_tensor_rows(src_m, [cands[x] for x in s[live]], beta, k),
+                                   *_tensor_rows(dst_m, [cands[x] for x in d[live]], beta, k)),
+            list(zip(dims[0][s].tolist(), dims[1][d].tolist())), DEFAULT_ALPHA_GRID, *_BUDGET)))
 
     step, starts = max(1, _SCREEN_LEVELS // (xs.shape[1] + xd.shape[1] + 2)), [0]
     while starts[-1] < len(i):  # chunks of _FIRST_PAIRS pairs, doubling up to step
@@ -813,7 +812,7 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
     for start, stop in zip(starts, starts[1:]):
         a, b = i[start:stop], j[start:stop]
         dropped = _dropped(xs[a], ys[a], xd[b], yd[b])
-        kept = np.flatnonzero(~(dropped & _raised(fs[a], fd[b])[0]))
+        kept = np.flatnonzero(~(dropped & (fd[b] > fs[a] + MONOTONE_TOL).any(axis=1)))
         ns, a, b, drops, settled = kept + start, a[kept], b[kept], dropped[kept], {}
         for at, (n, s, d, drop) in enumerate(zip(*(x.tolist() for x in (ns, a, b, drops)))):
             if drop and n not in settled:  # settle this chunk's open pairs from here on

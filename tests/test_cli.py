@@ -261,6 +261,22 @@ class TestMalformedInput:
         assert code == 1
         assert "cost guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("flag", "value"), [("--max-cat-dim", "0"), ("--max-cat-dim", "9"),
+                                                 ("--grid-steps", "0")])
+    def test_out_of_range_budget_is_usage_error_for_a_direct_pair(self, outdir, capsys, flag,
+                                                                   value):
+        # the direct check decides this pair, and the budget is refused all the same
+        src = _write_object(outdir / "src.json", ClassicalObject([0.9, 0.1], [0.0, 1.0]))
+        dst = _write_object(outdir / "dst.json", classical_gibbs([0.0, 1.0], 1.0))
+        assert main(["feasible", "--src", src, "--dst", dst, "--beta", "1", "--catalytic"]) == 0
+        capsys.readouterr()
+        code = main(["feasible", "--src", src, "--dst", dst, "--beta", "1",
+                     "--catalytic", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "cost guard" in captured.err
+        assert "Feasible" not in captured.out
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_check_samples_below_one_is_usage_error(self, outdir, capsys, samples):
         code = main(["check", "axiom1", "--samples", samples,

@@ -48,7 +48,13 @@ from thermowork.feasibility import (
 )
 from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _Prepared, _screen
 from thermowork.feasibility import _pair, _search, _tensor_rows
-from thermowork.quantifiers import FiniteList
+from thermowork.quantifiers import (
+    EpsilonDet,
+    FiniteList,
+    RenyiFreeEnergy,
+    WorkQuantifier,
+    work_value,
+)
 from thermowork.sampling import (
     random_classical_object,
     random_density_matrix,
@@ -610,6 +616,18 @@ class TestGibbsStochasticLP:
             assert verdict.is_feasible
             assert revalidate_gibbs_stochastic(verdict, c, omega, 1.0)
 
+    def test_other_feasible_kinds_do_not_revalidate(self):
+        # only a gibbs_stochastic_map witness carries a matrix to check
+        c = ClassicalObject([0.8, 0.2], [0.0, 1.0])
+        omega = classical_gibbs(c.energies, 1.0)
+        for verdict, src, dst in ((thermo_majorizes(c, omega, 1.0), c, omega),
+                                  (decide_catalytic(c, omega, 1.0), c, omega),
+                                  (catalytic_bruteforce(c, omega, 1.0), c, omega),
+                                  (catalytic_bruteforce(JP_SRC, JP_DST, 1.0, grid_steps=64),
+                                   JP_SRC, JP_DST)):
+            assert verdict.is_feasible and verdict.witness["kind"] != "gibbs_stochastic_map"
+            assert revalidate_gibbs_stochastic(verdict, src, dst, 1.0) is False
+
     def test_infeasible_carries_certificate(self):
         omega = classical_gibbs([0.0, 1.0], 1.0)
         target = ClassicalObject([0.95, 0.05], [0.0, 1.0])
@@ -1030,6 +1048,21 @@ class TestCatalyticBruteforce:
             catalytic_bruteforce(JP_SRC, JP_DST, 1.0, **budget)
         with pytest.raises(ValueError, match="guard"):
             decide_catalytic(JP_SRC, JP_DST, 1.0, **budget)
+
+    @pytest.mark.parametrize("budget", [{"max_cat_dim": 9}, {"max_cat_dim": 0},
+                                        {"grid_steps": 0}, {"grid_steps": 65}])
+    def test_budget_is_checked_whatever_stage_would_decide(self, budget):
+        c = ClassicalObject([0.8, 0.2], [0.0, 1.0])
+        omega = classical_gibbs(c.energies, 1.0)
+        plus = ThermoObject(np.full((2, 2), 0.5), HamiltonianClass(np.diag([0.0, 1.0])))
+        pairs = [(c, omega), (omega, c), (JP_SRC, JP_DST),
+                 (plus, gibbs_state(plus.hamiltonian, 1.0))]
+        # with the default budget: decided directly, by a monotone and by the search
+        assert [decide_catalytic(s, d, 1.0).witness["kind"] for s, d in pairs[:3]] == [
+            "curve_dominance", "monotone_increase", "catalyst"]
+        for src, dst in pairs:
+            with pytest.raises(ValueError, match="cost guard"):
+                decide_catalytic(src, dst, 1.0, **budget)
 
     @pytest.mark.parametrize(("max_cat_dim", "grid_steps"), [(2, 1), (3, 2), (4, 3), (4, 1)])
     def test_grid_without_catalysts_of_a_dimension_is_exhausted(self, max_cat_dim, grid_steps):
@@ -1935,3 +1968,94 @@ class TestClassifiedOnce:
             calls.clear()
             decide_catalytic(src, dst, 1.0)
             assert calls == want
+
+
+class TestStageRunner:
+    """Every decider runs its stages after the direct check through feasibility._stages."""
+
+    @staticmethod
+    def _record(monkeypatch) -> dict:
+        """Wrap _stages to log each run (pairs, grid, budget, calls of its free and rows
+        callbacks), and log the grid, search and kernel calls made outside a run."""
+        log, run = {"runs": [], "inside": False, "outside": []}, feasibility._stages
+
+        def stages(free, rows, dims, grid, max_cat_dim, grid_steps):
+            entry = {"pairs": len(dims), "grid": grid, "max_cat_dim": max_cat_dim,
+                     "free": 0, "rows": 0}
+            log["runs"].append(entry)
+
+            def counted(key, fn):
+                def call(*args):
+                    entry[key] += 1
+                    return fn(*args)
+                return call
+
+            log["inside"] = True
+            try:
+                return run(counted("free", free), counted("rows", rows), dims, grid,
+                           max_cat_dim, grid_steps)
+            finally:
+                log["inside"] = False
+
+        def watched(name, fn):
+            def call(*args):
+                if not log["inside"]:
+                    log["outside"].append((name, args))
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(feasibility, "_stages", stages)
+        for name in ("_search", "_pair_free", "classical_renyi_divergences", "_sandwiched"):
+            monkeypatch.setattr(feasibility, name, watched(name, getattr(feasibility, name)))
+        return log
+
+    def test_every_entry_point_reaches_the_grid_and_the_search_only_through_it(self, monkeypatch):
+        c = ClassicalObject([0.8, 0.2], [0.0, 1.0])
+        omega = classical_gibbs(c.energies, 1.0)
+        plus = ThermoObject(np.full((2, 2), 0.5), HamiltonianClass(np.diag([0.0, 1.0])))
+        excited = ThermoObject(np.diag([0.0, 1.0]).astype(complex), plus.hamiltonian)
+        half = tuple(a for a in DEFAULT_ALPHA_GRID if a >= 0.5)
+        # call, witness kind, and of its one run (grid, budget, free calls, whether searched)
+        cases = [
+            (lambda: decide_catalytic(c, omega, 1.0), "curve_dominance", None),
+            (lambda: decide_catalytic(omega, c, 1.0), "monotone_increase",
+             (DEFAULT_ALPHA_GRID, 2, 1, False)),
+            (lambda: decide_catalytic(JP_SRC, JP_DST, 1.0, 3, 16), "catalyst",
+             (DEFAULT_ALPHA_GRID, 3, 2, True)),
+            (lambda: decide_catalytic(plus, excited, 1.0), "monotone_increase",
+             (half, 1, 1, False)),
+            (lambda: catalytic_necessary(omega, c, 1.0), "monotone_increase",
+             (DEFAULT_ALPHA_GRID, 1, 1, False)),
+            # every order passes, and a budget of one level builds no catalyst rows
+            (lambda: catalytic_necessary(JP_SRC, JP_DST, 1.0), None,
+             (DEFAULT_ALPHA_GRID, 1, 2, False)),
+            (lambda: catalytic_necessary(plus, excited, 1.0), "monotone_increase",
+             (half, 1, 1, False)),
+            (lambda: catalytic_bruteforce(c, omega, 1.0), "catalyst", None),
+            # an empty grid: no free energies
+            (lambda: catalytic_bruteforce(JP_SRC, JP_DST, 1.0, 2, 64), "catalyst",
+             ((), 2, 0, True)),
+        ]
+        log = self._record(monkeypatch)
+        for call, kind, run in cases:
+            log["runs"].clear()
+            verdict = call()
+            assert (verdict.witness or {}).get("kind") == kind
+            assert log["outside"] == []
+            assert [(r["pairs"], r["grid"], r["max_cat_dim"], r["free"], r["rows"] > 0)
+                    for r in log["runs"]] == ([(1, *run)] if run else [])
+
+    def test_work_of_transition_default_oracle_runs_its_batches_through_it(self, monkeypatch):
+        fuel = ClassicalObject([0.2, 0.8], [0.0, 2.0])
+        quantifier = WorkQuantifier(RenyiFreeEnergy(1.0, 1.0))
+        want = work_value(quantifier, EpsilonDet(0.1, 1.0), fuel, 1.0, grid=32)
+        log = self._record(monkeypatch)
+        got = work_value(quantifier, EpsilonDet(0.1, 1.0), fuel, 1.0, grid=32)
+        assert json.dumps(got["tested"]) == json.dumps(want["tested"])
+        assert got["certificate"].to_json() == want["certificate"].to_json()
+        # outside a run only the screen's two orders, on the whole candidate table
+        assert [(name, tuple(args[2])) for name, args in log["outside"]] == [
+            ("classical_renyi_divergences", (DEFAULT_ALPHA_GRID[0], INF))]
+        assert [(r["grid"], r["max_cat_dim"]) for r in log["runs"]] == [(DEFAULT_ALPHA_GRID, 2)]
+        assert log["runs"][0]["pairs"] > 1 and log["runs"][0]["free"] == 2
+        assert log["runs"][0]["rows"] > 0
