@@ -93,8 +93,8 @@ def classical_renyi_divergences(p, q, alphas) -> list:
     order is a power sum with its own math.log; several such orders other than 0.5 and 2
     share one power sum, otherwise each keeps a scalar exponent (numpy's sqrt, square and
     reciprocal paths).  Larger orders, and a power sum still inf, NaN or 0, go by log-sum-exp.
-    No order warns.  Rows go in groups of one support size, each row's support levels moved
-    to the front, so a row adds the same terms in the same order as its one-row call.
+    No order warns.  Rows with full support go in as one group, unchanged and C-contiguous,
+    others by support size, support first: a row adds its terms as in its one-row call.
     """
     listed = _check_alphas(alphas)
     p = np.asarray(p, dtype=float)
@@ -120,10 +120,10 @@ def classical_renyi_divergences(p, q, alphas) -> list:
 
 
 def _compacted(mask: np.ndarray, *arrays) -> list:
-    """(rows, arrays) for each number of levels where ``mask`` holds: the rows
-    with that many, of each array, with those levels moved to the front."""
-    if len(mask) == 1:
-        return [((0,), [a[mask][None] for a in arrays])]
+    """(rows, arrays) for each number of levels where ``mask`` holds: those rows of each
+    array, those levels in front; if it holds everywhere, all rows as they are, C-contiguous."""
+    if mask.all():
+        return [(range(len(mask)), [np.ascontiguousarray(a) for a in arrays])]
     sizes = np.add.reduce(mask, 1)
     return [(at.tolist(), [a[at][mask[at]].reshape(len(at), size) for a in arrays])
             for size, at in ((s, np.flatnonzero(sizes == s)) for s in set(sizes.tolist()))]

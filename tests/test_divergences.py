@@ -237,6 +237,46 @@ class TestBatchedClassicalRenyi:
             [repr(v) for v in classical_renyi_divergences(p_row, q_row, grid)]
             for p_row, q_row in zip(p, q)]
 
+    @pytest.mark.parametrize("d", [16, 40])
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_rows_of_any_memory_layout_are_one_row_calls(self, layout, d):
+        # every level in both supports; past 8 levels numpy's sum is pairwise along a
+        # contiguous row, so a row read across the memory order would add in another order
+        rng, grid = rng_from_seed(d), DEFAULT_ALPHA_GRID + (0.0,)
+        wide = [rng.dirichlet(np.ones(2 * d), size=5) + 1e-3 for _ in range(2)]
+        p, q = (np.asfortranarray(a[:, :d]) if layout == "fortran" else a[:, ::2] for a in wide)
+        assert not (p.flags.c_contiguous or q.flags.c_contiguous)
+        got = classical_renyi_divergences(p, q, grid)
+        assert [[repr(v) for v in row] for row in got] == [
+            [repr(v) for v in classical_renyi_divergences(p_row.tolist(), q_row.tolist(), grid)]
+            for p_row, q_row in zip(p, q)]
+
+    @pytest.mark.parametrize("p, q, leak", [
+        ([0.5, 0.0, 0.3, 0.2], [0.1, 0.4, 0.2, 0.3], False),  # a level outside the support of p
+        ([0.5, 0.1, 0.3, 0.1], [0.3, 0.0, 0.4, 0.3], True),  # a reference weight of 0
+    ])
+    def test_one_row_with_a_level_outside_the_support(self, p, q, leak):
+        grid = [0.0, 0.3, 0.5, 0.9, 1.0, 2.0, 3.0, 100.0, INF]
+        inside = [k for k in range(len(p)) if min(p[k], q[k]) > 0.0]
+        support = classical_renyi_divergences([p[k] for k in inside], [q[k] for k in inside], grid)
+        mass = sum(b for a, b in zip(p, q) if a > 0.0)
+        want = [-math.log(mass) if alpha == 0.0 else INF if leak and alpha >= 1.0 else v
+                for alpha, v in zip(grid, support)]
+        assert [repr(v) for v in classical_renyi_divergences(p, q, grid)] == [repr(v) for v in want]
+        # the same row in a batch whose other row has full support
+        batch = classical_renyi_divergences([p, [0.25] * 4], [q, [0.25] * 4], grid)
+        assert [repr(v) for v in batch[0]] == [repr(v) for v in want]
+
+    def test_zero_levels_and_zero_rows(self):
+        grid = DEFAULT_ALPHA_GRID + (0.0,)
+        one = classical_renyi_divergences(np.empty(0), np.empty(0), grid)
+        # no level in the support: +inf at every order but 1, whose sum is empty
+        assert [v for alpha, v in zip(grid, one) if alpha != 1.0] == [INF] * (len(grid) - 1)
+        assert classical_renyi_divergences(np.empty((3, 0)), np.empty((3, 0)), grid) == [one] * 3
+        for levels in (0, 3):
+            assert classical_renyi_divergences(np.empty((0, levels)), np.empty((0, levels)),
+                                               grid) == []
+
     @pytest.mark.parametrize("p, q", [
         ([1.0], [3.68e-13]),
         ([0.5, 0.5], [1.0 - 3.68e-13, 3.68e-13]),
