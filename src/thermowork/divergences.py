@@ -125,8 +125,10 @@ def _compacted(mask: np.ndarray, *arrays) -> list:
     if mask.all():
         return [(range(len(mask)), [np.ascontiguousarray(a) for a in arrays])]
     sizes = np.add.reduce(mask, 1)
+    if len(distinct := set(sizes.tolist())) == 1:  # one group: no rows to pick
+        return [(range(len(mask)), [a[mask].reshape(len(mask), *distinct) for a in arrays])]
     return [(at.tolist(), [a[at][mask[at]].reshape(len(at), size) for a in arrays])
-            for size, at in ((s, np.flatnonzero(sizes == s)) for s in set(sizes.tolist()))]
+            for size, at in ((s, np.flatnonzero(sizes == s)) for s in distinct)]
 
 
 def _support_values(pb: np.ndarray, qb: np.ndarray, listed: list) -> list:

@@ -239,11 +239,15 @@ class TestBatchedClassicalRenyi:
 
     @pytest.mark.parametrize("d", [16, 40])
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
-    def test_rows_of_any_memory_layout_are_one_row_calls(self, layout, d):
-        # every level in both supports; past 8 levels numpy's sum is pairwise along a
-        # contiguous row, so a row read across the memory order would add in another order
+    @pytest.mark.parametrize("holes", [False, True])
+    def test_rows_of_any_memory_layout_are_one_row_calls(self, holes, layout, d):
+        # every level in both supports, or each row without one level of p, a different
+        # one per row; past 8 levels numpy's sum is pairwise along a contiguous row, so a
+        # row read across the memory order would add in another order
         rng, grid = rng_from_seed(d), DEFAULT_ALPHA_GRID + (0.0,)
         wide = [rng.dirichlet(np.ones(2 * d), size=5) + 1e-3 for _ in range(2)]
+        if holes:
+            wide[0][range(5), [0, 6, 12, 18, 24]] = 0.0
         p, q = (np.asfortranarray(a[:, :d]) if layout == "fortran" else a[:, ::2] for a in wide)
         assert not (p.flags.c_contiguous or q.flags.c_contiguous)
         got = classical_renyi_divergences(p, q, grid)

@@ -2,20 +2,20 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W --seeds 1-10 [--seconds 20]
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W --seeds 1-10
 
-For each seed it runs ``benchmarks/run.py --workload W --seed N --seconds S
---trace 0`` in both checkouts, one after the other: the parent first on odd
-seeds and the change first on even ones, so that a slow stretch of a shared
-host falls on both sides alike.  ``--seeds`` takes a range, such as ``1-10``, or
-one seed.
+For each seed it runs the ``command`` of ``BENCHMARK.json`` with ``--workload W
+--seed N --seconds S --trace 0``, S its ``run_seconds``, in both checkouts, one
+after the other: the parent first on odd seeds and the change first on even
+ones, so that a slow stretch of a shared host falls on both sides alike.
+``--seeds`` takes a range of at least two seeds, such as ``1-10``.
 
 A run's result is the last line of its standard output.  If any run is not
 ``correct`` or has failed operations, the script prints which and exits 1
 without a summary.  Otherwise it prints one line per end-to-end metric of
-``BENCHMARK.json``: the parent's median [interquartile range] -> the change's
-median, the change in percent, and the seeds on which the change did better
-(and on which the two read the same, if any).
+``BENCHMARK.json``: the parent's median [quartiles, as ``benchmarks/baseline.py``
+takes them] -> the change's median, the change in percent, and the seeds on
+which the change did better (and on which the two read the same, if any).
 """
 
 from __future__ import annotations
@@ -27,32 +27,36 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from baseline import summarise  # noqa: E402
 
 
 def parse_seeds(text: str) -> list:
-    """The seeds of ``text``, a range ``a-b`` or one number."""
+    """The seeds of ``text``, a range ``a-b`` of at least two."""
     first, _, last = text.partition("-")
-    if not (seeds := list(range(int(first), int(last or first) + 1))):
-        raise ValueError(f"no seeds in {text!r}")
+    if len(seeds := list(range(int(first), int(last or first) + 1))) < 2:
+        raise ValueError(f"fewer than two seeds in {text!r}")
     return seeds
 
 
-def run_once(checkout, workload: str, seed: int, seconds: float) -> str:
-    """The result line of one ``benchmarks/run.py`` run in ``checkout``."""
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_once(spec: dict, checkout, workload: str, seed: int) -> str:
+    """The result line of one run of the benchmark ``spec`` in ``checkout``."""
+    cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
+                             "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
     return out.splitlines()[-1]
 
 
-def alternated(parent, change, workload: str, seeds: list, seconds: float, run=run_once) -> tuple:
-    """(parent result lines, change result lines), one each per seed, the parent
-    run first on odd seeds and the change first on even ones."""
+def alternated(parent, change, seeds: list, run) -> tuple:
+    """(parent result lines, change result lines), one each per seed from
+    ``run(checkout, seed)``, the parent run first on odd seeds and the change
+    first on even ones."""
     results = ([], [])
     for seed in seeds:
         for side in (0, 1) if seed % 2 else (1, 0):
-            line = run((parent, change)[side], workload, seed, seconds)
+            line = run((parent, change)[side], seed)
             results[side].append(line)
             print(f"seed {seed} {('parent', 'change')[side]}: {line}", file=sys.stderr)
     return results
@@ -72,14 +76,14 @@ def summary(parent_lines: list, change_lines: list, better: dict) -> list:
     lines = []
     for name, direction in better.items():
         old, new = ([r["metrics"][name]["value"] for r in rs] for rs in runs)
-        q1, _, q3 = statistics.quantiles(old, n=4, method="inclusive") if old[1:] else old * 3
-        was, now = statistics.median(old), statistics.median(new)
+        was, now = summarise(old, None), statistics.median(new)
         sign = 1 if direction == "higher" else -1
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         tied = sum(a == b for a, b in zip(old, new))
-        delta = f"{100 * (now - was) / was:+.1f}%" if was else "n/a"
-        lines.append(f"{name}: {was:.4g} [{q1:.4g}-{q3:.4g}] -> {now:.4g}, {delta}, "
-                     f"won {won}/{len(old)}" + (f", tied {tied}" if tied else ""))
+        delta = f"{100 * (now - was['median']) / was['median']:+.1f}%" if was["median"] else "n/a"
+        lines.append(f"{name}: {was['median']:.4g} [{was['q1']:.4g}-{was['q3']:.4g}] -> "
+                     f"{now:.4g}, {delta}, won {won}/{len(old)}"
+                     + (f", tied {tied}" if tied else ""))
     return lines
 
 
@@ -89,16 +93,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="the change's checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="such as 1-10")
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
-    parent, change = alternated(args.parent, args.change, args.workload, args.seeds, args.seconds)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    parent, change = alternated(args.parent, args.change, args.seeds,
+                                lambda checkout, seed: run_once(spec, checkout, args.workload, seed))
     try:
         lines = summary(parent, change, better)
     except ValueError as err:
         print(f"no summary: {err}", file=sys.stderr)
         return 1
-    print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: parent [IQR] -> change")
+    print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: parent [quartiles] -> change")
     print("\n".join(lines))
     return 0
 
