@@ -89,12 +89,13 @@ def classical_renyi_divergences(p, q, alphas) -> list:
 
     One support rule holds at every order: levels where p > EIG_ZERO and q > EIG_ZERO
     count, and from alpha = 1 up a level with p > EIG_ZERO and q at or below it makes the
-    divergence +inf.  alpha = 0, 1 and inf have their own formulas.  Up to _POW_SAFE an
-    order is a power sum with its own math.log; several such orders other than 0.5 and 2
-    share one power sum, otherwise each keeps a scalar exponent (numpy's sqrt, square and
-    reciprocal paths).  Larger orders, and a power sum still inf, NaN or 0, go by log-sum-exp.
-    No order warns.  Rows with full support go in as one group, unchanged and C-contiguous,
-    others by support size, support first: a row adds its terms as in its one-row call.
+    divergence +inf; a row with no level in both supports is +inf at every order but 0.
+    alpha = 0, 1 and inf have their own formulas.  Up to _POW_SAFE an order is a power sum
+    with its own math.log; several such orders other than 0.5 and 2 share one power sum,
+    otherwise each keeps a scalar exponent (numpy's sqrt, square and reciprocal paths).
+    Larger orders, and a power sum still inf, NaN or 0, go by log-sum-exp.  No order warns.
+    Rows with full support go in as one group, unchanged and C-contiguous, others by
+    support size, support first: a row adds its terms as in its one-row call.
     """
     listed = _check_alphas(alphas)
     p = np.asarray(p, dtype=float)
@@ -133,10 +134,12 @@ def _compacted(mask: np.ndarray, *arrays) -> list:
 
 def _support_values(pb: np.ndarray, qb: np.ndarray, listed: list) -> list:
     """The values at the orders of ``listed`` (0 at order 0), a list for each
-    row of pb, qb: the levels in both supports."""
+    row of pb, qb: the levels in both supports.  With no such level every other order is +inf."""
+    if not pb.shape[1]:
+        return [[0.0 if alpha == 0.0 else INF for alpha in listed] for _ in range(len(pb))]
     low = [alpha for alpha in listed if alpha <= _POW_SAFE and alpha not in (0.0, 1.0)]
     if len(low) > 1 and 0.5 not in low and 2.0 not in low:
-        a, step = np.array(low)[:, None], max(1, (1 << 15) // (len(low) * pb.shape[1] or 1))
+        a, step = np.array(low)[:, None], max(1, (1 << 15) // (len(low) * pb.shape[1]))
         sums = [s for k in range(0, len(pb), step) for s in np.add.reduce(  # temporaries <= 256 KB
             pb[k:k + step, None] ** a * qb[k:k + step, None] ** (1.0 - a), 2).tolist()]
     else:
@@ -152,8 +155,7 @@ def _support_values(pb: np.ndarray, qb: np.ndarray, listed: list) -> list:
         if 1.0 in listed:
             columns[1.0] = np.add.reduce(pb * (np.log(pb) - np.log(qb)), 1).tolist()
         if INF in listed:
-            columns[INF] = (np.log(np.maximum.reduce(pb / qb, 1)).tolist() if pb.shape[1]
-                            else [INF] * len(pb))
+            columns[INF] = np.log(np.maximum.reduce(pb / qb, 1)).tolist()
         for k in [k for k, alpha in enumerate(listed) if alpha in columns]:
             for row, v in zip(values, columns[listed[k]]):
                 row.insert(k, v)  # in order of k, so each lands at its index

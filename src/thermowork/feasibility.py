@@ -186,7 +186,7 @@ def _classified(src, dst):
 
 def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     """Thermomajorization curve of a classical object at inverse temperature beta."""
-    return ThermoCurve(tuple(zip(*_Prepared(_as_classical(c), as_beta(ctx)).curve.T.tolist())))
+    return ThermoCurve(tuple(zip(*_Rows([_as_classical(c)], as_beta(ctx)).curve(0).T.tolist())))
 
 
 def _curve(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -233,8 +233,8 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
     Boundary equality counts as Feasible; the Infeasible witness carries the
     first crossing point.
     """
-    src, dst = _pair(_as_classical(src), _as_classical(dst), as_beta(ctx))
-    return _curve_dominance(src.curve, dst.curve)
+    rows = _Rows([_as_classical(src), _as_classical(dst)], as_beta(ctx))
+    return _curve_dominance(rows.curve(0), rows.curve(1))
 
 
 def _curve_dominance(src_c: np.ndarray, dst_c: np.ndarray) -> FeasibilityVerdict:
@@ -261,41 +261,73 @@ def _curve_dominance(src_c: np.ndarray, dst_c: np.ndarray) -> FeasibilityVerdict
     })
 
 
-class _Prepared:
-    """An object with what the deciders ask of it, each computed once: its Gibbs weights alone
-    and beside a catalyst of each dimension (for a quantum object its Gibbs state and the state's
-    eigh) and its curve.  _pair's twins share the Gibbs part, if their Hamiltonians are equal bit
-    for bit (== allows a tolerance and shifts).  It keeps no free energies: see _pair_free."""
+class _Rows:
+    """The deciders' one source of classical rows: row m * len(objs) + k holds the probabilities
+    of bases[m] (x) objs[k] (objs[k] alone where bases[m] is None), zero-padded to the widest
+    row, and gibbs(cat_dim) their Gibbs weights beside cat_dim zero-energy catalyst levels (level
+    i * cat_dim + k), one gibbs_weights call per base and object dimension, made once."""
 
-    def __init__(self, obj, beta: float):
-        self.obj, self.beta, self._gibbs = obj, beta, {}
+    def __init__(self, objs, beta: float, bases=(None,)):
+        dims = [c.dim for c in objs]
+        self.dims = dims if bases == (None,) else [b.dim * dim for b in bases for dim in dims]
+        if bases != (None,):  # the cap is on tensor products, not on an object alone
+            check_tensor_dim(max(self.dims))
+        self.beta, self._gibbs = beta, {}
+        if bases == (None,) and dims.count(dims[0]) == len(dims):  # one group, no grouping loop
+            self._rows, self.probs = [slice(None)], np.array([c.probs for c in objs])
+            self._energies = [np.array([c.energies for c in objs])]
+            self._gibbs[1] = gibbs_weights(self._energies[0], beta)
+            return
+        self._rows, self._energies, at_dim = [], [], {}
+        self.probs = np.zeros((len(self.dims), max(self.dims)))
+        for k, dim in enumerate(dims):
+            at_dim.setdefault(dim, []).append(k)
+        for m, base in enumerate(bases):
+            for at in at_dim.values():
+                p = np.array([objs[k].probs for k in at])
+                e = np.array([objs[k].energies for k in at])
+                if base is not None:
+                    p = (base.probs[:, None] * p[:, None, :]).reshape(len(at), -1)
+                    e = (base.energies[:, None] + e[:, None, :]).reshape(len(at), -1)
+                self._rows.append([m * len(dims) + k for k in at])
+                self._energies.append(e)
+                self.probs[self._rows[-1], :p.shape[1]] = p
 
     def gibbs(self, cat_dim: int = 1) -> np.ndarray:
-        """Gibbs weights of a classical object in tensor with a catalyst of
-        ``cat_dim`` levels at zero energy, level i * cat_dim + k; the Gibbs
-        state of a quantum object."""
         if cat_dim not in self._gibbs:
-            if isinstance(self.obj, ClassicalObject):
-                energies = self.obj.energies
-                self._gibbs[cat_dim] = gibbs_weights(
-                    energies if cat_dim == 1 else np.repeat(energies, cat_dim), self.beta)
-            else:
-                sigma = _gibbs_matrix(self.obj.hamiltonian, self.beta)
-                self._gibbs[cat_dim], self._gibbs["eigh"] = sigma, np.linalg.eigh(sigma)
+            g = self._gibbs[cat_dim] = np.zeros((len(self.dims), max(self.dims) * cat_dim))
+            for rows, e in zip(self._rows, self._energies):
+                g[rows, :e.shape[1] * cat_dim] = gibbs_weights(
+                    e if cat_dim == 1 else np.repeat(e, cat_dim, 1), self.beta)
         return self._gibbs[cat_dim]
 
-    @functools.cached_property
-    def curve(self) -> np.ndarray:
-        return _curve(self.obj.probs, self.gibbs())
+    def curve(self, n: int) -> np.ndarray:
+        """Row n's _curve."""
+        return _curve(self.probs[n, :self.dims[n]], self.gibbs()[n, :self.dims[n]])
 
-    def fill_free(self, orders) -> np.ndarray:
-        """delta_F at ``orders`` in one kernel call, equal to delta_F_alpha's values to the bit."""
-        if isinstance(self.obj, ClassicalObject):
-            values = classical_renyi_divergences(self.obj.probs, self.gibbs(), orders)
-        else:
-            values, = _sandwiched([self.obj.state], self.gibbs(), self._gibbs["eigh"],
-                                  _check_alphas(orders))
-        return np.array(values) / self.beta
+    def free(self, orders, rows=slice(None)) -> np.ndarray:
+        """delta_F of ``rows`` at ``orders`` in one kernel call, delta_F_alpha's to the bit."""
+        return np.array(classical_renyi_divergences(self.probs[rows], self.gibbs()[rows],
+                                                    orders)) / self.beta
+
+    def pairs(self, src, dst, cat_dim: int) -> tuple:
+        """The probabilities and gibbs(cat_dim) of rows ``src``, then of ``dst``, one width."""
+        w, g = max(self.dims[n] for n in itertools.chain(src, dst)), self.gibbs(cat_dim)
+        return self.probs[src, :w], g[src, :w * cat_dim], self.probs[dst, :w], g[dst, :w * cat_dim]
+
+
+class _Prepared:
+    """A quantum object with its Gibbs state and the state's eigh, those of ``twin`` if given."""
+
+    def __init__(self, obj, beta: float, twin=None):
+        self.obj, self.beta = obj, beta
+        self.sigma = _gibbs_matrix(obj.hamiltonian, beta) if twin is None else twin.sigma
+        self.eigh = np.linalg.eigh(self.sigma) if twin is None else twin.eigh
+
+    def free(self, orders) -> np.ndarray:
+        """delta_F at ``orders``, one row, in one kernel call, delta_F_alpha's to the bit."""
+        return np.array(_sandwiched([self.obj.state], self.sigma, self.eigh,
+                                    _check_alphas(orders))) / self.beta
 
 
 def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
@@ -306,14 +338,14 @@ def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
     from scipy import sparse
 
     ds, dd = src.dim, dst.dim
+    g = _Rows([src, dst], beta).gibbs()
     i, j = np.divmod(np.arange(dd * ds, dtype=np.int32), ds)  # scipy's index type
     rows = np.stack([j, ds + i, ds + dd + i], axis=1)
-    data = np.stack([np.ones(dd * ds), np.tile(src.gibbs_weights(beta), dd),
-                     np.tile(src.probs, dd)], axis=1)
+    data = np.stack([np.ones(dd * ds), np.tile(g[0, :ds], dd), np.tile(src.probs, dd)], axis=1)
     kept = data != 0.0
     indptr = np.cumsum(np.concatenate(([0], np.add.reduce(kept, 1))), dtype=np.int32)
     a_eq = sparse.csc_array((data[kept], rows[kept], indptr), shape=(ds + 2 * dd, dd * ds))
-    b_eq = np.concatenate([np.ones(ds), dst.gibbs_weights(beta), dst.probs])
+    b_eq = np.concatenate([np.ones(ds), g[1, :dd], dst.probs])
     return a_eq, b_eq
 
 
@@ -463,20 +495,25 @@ def catalytic_necessary(src, dst, ctx, alpha_grid=None) -> FeasibilityVerdict:
 
 
 def _necessary(src, dst, beta: float, grid: tuple, classical) -> FeasibilityVerdict:
-    """catalytic_necessary on a checked grid, ``classical`` the pair's _classified: _stages
-    with a budget of one catalyst level, which searches nothing (catalysts start at two)."""
-    return _pair_stages(*_pair(*(classical or (src, dst)), beta),
-                        grid if classical else tuple(a for a in grid if a >= 0.5), 1, _BUDGET[1])
+    """catalytic_necessary on a checked grid, ``classical`` the pair's _classified: _stages with
+    a budget of one catalyst level, which searches nothing (catalysts start at two) nor rows."""
+    if classical:
+        return _pair_stages(_Rows(classical, beta), grid, 1, _BUDGET[1])
+    src, dst = _pair(src, dst, beta)
+    return _stages(lambda orders, live: _pair_free(src, dst, orders), None, [()],
+                   tuple(a for a in grid if a >= 0.5), 1, _BUDGET[1])[0]
 
 
 def _pair(src, dst, beta: float) -> tuple:
-    """_Prepared src and dst, twins if their Hamiltonians are equal bit for bit, not just by ==."""
-    first, second = _Prepared(src, beta), _Prepared(dst, beta)
-    h, g = (memoryview(x.hamiltonian.matrix if isinstance(x, ThermoObject) else x.energies)
-            .cast("B").cast("Q") for x in (src, dst))  # 8-byte words: no copy, no temporary
-    if type(src) is type(dst) and h == g:
-        second._gibbs = first._gibbs
-    return first, second
+    """src and dst for _pair_free: a classical one as a one-row _Rows, a quantum one as _Prepared,
+    twins (Hamiltonians equal bit for bit, not just by ==) sharing one Gibbs state."""
+    if isinstance(src, ClassicalObject) or isinstance(dst, ClassicalObject):
+        return tuple(_Rows([x], beta) if isinstance(x, ClassicalObject) else _Prepared(x, beta)
+                     for x in (src, dst))
+    h, g = (memoryview(x.hamiltonian.matrix).cast("B").cast("Q")
+            for x in (src, dst))  # 8-byte words: no copy, no temporary
+    first = _Prepared(src, beta)
+    return first, _Prepared(dst, beta, first if type(src) is type(dst) and h == g else None)
 
 
 def _order_grid(alpha_grid) -> tuple:
@@ -488,22 +525,14 @@ def _order_grid(alpha_grid) -> tuple:
     return grid
 
 
-def _pair_free(src: _Prepared, dst: _Prepared, orders) -> np.ndarray:
-    """delta_F at ``orders``, src's in row 0 and dst's in row 1, delta_F_alpha's to the bit: a
-    classical pair in one two-row kernel call, zero-padded (levels outside the support keep the
-    bytes); quantum twins in one two-state _sandwiched call; any other pair fill_free per side."""
-    if isinstance(src.obj, ClassicalObject) and isinstance(dst.obj, ClassicalObject):
-        ds, dd = src.obj.dim, dst.obj.dim
-        p, q = np.zeros((2, max(ds, dd))), np.zeros((2, max(ds, dd)))
-        p[0, :ds], p[1, :dd] = src.obj.probs, dst.obj.probs
-        q[0, :ds], q[1, :dd] = src.gibbs(), dst.gibbs()
-        values = classical_renyi_divergences(p, q, orders)
-    elif src._gibbs is dst._gibbs:  # quantum twins
-        values = _sandwiched([src.obj.state, dst.obj.state], src.gibbs(), src._gibbs["eigh"],
+def _pair_free(src, dst, orders) -> np.ndarray:
+    """delta_F at ``orders`` of _pair's src in row 0 and dst in row 1, delta_F_alpha's to the
+    bit: quantum twins in one two-state _sandwiched call, any other pair one call per side."""
+    if isinstance(dst, _Prepared) and getattr(src, "sigma", None) is dst.sigma:  # quantum twins
+        values = _sandwiched([src.obj.state, dst.obj.state], src.sigma, src.eigh,
                              _check_alphas(orders))
-    else:
-        return np.array([src.fill_free(orders), dst.fill_free(orders)])
-    return np.array(values) / src.beta
+        return np.array(values) / src.beta
+    return np.concatenate((src.free(orders), dst.free(orders)))
 
 
 def _stages(free, rows, dims: list, grid: tuple, max_cat_dim: int, grid_steps: int) -> list:
@@ -534,13 +563,12 @@ def _stages(free, rows, dims: list, grid: tuple, max_cat_dim: int, grid_steps: i
     return verdicts if len(found) == len(live) else verdicts[:live[len(found) - 1] + 1]
 
 
-def _pair_stages(src: _Prepared, dst: _Prepared, grid: tuple, max_cat_dim: int,
-                 grid_steps: int) -> FeasibilityVerdict:
-    """_stages on the one pair (src, dst)."""
-    return _stages(lambda orders, live: _pair_free(src, dst, orders),
-                   lambda k, live: (src.obj.probs[None], src.gibbs(k)[None],
-                                    dst.obj.probs[None], dst.gibbs(k)[None]),
-                   [(src.obj.dim, dst.obj.dim)], grid, max_cat_dim, grid_steps)[0]
+def _pair_stages(rows: _Rows, grid: tuple, max_cat_dim: int, grid_steps: int) -> FeasibilityVerdict:
+    """_stages on the one pair of a two-row table, its source in row 0."""
+    return _stages(lambda orders, live: rows.free(orders),
+                   lambda k, live: (rows.probs[:1], rows.gibbs(k)[:1],
+                                    rows.probs[1:], rows.gibbs(k)[1:]),
+                   [tuple(rows.dims)], grid, max_cat_dim, grid_steps)[0]
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -591,8 +619,8 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = _BUDGET[0],
     """
     beta = as_beta(ctx)
     _check_cost_guards(max_cat_dim, grid_steps)
-    src, dst = _pair(_as_classical(src), _as_classical(dst), beta)
-    direct = _curve_dominance(src.curve, dst.curve)
+    rows = _Rows([_as_classical(src), _as_classical(dst)], beta)
+    direct = _curve_dominance(rows.curve(0), rows.curve(1))
     if direct.is_feasible:
         return feasible({
             "kind": "catalyst",
@@ -601,7 +629,7 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = _BUDGET[0],
             "note": "no catalyst needed",
             "direct": direct.witness,
         })
-    return _pair_stages(src, dst, (), max_cat_dim, grid_steps)
+    return _pair_stages(rows, (), max_cat_dim, grid_steps)
 
 
 def _search(rows, dims: list, max_cat_dim: int, grid_steps: int) -> list:
@@ -636,9 +664,9 @@ def _search(rows, dims: list, max_cat_dim: int, grid_steps: int) -> list:
 def _screen(sp: np.ndarray, sg: np.ndarray, dp: np.ndarray, dg: np.ndarray, lo: int, top: int,
             grid_steps: int):
     """(pair, dimension, index) of the catalysts of _catalyst_table(lo, top, grid_steps)
-    that _curve_dominance may accept, for pairs of source and target rows of zero-padded
-    probabilities (sp, dp) and Gibbs weights beside top catalyst levels (sg, dg), pair
-    by pair in search order, _SCREEN_LEVELS joint levels of both sides at once.
+    that _curve_dominance may accept, for pairs of source and target rows of probabilities
+    (sp, dp) zero-padded to one width and Gibbs weights beside top catalyst levels (sg, dg),
+    pair by pair in search order, _SCREEN_LEVELS joint levels of both sides at once.
 
     Each joint curve is an array with every level its own breakpoint, and the source
     curve is read at the target's breakpoints.  Between two breakpoints of either exact
@@ -651,10 +679,6 @@ def _screen(sp: np.ndarray, sg: np.ndarray, dp: np.ndarray, dg: np.ndarray, lo: 
     with x scaled by k / top, then flat at its end, so the deficit is the k-level one
     rescaled, 0 on the tail.  _SCREEN_SLACK covers the ties and rounding (1e-16 a level)."""
     table, where = _catalyst_table(lo, top, grid_steps)
-    if sp.shape[1] != dp.shape[1]:  # both sides to one width, padding last
-        w = max(sp.shape[1], dp.shape[1])
-        sp, sg, dp, dg = (np.pad(x, ((0, 0), (0, n - x.shape[1])))
-                          for x, n in zip((sp, sg, dp, dg), (w, w * top) * 2))
     levels = sp.shape[1] * top
     rows = max(1, _SCREEN_LEVELS // (2 * levels))  # joint rows per side
     k = min(rows, len(table)) or 1  # catalysts per chunk; an empty table gives no chunk
@@ -676,14 +700,14 @@ def _dropped(xs: np.ndarray, ys: np.ndarray, xd: np.ndarray, yd: np.ndarray) -> 
 
 
 def _joint_curves(joint: np.ndarray, g: np.ndarray):
-    """Curves of the rows of ``joint`` with Gibbs weights ``g`` (one row, or one
-    per row), every level its own breakpoint, padding levels (0 and 0) last:
-    arrays xs, ys of shape (rows, levels + 1), snapped to (1, 1) as thermo_curve."""
+    """Curves of the rows of ``joint`` with Gibbs weights ``g``, a row each, every
+    level its own breakpoint, padding levels (0 and 0) last: arrays xs, ys of
+    shape (rows, levels + 1), snapped to (1, 1) as thermo_curve."""
     n, rows = len(joint), np.arange(len(joint))[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as in _curve
         order = (-(joint / g)).argsort(axis=1)  # equal ratios in any order: same curve
     xs, ys = np.zeros((n, joint.shape[1] + 1)), np.zeros((n, joint.shape[1] + 1))
-    (g[order] if g.ndim == 1 else g[rows, order]).cumsum(axis=1, out=xs[:, 1:])
+    g[rows, order].cumsum(axis=1, out=xs[:, 1:])
     joint[rows, order].cumsum(axis=1, out=ys[:, 1:])
     end = (np.abs(xs[:, -1] - 1) < 1e-9) & (np.abs(ys[:, -1] - 1) < 1e-9)
     xs[end, -1] = ys[end, -1] = 1.0
@@ -757,14 +781,14 @@ def decide_catalytic(src, dst, ctx, max_cat_dim: int = _BUDGET[0], grid_steps: i
     _check_cost_guards(max_cat_dim, grid_steps)
     if classical is None:
         return _necessary(src, dst, beta, grid, None)
-    return _decide(*_pair(*classical, beta), max_cat_dim, grid_steps, grid)
+    return _decide(_Rows(classical, beta), max_cat_dim, grid_steps, grid)
 
 
-def _decide(src: _Prepared, dst: _Prepared, max_cat_dim: int = _BUDGET[0],
-            grid_steps: int = _BUDGET[1], grid: tuple = DEFAULT_ALPHA_GRID) -> FeasibilityVerdict:
-    """decide_catalytic on prepared classical objects, a checked order grid and budget."""
-    direct = _curve_dominance(src.curve, dst.curve)
-    return direct if direct.is_feasible else _pair_stages(src, dst, grid, max_cat_dim, grid_steps)
+def _decide(rows: _Rows, max_cat_dim: int = _BUDGET[0], grid_steps: int = _BUDGET[1],
+            grid: tuple = DEFAULT_ALPHA_GRID) -> FeasibilityVerdict:
+    """decide_catalytic on a two-row table of a classical pair, a checked order grid and budget."""
+    direct = _curve_dominance(rows.curve(0), rows.curve(1))
+    return direct if direct.is_feasible else _pair_stages(rows, grid, max_cat_dim, grid_steps)
 
 
 def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i: np.ndarray,
@@ -780,15 +804,10 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
     skipped.  The other pairs the direct check fails go through _stages with _decide's grid
     and budget (a kept pair alone, the dropped ones from a chunk's first open one on as one
     batch), the first order read from the table and the rest once per distinct row."""
-    width, half = max(src_m.dim, dst_m.dim) * max(c.dim for c in cands), len(cands)
-    joint, gibbs = (np.concatenate(x) for x in zip(*(  # source rows, then target rows
-        _tensor_rows(base, cands, beta, width=width) for base in (src_m, dst_m))))
-    rows = [(joint[:half], gibbs[:half]), (joint[half:], gibbs[half:])]
-    dims = [np.array([base.dim * c.dim for c in cands]) for base in (src_m, dst_m)]
-    (xs, ys), f = _joint_curves(joint, gibbs), np.array(classical_renyi_divergences(
-        joint, gibbs, (DEFAULT_ALPHA_GRID[0], INF))) / beta
+    table, half = _Rows(cands, beta, (src_m, dst_m)), len(cands)  # source rows, then target rows
+    xs, ys = _joint_curves(table.probs, table.gibbs())
+    f, curve = table.free((DEFAULT_ALPHA_GRID[0], INF)), functools.cache(table.curve)
     xs, ys, xd, yd, fs, fd = xs[:half], ys[:half], xs[half:], ys[half:], f[:half], f[half:]
-    curve = functools.cache(lambda side, k: _curve(*(x[k, :dims[side][k]] for x in rows[side])))
 
     def settle(at) -> dict:  # _decide's verdicts on kept pairs ``at``, direct check failed
         n, s, d = ns[at], a[at], b[at]
@@ -797,14 +816,12 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
             if orders == DEFAULT_ALPHA_GRID[:1]:
                 return np.concatenate((fs[s[live], :1], fd[d[live], :1]))
             (us, bs), (ud, bd) = (np.unique(x[live], return_inverse=True) for x in (s, d))
-            f = np.array(classical_renyi_divergences(joint[u := np.r_[us, half + ud]], gibbs[u],
-                                                     orders)) / beta
-            return f[np.r_[bs, len(us) + bd]]
+            return table.free(orders, np.r_[us, half + ud])[np.r_[bs, len(us) + bd]]
 
         return dict(zip(n.tolist(), _stages(
-            free, lambda k, live: (*_tensor_rows(src_m, [cands[x] for x in s[live]], beta, k),
-                                   *_tensor_rows(dst_m, [cands[x] for x in d[live]], beta, k)),
-            list(zip(dims[0][s].tolist(), dims[1][d].tolist())), DEFAULT_ALPHA_GRID, *_BUDGET)))
+            free, lambda k, live: table.pairs(s[live], half + d[live], k),
+            [(table.dims[x], table.dims[half + y]) for x, y in zip(s.tolist(), d.tolist())],
+            DEFAULT_ALPHA_GRID, *_BUDGET)))
 
     step, starts = max(1, _SCREEN_LEVELS // (xs.shape[1] + xd.shape[1] + 2)), [0]
     while starts[-1] < len(i):  # chunks of _FIRST_PAIRS pairs, doubling up to step
@@ -820,28 +837,8 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
                     settled = settle(at + np.flatnonzero(drops[at:]))
                 except ValueError:  # a later pair's own error waits until it is reached
                     settled = settle([at])
-            verdict = settled[n] if drop else _curve_dominance(curve(0, s), curve(1, d))
+            verdict = settled[n] if drop else _curve_dominance(curve(s), curve(half + d))
             yield n, verdict if drop or verdict.is_feasible else settle([at])[n]
-
-
-def _tensor_rows(base: ClassicalObject, objs: list, beta: float, cat_dim: int = 1,
-                 width: int = 1):
-    """Probabilities of base (x) c for each c of ``objs`` and their Gibbs weights beside
-    ``cat_dim`` zero-energy catalyst levels, one row each zero-padded to at least ``width``
-    levels: the arrays of classical_tensor and _Prepared.gibbs, computed for all objects
-    of one dimension at once."""
-    dims = [c.dim for c in objs]
-    check_tensor_dim(base.dim * max(dims))
-    width = max(width, base.dim * max(dims))
-    probs, gibbs = np.zeros((len(objs), width)), np.zeros((len(objs), width * cat_dim))
-    for dim in set(dims):
-        at = [k for k, d in enumerate(dims) if d == dim]
-        cp = np.array([objs[k].probs for k in at])[:, None, :]
-        energies = (base.energies[:, None] + np.array([objs[k].energies for k in at])[:, None, :]
-                    ).reshape(len(at), -1)
-        probs[at, :base.dim * dim] = (base.probs[:, None] * cp).reshape(len(at), -1)
-        gibbs[at, :base.dim * dim * cat_dim] = gibbs_weights(np.repeat(energies, cat_dim, 1), beta)
-    return probs, gibbs
 
 
 def decide_free(src, dst, ctx) -> FeasibilityVerdict:

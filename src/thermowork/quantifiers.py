@@ -38,9 +38,9 @@ from .feasibility import (
     FeasibilityVerdict,
     Status,
     _as_classical,
+    _Rows,
     _decide_pairs,
     _json_safe,
-    _tensor_rows,
     decide_catalytic,
     thermo_majorizes,
 )
@@ -105,9 +105,9 @@ class RenyiFreeEnergy(Monotone):
         """For classical objects one row call, each value that of self(c) to the bit."""
         if not all(isinstance(c, ClassicalObject) for c in objs):
             return super()._values(objs)
-        beta = as_beta(self.ctx)
-        rows = _tensor_rows(EMPTY_CLASSICAL, objs, beta)
-        return np.array(classical_renyi_divergences(*rows, (self.alpha,)))[:, 0] / beta
+        rows = _Rows(objs, as_beta(self.ctx))
+        values = classical_renyi_divergences(rows.probs, rows.gibbs(), (self.alpha,))
+        return np.array(values)[:, 0] / rows.beta
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class MeanEnergy(Monotone):
         if isinstance(obj, NonInteractingObject):
             obj = obj.obj
         if isinstance(obj, ClassicalObject):
-            g = obj.gibbs_weights(beta)
+            g = _Rows([obj], beta).gibbs()[0]
             return float(np.dot(obj.probs - g, obj.energies))
         omega = gibbs_state(obj.hamiltonian, beta)
         h = obj.hamiltonian.matrix

@@ -1,4 +1,5 @@
-"""tools/ab_pairs.py: the alternation of runs and the summary of canned result lines."""
+"""tools/ab_pairs.py: the alternation of runs, and the summary and exit status of canned
+result lines."""
 
 import importlib.util
 import json
@@ -11,7 +12,9 @@ _spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
 ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
 
-BETTER = {"ops_per_s": "higher", "op_p50_ms": "lower", "undecided_ratio": "lower"}
+METRICS = [{"name": "ops_per_s", "better": "higher", "bound": 0.2},
+           {"name": "op_p50_ms", "better": "lower", "bound": 0.2},
+           {"name": "undecided_ratio", "better": "lower", "bound": 0.2}]
 
 
 def _line(ops, p50, undecided=0.05, correct=True, failed=0) -> str:
@@ -26,17 +29,29 @@ def _line(ops, p50, undecided=0.05, correct=True, failed=0) -> str:
 def test_summary_gives_median_iqr_change_and_pairs_won():
     parent = [_line(100, 0.110), _line(104, 0.112), _line(96, 0.108), _line(102, 0.124)]
     change = [_line(110, 0.100), _line(103, 0.095), _line(108, 0.098), _line(112, 0.111)]
-    assert ab_pairs.summary(parent, change, BETTER) == [
+    assert ab_pairs.summary(parent, change, METRICS) == ([
         "ops_per_s: 101 [97-103.5] -> 109, +7.9%, won 3/4",
         "op_p50_ms: 0.111 [0.1085-0.121] -> 0.099, -10.8%, won 4/4",
         "undecided_ratio: 0.05 [0.05-0.05] -> 0.05, +0.0%, won 0/4, tied 4",
-    ]
+    ], [])
+
+
+def test_a_median_worse_than_its_bound_is_marked():
+    parent = [_line(100, 0.100, 0.05)] * 4
+    # ops_per_s 20% down and op_p50_ms 20% up sit on the bound; the ratio is 40% up
+    change = [_line(80, 0.120, 0.07)] * 4
+    lines, past = ab_pairs.summary(parent, change, METRICS)
+    assert past == ["undecided_ratio"]
+    assert lines[2] == "undecided_ratio: 0.05 [0.05-0.05] -> 0.07, +40.0%, won 0/4, PAST BOUND 20%"
+    assert "PAST" not in lines[0] + lines[1]
+    worse = [_line(79, 0.121, 0.05)] * 4
+    assert ab_pairs.summary(parent, worse, METRICS)[1] == ["ops_per_s", "op_p50_ms"]
 
 
 def test_quartiles_are_those_of_the_baseline():
     # with ten runs, numpy-style inclusive quartiles would read 3.25-7.75
     parent = [_line(100, k / 1000) for k in range(1, 11)]
-    assert ab_pairs.summary(parent, parent, {"op_p50_ms": "lower"}) == [
+    assert ab_pairs.summary(parent, parent, METRICS[1:2])[0] == [
         "op_p50_ms: 0.0055 [0.00275-0.00825] -> 0.0055, +0.0%, won 0/10, tied 10"]
 
 
@@ -44,14 +59,14 @@ def test_quartiles_are_those_of_the_baseline():
 def test_refuses_a_run_that_is_not_correct_or_has_failures(bad):
     good = [_line(100, 0.1)] * 3
     with pytest.raises(ValueError, match="change run 2"):
-        ab_pairs.summary(good, [good[0], _line(100, 0.1, **bad), good[0]], BETTER)
+        ab_pairs.summary(good, [good[0], _line(100, 0.1, **bad), good[0]], METRICS)
     with pytest.raises(ValueError, match="parent run 3"):
-        ab_pairs.summary([good[0], good[0], _line(100, 0.1, **bad)], good, BETTER)
+        ab_pairs.summary([good[0], good[0], _line(100, 0.1, **bad)], good, METRICS)
 
 
 def test_refuses_unpaired_runs():
     with pytest.raises(ValueError, match="2 parent runs against 1"):
-        ab_pairs.summary([_line(1, 1)] * 2, [_line(1, 1)], BETTER)
+        ab_pairs.summary([_line(1, 1)] * 2, [_line(1, 1)], METRICS)
 
 
 def test_runs_alternate_with_the_parent_first_on_odd_seeds():
@@ -88,3 +103,22 @@ def test_runs_take_command_and_length_from_the_benchmark(monkeypatch):
     assert ab_pairs.run_once(spec, "P", "work-quantify", 3) == "last"
     assert seen == {"cmd": ["python3", "benchmarks/run.py", "--workload", "work-quantify",
                             "--seed", "3", "--seconds", "20", "--trace", "0"], "cwd": "P"}
+
+
+@pytest.mark.parametrize(("p50", "status"), [(0.119, 0), (0.121, 2)])
+def test_exits_2_when_a_metric_of_the_benchmark_is_past_its_bound(monkeypatch, capsys, p50,
+                                                                   status):
+    # op_p50_ms has a bound of 20% in BENCHMARK.json; the other metrics read the same
+    metrics = {name: {"value": 1.0} for name in ("setup_s", "ops_per_s", "op_p90_ms",
+                                                 "undecided_ratio", "peak_rss_mb")}
+
+    def run_once(spec, checkout, workload, seed):
+        value = 0.1 if checkout.name == "parent" else p50
+        return json.dumps({"correct": True, "failed": 0,
+                           "metrics": {**metrics, "op_p50_ms": {"value": value}}})
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main(["--parent", "parent", "--change", "change", "--workload", "W",
+                          "--seeds", "1-4"]) == status
+    out = capsys.readouterr().out
+    assert ("PAST BOUND 20%" in out) == bool(status) and out.count("PAST") <= 1

@@ -47,9 +47,10 @@ from thermowork.feasibility import (
     thermo_majorizes,
 )
 from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _Prepared, _screen
-from thermowork.feasibility import _pair, _search, _tensor_rows
+from thermowork.feasibility import _pair, _Rows, _search
 from thermowork.quantifiers import (
     EpsilonDet,
+    MeanEnergy,
     FiniteList,
     RenyiFreeEnergy,
     WorkQuantifier,
@@ -401,7 +402,7 @@ class TestThermoCurve:
         rng = rng_from_seed(9)
         for d in (1, 2, 5, 64, 1024):
             c = random_classical_object(rng, d, energy_scale=2.0)
-            points = _Prepared(c, 1.0).curve
+            points = _Rows([c], 1.0).curve(0)
             assert not points.flags.writeable
             curve = thermo_curve(c, 1.0)
             assert curve.breakpoints == tuple(map(tuple, points.tolist()))
@@ -494,8 +495,8 @@ class TestOnePassCurve:
             for row in _catalyst_probs(k, 16)[:20]:
                 cat = ClassicalObject(row, np.zeros(k))
                 c = random_classical_object(rng, int(rng.integers(2, 6)), energy_scale=2.0)
-                prep = _Prepared(c, 1.0)
-                self._same(np.outer(c.probs, cat.probs).ravel(), prep.gibbs(k))
+                rows = _Rows([c], 1.0)
+                self._same(np.outer(c.probs, cat.probs).ravel(), rows.gibbs(k)[0])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.floats(1e-8, 1e8), st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3]),
@@ -932,7 +933,7 @@ class TestSandwichedLargeOrders:
                 warnings.simplefilter("error")
                 top = delta_F_alpha(obj, beta, INF)
                 value = delta_F_alpha(obj, beta, 100.0)
-                batch = _Prepared(obj, beta).fill_free(DEFAULT_ALPHA_GRID)
+                batch = _Prepared(obj, beta).free(DEFAULT_ALPHA_GRID)[0]
             if top < 1.0:  # the Gibbs state, whose values are rounding
                 continue
             want = _mp_sandwiched(obj.state, gibbs_state(obj.hamiltonian, beta).state, 100.0)
@@ -1179,8 +1180,8 @@ def _pair_screen(src, dst, beta, cat_dim, grid_steps) -> list:
 def _table_screen(src, dst, beta, top, grid_steps, lo=2) -> list:
     """The (dimension, index) of the catalysts of dimensions lo..top that the one-table
     _screen keeps for one pair."""
-    rows = [(p.probs[None], _Prepared(p, beta).gibbs(top)[None]) for p in (src, dst)]
-    return [(k, index) for _, k, index in _screen(*rows[0], *rows[1], lo, top, grid_steps)]
+    rows = _Rows([src, dst], beta).pairs([0], [1], top)
+    return [(k, index) for _, k, index in _screen(*rows, lo, top, grid_steps)]
 
 
 def _loop_decide(src, dst, beta, max_cat_dim, grid_steps):
@@ -1303,13 +1304,13 @@ class TestPreparedFreeEnergies:
 
     def test_batch_matches_delta_F_alpha_bit_for_bit(self):
         for obj in self._objects():
-            prep = _Prepared(obj, 1.0)
-            batch = prep.fill_free(self.ORDERS)  # every order from the batch
+            rows = _Rows([obj], 1.0)
+            batch = rows.free(self.ORDERS)[0]  # every order from the batch
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 want = [repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
             assert [repr(float(v)) for v in batch] == want
-            assert [repr(float(prep.fill_free((alpha,))[0])) for alpha in self.ORDERS] == want
+            assert [repr(float(rows.free((alpha,))[0, 0])) for alpha in self.ORDERS] == want
 
     def test_overflowed_power_sum_is_finite(self):
         # p ** 100 underflows to 0 and q ** -99 overflows on some levels: the power
@@ -1319,20 +1320,20 @@ class TestPreparedFreeEnergies:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert delta_F_alpha(obj, 1.0, 100.0) == pytest.approx(want, rel=1e-12)
-        prep = _Prepared(obj, 1.0)
+        rows = _Rows([obj], 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prep.fill_free(DEFAULT_ALPHA_GRID)
+            rows.free(DEFAULT_ALPHA_GRID)
         assert DEFAULT_ALPHA_GRID[39] == 100.0
-        assert float(prep.fill_free((100.0,))[0]) == pytest.approx(want, rel=1e-12)
+        assert float(rows.free((100.0,))[0, 0]) == pytest.approx(want, rel=1e-12)
 
     def test_quantum_objects_fill_every_order_in_one_batch(self):
         ham = HamiltonianClass(np.diag([0.0, 1.0]))
         obj = ThermoObject(np.full((2, 2), 0.5), ham)
         prep = _Prepared(obj, 1.0)
         want = [repr(delta_F_alpha(obj, 1.0, alpha)) for alpha in self.ORDERS]
-        assert [repr(float(v)) for v in prep.fill_free(self.ORDERS)] == want
-        assert [repr(float(prep.fill_free((alpha,))[0])) for alpha in self.ORDERS] == want
+        assert [repr(float(v)) for v in prep.free(self.ORDERS)[0]] == want
+        assert [repr(float(prep.free((alpha,))[0, 0])) for alpha in self.ORDERS] == want
 
 
 class TestCatalystScreen:
@@ -1430,7 +1431,8 @@ class TestCatalystScreen:
                                                                           cat_dim, steps):
         bases, cands = self._table()
         i, j = np.divmod(np.arange(len(cands) ** 2), len(cands))
-        (sp, sg), (dp, dg) = (_tensor_rows(base, cands, 1.0, cat_dim) for base in bases)
+        table, n = _Rows(cands, 1.0, bases), len(cands)
+        sp, sg, dp, dg = table.pairs(range(n), range(n, 2 * n), cat_dim)
         assert sp.shape[1] == 8
         levels, joint_curves = [], feasibility._joint_curves
 
@@ -1464,12 +1466,11 @@ class TestCatalystScreen:
                               for index in _loop_accepts(src, dst, 1.0, cat_dim, 16)[:1]), None))
 
         def search():  # every pair, resumed after each pair found Feasible
-            out = []
+            out, table = [], _Rows(cands, 1.0, bases)
             while len(out) < len(pairs):
                 rest = pairs[len(out):]
-                sides = [[cands[x] for x in side] for side in zip(*rest)]
-                out += _search(lambda k: (*_tensor_rows(bases[0], sides[0], 1.0, k),
-                                          *_tensor_rows(bases[1], sides[1], 1.0, k)),
+                src, dst = [a for a, _ in rest], [len(cands) + b for _, b in rest]
+                out += _search(lambda k: table.pairs(src, dst, k),
                                [(2 * cands[a].dim, 2 * cands[b].dim) for a, b in rest], 3, 16)
             return [v.witness["catalyst_probs"].tolist() if v.is_feasible else None for v in out]
 
@@ -1524,9 +1525,9 @@ class TestCatalystScreen:
         one = ClassicalObject([1.0], [0.0])
 
         def search(pairs):  # _search on pairs of objects, as one table of rows
-            sides = list(zip(*pairs))
-            return _search(lambda k: (*_tensor_rows(one, sides[0], 1.0, k),
-                                      *_tensor_rows(one, sides[1], 1.0, k)),
+            n, objs = len(pairs), [s for s, _ in pairs] + [d for _, d in pairs]
+            table = _Rows(objs, 1.0, (one,))
+            return _search(lambda k: table.pairs(range(n), range(n, 2 * n), k),
                            [(s.dim, d.dim) for s, d in pairs], 3, 16)
 
         want = catalytic_bruteforce(*small, 1.0, max_cat_dim=3, grid_steps=16)
@@ -1595,7 +1596,14 @@ class TestCatalystScreen:
 
 def _unshared(src, dst, beta):
     """_pair without its sharing: the reference every pair must decide as."""
-    return _Prepared(src, beta), _Prepared(dst, beta)
+    return tuple(_Rows([x], beta) if isinstance(x, ClassicalObject) else _Prepared(x, beta)
+                 for x in (src, dst))
+
+
+def _twins(first, second) -> bool:
+    """Whether the sides of a _pair share one Gibbs state."""
+    return isinstance(first, _Prepared) and isinstance(second, _Prepared) and (
+        second.sigma is first.sigma)
 
 
 def _decisions(src, dst, beta) -> str:
@@ -1641,23 +1649,25 @@ class TestPreparedTwins:
         for ham in self._hamiltonians():
             obj = ThermoObject(np.eye(ham.dim) / ham.dim, ham)
             for beta in (0.3, 1.0, 4.0):
-                assert _Prepared(obj, beta).gibbs().tobytes() == gibbs_state(ham, beta).state.tobytes()
+                assert _Prepared(obj, beta).sigma.tobytes() == gibbs_state(ham, beta).state.tobytes()
             degenerate += ham.dim > 1 and bool(np.any(np.diff(ham.eigenvalues()) < 1e-9))
         assert degenerate >= 8
 
     def test_twins_share_and_fill_free_as_alone(self):
         orders = DEFAULT_ALPHA_GRID + (0.0, 0.5, 2.0, 3.0)
-        for src, dst, beta in _quantum_pairs() + self._classical_pairs():
+        for src, dst, beta in _quantum_pairs():
             first, second = _pair(src, dst, beta)
-            assert second._gibbs is first._gibbs
+            assert _twins(first, second)
             alone = _Prepared(dst, beta)
             with np.errstate(over="ignore"):
-                first.fill_free(orders)  # the twins' Gibbs part is made by the first
-                assert [repr(v) for v in second.fill_free(orders)] == [
-                    repr(v) for v in alone.fill_free(orders)]
-            if isinstance(src, ClassicalObject):
-                for k in (1, 2, 4):
-                    assert second.gibbs(k).tobytes() == alone.gibbs(k).tobytes()
+                assert [repr(v) for v in second.free(orders)[0]] == [
+                    repr(v) for v in alone.free(orders)[0]]
+        for src, dst, beta in self._classical_pairs():  # a two-row table, its target row
+            rows, alone = _Rows([src, dst], beta), _Rows([dst], beta)
+            assert [repr(v) for v in rows.free(orders)[1]] == [
+                repr(v) for v in alone.free(orders)[0]]
+            for k in (1, 2, 4):
+                assert rows.gibbs(k)[1].tobytes() == alone.gibbs(k)[0].tobytes()
 
     def test_twins_decide_as_an_unshared_pair(self, monkeypatch):
         pairs = _quantum_pairs() + self._classical_pairs()
@@ -1685,8 +1695,7 @@ class TestPreparedTwins:
                           (ClassicalObject(probs, other), classical_gibbs(energies, 1.0))]
         cases.append((JP_SRC, ClassicalObject(JP_DST.probs, JP_DST.energies + 1.0)))
         for src, dst in cases:
-            first, second = _pair(src, dst, 1.0)
-            assert second._gibbs is not first._gibbs
+            assert not _twins(*_pair(src, dst, 1.0))
         decided = [_decisions(src, dst, 1.0) for src, dst in cases]
         monkeypatch.setattr(feasibility, "_pair", _unshared)
         assert [_decisions(src, dst, 1.0) for src, dst in cases] == decided
@@ -1733,22 +1742,25 @@ class TestPreparedTwins:
         cases = [(ThermoObject(np.eye(2) / 2, plus), gibbs_state(minus, 1.0)),
                  (ClassicalObject([0.5, 0.5], [0.0, 1.0]), ClassicalObject([0.3, 0.7], [-0.0, 1.0]))]
         for src, dst in cases:
-            first, second = _pair(src, dst, 1.0)
-            assert second._gibbs is not first._gibbs
+            assert not _twins(*_pair(src, dst, 1.0))
 
-    def test_twins_are_found_without_copying_the_hamiltonians(self):
+    def test_twins_are_found_without_copying_the_hamiltonians(self, monkeypatch):
         rng = rng_from_seed(52)
         z = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
         src, dst = (ThermoObject(random_density_matrix(rng, 256), HamiltonianClass(z + z.conj().T))
                     for _ in range(2))
         assert src.hamiltonian.matrix is not dst.hamiltonian.matrix
-        tracemalloc.start()
-        try:
-            first, second = _pair(src, dst, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert second._gibbs is first._gibbs
+        twins = []  # the twin each side is made with; no Gibbs state is made
+        with monkeypatch.context() as patch:
+            patch.setattr(feasibility, "_Prepared",
+                          lambda obj, beta, twin=None: twins.append(twin) or obj)
+            tracemalloc.start()
+            try:
+                _pair(src, dst, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert twins[0] is None and twins[1] is src and _twins(*_pair(src, dst, 1.0))
         assert peak < src.hamiltonian.matrix.nbytes  # 1 MB; a copy of each takes 2 MB
 
     def test_a_forward_check_holds_a_few_matrices_at_a_time(self):
@@ -1823,6 +1835,40 @@ class TestPreparedTwins:
         assert kept == leaked == 9
 
 
+class TestRowTable:
+    def test_a_searched_pair_makes_one_gibbs_call_per_catalyst_dimension(self, monkeypatch):
+        # trivial Hamiltonians a constant apart: equal by ==, not bit for bit, so not twins
+        src = ClassicalObject([0.6, 0.21, 0.19], np.zeros(3))
+        dst = ClassicalObject([0.45, 0.41, 0.14], np.ones(3))
+        shapes = []
+
+        def counted(energies, beta, _f=feasibility.gibbs_weights):
+            shapes.append(np.shape(energies))
+            return _f(energies, beta)
+
+        monkeypatch.setattr(feasibility, "gibbs_weights", counted)
+        # the direct check, every order and the catalyst search leave it open
+        assert decide_catalytic(src, dst, 1.0).is_undetermined
+        assert shapes == [(2, 3), (2, 6)]  # both rows alone, then beside a qubit catalyst
+
+    def test_objects_past_the_tensor_cap_are_read_alone(self):
+        # the cap bounds tensor products: one object of more levels is decided as it is,
+        # and only the catalyst search, which tensors it, refuses it.  The pair above, each
+        # side beside a zero-energy Gibbs state of n levels, is left open as that pair is.
+        n = MAX_TENSOR_DIM // 3 + 1
+        src, dst = (ClassicalObject(np.kron(p, np.full(n, 1.0 / n)), np.full(3 * n, e))
+                    for p, e in (([0.6, 0.21, 0.19], 0.0), ([0.45, 0.41, 0.14], 1.0)))
+        assert len(thermo_curve(src, 1.0).breakpoints) == 4  # one segment per ratio
+        assert thermo_majorizes(src, dst, 1.0).is_infeasible
+        assert catalytic_necessary(src, dst, 1.0).is_undetermined
+        with pytest.raises(ValueError, match=f"dimension {6 * n} exceeds cap"):
+            decide_catalytic(src, dst, 1.0)
+        m = RenyiFreeEnergy(2.0, 1.0)
+        assert [repr(float(v)) for v in m._values([src, dst])] == [repr(m(src)), repr(m(dst))]
+        assert MeanEnergy(1.0)(src) == float(np.dot(src.probs - src.gibbs_weights(1.0),
+                                                     src.energies))
+
+
 class TestClassicalPairGrid:
     @staticmethod
     def _pairs():
@@ -1841,7 +1887,7 @@ class TestClassicalPairGrid:
     def test_the_two_row_grid_call_is_delta_f_alpha_per_side(self):
         grid = list(DEFAULT_ALPHA_GRID) + [0.0, 0.5, 2.0, 150.0]
         for src, dst in self._pairs():
-            for side, values in zip((src, dst), feasibility._pair_free(*_pair(src, dst, 1.0), grid)):
+            for side, values in zip((src, dst), _Rows([src, dst], 1.0).free(grid)):
                 assert list(map(repr, values.tolist())) == [
                     repr(delta_F_alpha(side, 1.0, a)) for a in grid]
 
@@ -1907,7 +1953,7 @@ class TestSideBySidePairs:
         monkeypatch.setattr(feasibility, "_sandwiched", sandwiched)
         for src, dst, beta in self._pairs():
             first, second = _pair(src, dst, beta)
-            assert second._gibbs is not first._gibbs
+            assert not _twins(first, second)
             stacks.clear()
             got = feasibility._pair_free(first, second, orders)
             for side, values in zip((src, dst), got):

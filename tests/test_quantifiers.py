@@ -26,8 +26,7 @@ from thermowork.feasibility import (
     decide_free,
     thermo_majorizes,
 )
-from thermowork.feasibility import _decide, _decide_pairs, _dropped, _joint_curves, _Prepared
-from thermowork.feasibility import _tensor_rows
+from thermowork.feasibility import _decide, _decide_pairs, _dropped, _joint_curves, _Rows
 from thermowork.quantifiers import (
     AssistedSequence,
     CustomTable,
@@ -472,9 +471,8 @@ class TestCandidateTable:
             assert statuses.index("Feasible") + 1 < len(statuses)  # pairs after it decided too
             skipped, wants = 0, []
             for n, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-                src, dst = (_Prepared(classical_tensor(x, cands[k]), 1.0)
-                            for x, k in ((fuel, a), (omega, b)))
-                want = _decide(src, dst).to_json()
+                rows = _Rows([classical_tensor(fuel, cands[a]), classical_tensor(omega, cands[b])], 1.0)
+                want = _decide(rows).to_json()
                 wants.append(json.dumps(want))
                 if n in got:
                     assert json.dumps(got[n]) == wants[n], n
@@ -482,10 +480,11 @@ class TestCandidateTable:
                     skipped += 1
                     assert want["status"] == "Infeasible"
                     assert want["witness"]["kind"] == "monotone_increase"
+                free = rows.free(ends)
                 if (want["witness"] or {}).get("kind") == "monotone_increase" and not np.any(
-                        dst.fill_free(ends) > src.fill_free(ends) + MONOTONE_TOL):
-                    curves = [_joint_curves(p.obj.probs[None], p.gibbs()) for p in (src, dst)]
-                    interior += bool(_dropped(*curves[0], *curves[1])[0])
+                        free[1] > free[0] + MONOTONE_TOL):
+                    sp, sg, dp, dg = rows.pairs([0], [1], 1)
+                    interior += bool(_dropped(*_joint_curves(sp, sg), *_joint_curves(dp, dg))[0])
             assert skipped > 0
             with monkeypatch.context() as patch:  # the screen drops nothing: every pair yielded
                 patch.setattr(feasibility, "_SCREEN_SLACK", 1.0)
@@ -545,7 +544,7 @@ class TestCandidateTable:
         with pytest.raises(ValueError, match="tensor product dimension 4200 exceeds cap 4096"):
             next(verdicts)
 
-    def test_tensor_rows_are_the_prepared_arrays(self):
+    def test_tensor_rows_are_those_of_one_object_tables(self):
         padded = 0
         for restriction in (Unrestricted(), EpsilonDet(0.1, 1.0), WbitSet(0.1, 1.0),
                             MeanLadder(4, 0.5)):
@@ -553,12 +552,13 @@ class TestCandidateTable:
                 omega = classical_gibbs(fuel.energies, beta)
                 cands = restriction.candidates(anchors=(fuel, omega), grid=32)
                 for base, cat_dim in itertools.product((fuel, omega), range(1, 5)):
-                    probs, gibbs = _tensor_rows(base, cands, beta, cat_dim)
+                    table = _Rows(cands, beta, (base,))
+                    probs, gibbs = table.probs, table.gibbs(cat_dim)
                     assert gibbs.shape == (len(cands), probs.shape[1] * cat_dim)
                     for k, c in enumerate(cands):
                         joint = classical_tensor(base, c)
                         w = joint.dim * cat_dim
-                        want = _Prepared(joint, beta).gibbs(cat_dim)
+                        want = _Rows([joint], beta).gibbs(cat_dim)[0]
                         assert probs[k, :joint.dim].tobytes() == joint.probs.tobytes()
                         assert gibbs[k, :w].tobytes() == want.tobytes()
                         assert not probs[k, joint.dim:].any() and not gibbs[k, w:].any()

@@ -15,7 +15,10 @@ A run's result is the last line of its standard output.  If any run is not
 without a summary.  Otherwise it prints one line per end-to-end metric of
 ``BENCHMARK.json``: the parent's median [quartiles, as ``benchmarks/baseline.py``
 takes them] -> the change's median, the change in percent, and the seeds on
-which the change did better (and on which the two read the same, if any).
+which the change did better (and on which the two read the same, if any).  A
+metric whose change median is worse than the parent's by more than its ``bound``
+(a fraction of the parent's median) is marked PAST BOUND, and the script then
+exits 2.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ def alternated(parent, change, seeds: list, run) -> tuple:
     return results
 
 
-def summary(parent_lines: list, change_lines: list, better: dict) -> list:
-    """One line per metric of ``better`` ({name: "lower" or "higher"}), from the result
-    lines of paired runs; ValueError if a run is not correct or has failed operations."""
+def summary(parent_lines: list, change_lines: list, metrics: list) -> tuple:
+    """One line per metric of ``metrics`` (entries of BENCHMARK.json's ``end_to_end``: name,
+    better, bound) from the result lines of paired runs, and the names of the metrics past
+    their bound; ValueError if a run is not correct or has failed operations."""
     runs = [[json.loads(line) for line in lines] for lines in (parent_lines, change_lines)]
     if len(runs[0]) != len(runs[1]):
         raise ValueError(f"{len(runs[0])} parent runs against {len(runs[1])} change runs")
@@ -73,18 +77,22 @@ def summary(parent_lines: list, change_lines: list, better: dict) -> list:
            if not r["correct"] or r["failed"]]
     if bad:
         raise ValueError("; ".join(bad))
-    lines = []
-    for name, direction in better.items():
+    lines, past = [], []
+    for metric in metrics:
+        name = metric["name"]
         old, new = ([r["metrics"][name]["value"] for r in rs] for rs in runs)
         was, now = summarise(old, None), statistics.median(new)
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
+        if sign * (now - was["median"]) < -metric["bound"] * abs(was["median"]):
+            past.append(name)
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         tied = sum(a == b for a, b in zip(old, new))
         delta = f"{100 * (now - was['median']) / was['median']:+.1f}%" if was["median"] else "n/a"
         lines.append(f"{name}: {was['median']:.4g} [{was['q1']:.4g}-{was['q3']:.4g}] -> "
                      f"{now:.4g}, {delta}, won {won}/{len(old)}"
-                     + (f", tied {tied}" if tied else ""))
-    return lines
+                     + (f", tied {tied}" if tied else "")
+                     + (f", PAST BOUND {metric['bound']:.0%}" if name in past else ""))
+    return lines, past
 
 
 def main(argv=None) -> int:
@@ -95,17 +103,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="such as 1-10")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent, change = alternated(args.parent, args.change, args.seeds,
                                 lambda checkout, seed: run_once(spec, checkout, args.workload, seed))
     try:
-        lines = summary(parent, change, better)
+        lines, past = summary(parent, change, spec["end_to_end"])
     except ValueError as err:
         print(f"no summary: {err}", file=sys.stderr)
         return 1
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: parent [quartiles] -> change")
     print("\n".join(lines))
-    return 0
+    return 2 if past else 0
 
 
 if __name__ == "__main__":
