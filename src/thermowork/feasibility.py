@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,13 +190,19 @@ def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     return ThermoCurve(tuple(zip(*_Rows([_as_classical(c)], as_beta(ctx)).curve(0).T.tolist())))
 
 
+#: Rows of at most this many levels take _curve's list path, which sums a merged run as
+#: np.add.reduceat does up to 8 levels: its first level plus the sum of the rest added one by
+#: one.  From 9 levels on numpy sums the rest in 8 pairwise accumulators, and the bytes differ.
+_LIST_LEVELS = 8
+
+
 def _curve(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
     """thermo_curve's (x, y) rows, read-only, for probabilities ``probs`` and Gibbs weights ``g``.
 
-    Sorted by descending ratio, a run takes each next ratio r with (r0 - r <= tol0) |
-    (r == r0) for its first ratio r0 (np.isclose, rtol 1e-9, atol 1e-12).  A ratio not
-    tied so with its predecessor is not with a larger r0 either, save by rounding at the
-    edge; so the walk starts only at tied ratios, and runs on until the rule fails."""
+    Rows of at most _LIST_LEVELS levels are built on Python floats, with the bytes of the
+    array code below, which builds the longer ones."""
+    if len(probs) <= _LIST_LEVELS:
+        return _listed_curve(probs.tolist(), g.tolist())
     # Gibbs weights that underflow to 0 give p/0 = inf, subnormal ones overflow p/g to inf,
     # and 0/0 = nan sorts last; inf - inf below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -207,21 +214,54 @@ def _curve(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
     gs, ps = g[order], probs[order]
     joins = tied.nonzero()[0]
     if len(joins):
-        rs, tol, taken, stop = rs.tolist(), tol.tolist(), [], 1  # levels below stop are decided
-        for k in (joins + 1).tolist():
-            if k >= stop:
-                first = k - 1  # stop - 1, or a level not tied with its predecessor
-                while k < len(rs) and (rs[first] - rs[k] <= tol[first] or rs[k] == rs[first]):
-                    taken.append(k)
-                    k += 1
-                stop = k + 1
-        starts = np.delete(np.arange(len(rs)), taken)
+        starts = np.delete(np.arange(len(rs)), _joined(rs.tolist(), (joins + 1).tolist()))
         gs, ps = np.add.reduceat(gs, starts), np.add.reduceat(ps, starts)
     points = np.zeros((len(gs) + 1, 2))
     np.add.accumulate(gs, out=points[1:, 0])
     np.add.accumulate(ps, out=points[1:, 1])
     if abs(points[-1, 0] - 1) < 1e-9 and abs(points[-1, 1] - 1) < 1e-9:  # close to (1, 1)
         points[-1] = 1.0
+    points.flags.writeable = False
+    return points
+
+
+def _joined(rs: list, joins) -> list:
+    """The levels of the descending ratios ``rs`` that join the run before them.
+
+    A run takes each next ratio r with (r0 - r <= tol0) | (r == r0) for its first ratio r0
+    (np.isclose, rtol 1e-9, atol 1e-12; tol0 = 0 where r0 is not finite).  A ratio not
+    tied so with its predecessor is not with a larger r0 either, save by rounding at the
+    edge; so a walk may start only at the levels ``joins`` tied with their predecessor (any
+    superset, such as every level, gives the same runs), and runs on until the rule fails."""
+    taken, stop = [], 1  # levels below stop are decided
+    for k in joins:
+        if k >= stop:
+            r0 = rs[k - 1]  # at stop - 1, or at a level not tied with its predecessor
+            tol = 1e-12 + 1e-9 * abs(r0) if math.isfinite(r0) else 0.0
+            while k < len(rs) and (r0 - rs[k] <= tol or rs[k] == r0):
+                taken.append(k)
+                k += 1
+            stop = k + 1
+    return taken
+
+
+def _listed_curve(ps: list, gs: list) -> np.ndarray:
+    """_curve's array for at most _LIST_LEVELS levels, from Python floats."""
+    # numpy's p / g: p/0 = inf, 0/0 = nan (Gibbs weights are never -0.0), overflow to inf
+    rs = [p / q if q else p * math.inf for p, q in zip(ps, gs)]
+    # argsort(-ratios, kind="stable"): descending, ties in index order, nan last
+    order = sorted(range(len(rs)), key=[(r != r, -r) for r in rs].__getitem__)
+    rs, gs, ps = [rs[k] for k in order], [gs[k] for k in order], [ps[k] for k in order]
+    taken = _joined(rs, range(1, len(rs)))
+    if taken:  # np.add.reduceat of the runs; a run of one level keeps its value, -0.0 too
+        ends = [k for k in range(1, len(rs)) if k not in taken] + [len(rs)]
+        gs, ps = ([v[s] + functools.reduce(operator.add, v[s + 1:e]) if e - s > 1 else v[s]
+                   for s, e in zip([0] + ends, ends)] for v in (gs, ps))
+    flat = [0.0, 0.0, *itertools.chain.from_iterable(
+        zip(itertools.accumulate(gs), itertools.accumulate(ps)))]
+    if abs(flat[-2] - 1) < 1e-9 and abs(flat[-1] - 1) < 1e-9:  # close to (1, 1)
+        flat[-2:] = 1.0, 1.0
+    points = np.array(flat).reshape(-1, 2)
     points.flags.writeable = False
     return points
 

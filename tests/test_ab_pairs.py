@@ -122,3 +122,61 @@ def test_exits_2_when_a_metric_of_the_benchmark_is_past_its_bound(monkeypatch, c
                           "--seeds", "1-4"]) == status
     out = capsys.readouterr().out
     assert ("PAST BOUND 20%" in out) == bool(status) and out.count("PAST") <= 1
+
+
+def _claim_lines(parent_p50, change_p50):
+    return [_line(100, p) for p in parent_p50], [_line(100, p) for p in change_p50]
+
+
+# op_p50_ms of ten parent runs: median 0.1045, quartiles 0.10175-0.10725 (spread 0.0055)
+PARENT_P50 = [0.100 + k / 1000 for k in range(10)]
+
+
+@pytest.mark.parametrize(("change", "met", "won"), [
+    # 9 of 10 won (the last pair lost), medians 0.01 apart
+    ([p - 0.01 for p in PARENT_P50[:9]] + [0.110], True, 9),
+    # 8 of 10 won, the other two tied: a tie counts for neither side
+    ([p - 0.01 for p in PARENT_P50[:8]] + PARENT_P50[8:], False, 8),
+    # 8 of 10 won, the last two lost
+    ([p - 0.01 for p in PARENT_P50[:8]] + [0.109, 0.110], False, 8),
+    # 10 of 10 won, but medians 0.001 apart, inside the parent's quartile spread
+    ([p - 0.001 for p in PARENT_P50], False, 10),
+])
+def test_a_claim_needs_9_of_10_pairs_and_a_gap_beyond_the_quartile_spread(change, met, won):
+    got, line = ab_pairs.claim(*_claim_lines(PARENT_P50, change), METRICS[1])
+    assert got is met
+    assert line.startswith(f"CLAIM {'MET' if met else 'NOT MET'}: op_p50_ms won {won}/10 ")
+    assert line.endswith("quartile spread 0.0055")
+
+
+def test_a_claim_on_a_metric_where_higher_is_better():
+    parent = [_line(100 + k, 0.1) for k in range(10)]
+    assert ab_pairs.claim(parent, [_line(110 + k, 0.1) for k in range(10)], METRICS[0])[0]
+    assert not ab_pairs.claim(parent, [_line(90 + k, 0.1) for k in range(10)], METRICS[0])[0]
+
+
+@pytest.mark.parametrize(("shift", "status", "verdict"), [
+    (-0.01, 0, "CLAIM MET"), (-0.001, 3, "CLAIM NOT MET"), (0.03, 2, "CLAIM NOT MET")])
+def test_main_exits_3_on_a_claim_not_met_and_2_past_a_bound(monkeypatch, capsys, shift, status,
+                                                            verdict):
+    metrics = {name: {"value": 1.0} for name in ("setup_s", "ops_per_s", "op_p90_ms",
+                                                 "undecided_ratio", "peak_rss_mb")}
+
+    def run_once(spec, checkout, workload, seed):
+        value = PARENT_P50[seed - 1] + (0 if checkout.name == "parent" else shift)
+        return json.dumps({"correct": True, "failed": 0,
+                           "metrics": {**metrics, "op_p50_ms": {"value": value}}})
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main(["--parent", "parent", "--change", "change", "--workload", "W",
+                          "--seeds", "1-10", "--claim", "op_p50_ms"]) == status
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].startswith(verdict + ":")
+    assert ("PAST BOUND" in out) == (status == 2)
+
+
+def test_a_claim_on_an_unknown_metric_is_refused(capsys):
+    with pytest.raises(SystemExit):
+        ab_pairs.main(["--parent", "P", "--change", "C", "--workload", "W", "--seeds", "1-2",
+                       "--claim", "speed"])
+    assert "not an end-to-end metric" in capsys.readouterr().err

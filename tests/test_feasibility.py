@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 import warnings
 
@@ -19,6 +21,7 @@ from thermowork.core import (
     classical_tensor,
     classical_to_object,
     gibbs_state,
+    gibbs_weights,
     is_gibbs,
     partial_trace,
     tensor,
@@ -46,8 +49,8 @@ from thermowork.feasibility import (
     thermo_curve,
     thermo_majorizes,
 )
-from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _Prepared, _screen
-from thermowork.feasibility import _pair, _Rows, _search
+from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _LIST_LEVELS, _Prepared
+from thermowork.feasibility import _pair, _Rows, _screen, _search
 from thermowork.quantifiers import (
     EpsilonDet,
     MeanEnergy,
@@ -428,7 +431,8 @@ class TestOnePassCurve:
             points = _curve(probs, g)
         curve = ThermoCurve(tuple(map(tuple, points.tolist())))
         want = _lifted_curve(probs, g)
-        assert points.tobytes() == want.tobytes()
+        assert not points.flags.writeable
+        assert points.shape == want.shape and points.tobytes() == want.tobytes()
         got = np.array(curve.breakpoints).reshape(-1, 2)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -484,6 +488,37 @@ class TestOnePassCurve:
             self._same(probs, g)
         underflow = ClassicalObject([0.5, 0.2, 0.2, 0.1, 0.0], [0.0, 800.0, 900.0, 900.0, 950.0])
         self._same(underflow.probs, underflow.gibbs_weights(1.0))
+
+    def test_rows_on_both_sides_of_the_list_bound(self):
+        # rows of 1-12 levels: the list path up to _LIST_LEVELS, the array path above it
+        rng = rng_from_seed(9)
+        for _ in range(400):
+            d = int(rng.integers(1, 13))
+            quarters = rng.multinomial(4, np.full(d, 1 / d)) / 4
+            for probs in (quarters, rng.dirichlet(np.ones(d))):
+                # energy 800 underflows its Gibbs weight to 0: p/0 = inf and 0/0 = nan
+                g = gibbs_weights(rng.choice([0.0, 1.0, 2.0, 800.0], d), 1.0)
+                self._same(probs, g)
+                self._same(np.full(d, -0.0), g)  # a run of -0.0 sums to -0.0
+                self._same(g, g)  # every level tied, one run
+                g[int(rng.integers(d))] = rng.choice([5e-324, 1e-310])  # p/g overflows
+                self._same(probs, g)
+                self._same(g, g)
+
+    def test_numpy_sums_a_run_of_up_to_8_levels_as_the_list_path_does(self):
+        # _listed_curve sums a merged run as np.add.reduceat does: its first level plus the
+        # rest added one by one (the rest of [-0.0, -0.0] is -0.0, not 0.0 + -0.0)
+        rng = rng_from_seed(10)
+        for n in range(2, _LIST_LEVELS + 1):
+            for _ in range(500):
+                a = rng.random(n) * 10.0 ** rng.integers(-8, 9, n)
+                a[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+                if rng.random() < 0.05:
+                    a[:] = -0.0
+                want = a[0] + functools.reduce(operator.add, a[1:].tolist())
+                assert np.add.reduceat(a, [0])[0].tobytes() == np.float64(want).tobytes(), (
+                    f"np.add.reduceat no longer sums a run of {n} levels as _curve's list path "
+                    f"does, on {a.tolist()}: lower _LIST_LEVELS ({_LIST_LEVELS}) below {n}")
 
     def test_one_level(self):
         for probs, g in (([1.0], [1.0]), ([1.0], [0.0]), ([0.0], [0.0]), ([0.3], [0.7])):

@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W --seeds 1-10
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W --seeds 1-10 [--claim M]
 
 For each seed it runs the ``command`` of ``BENCHMARK.json`` with ``--workload W
 --seed N --seconds S --trace 0``, S its ``run_seconds``, in both checkouts, one
@@ -19,6 +19,13 @@ which the change did better (and on which the two read the same, if any).  A
 metric whose change median is worse than the parent's by more than its ``bound``
 (a fraction of the parent's median) is marked PAST BOUND, and the script then
 exits 2.
+
+``--claim M`` tests a claimed gain on metric M.  The claim is met when the change
+did better on at least 9 of every 10 pairs (a pair that reads the same counts for
+neither side) and its median is better than the parent's by more than the
+parent's quartile spread.  The script prints CLAIM MET or CLAIM NOT MET with
+those figures, and exits 3 if the claim is not met (2 still wins when a metric
+is past its bound).
 """
 
 from __future__ import annotations
@@ -95,14 +102,33 @@ def summary(parent_lines: list, change_lines: list, metrics: list) -> tuple:
     return lines, past
 
 
+def claim(parent_lines: list, change_lines: list, metric: dict) -> tuple:
+    """(met, line) for a claimed gain on ``metric`` (an entry of BENCHMARK.json's
+    ``end_to_end``) from the result lines of paired runs."""
+    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+    old, new = ([json.loads(line)["metrics"][name]["value"] for line in lines]
+                for lines in (parent_lines, change_lines))
+    was, now = summarise(old, None), statistics.median(new)
+    won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    gap, spread = sign * (now - was["median"]), was["q3"] - was["q1"]
+    met = 10 * won >= 9 * len(old) and gap > spread
+    return met, (f"CLAIM {'MET' if met else 'NOT MET'}: {name} won {won}/{len(old)} "
+                 f"(9 of 10 needed), gap {gap:.4g} against the parent's quartile spread "
+                 f"{spread:.4g}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="the parent's checkout")
     parser.add_argument("--change", required=True, type=Path, help="the change's checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="such as 1-10")
+    parser.add_argument("--claim", metavar="METRIC", help="an end-to-end metric claimed to gain")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    claimed = [m for m in spec["end_to_end"] if m["name"] == args.claim]
+    if args.claim and not claimed:
+        parser.error(f"--claim: {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
     parent, change = alternated(args.parent, args.change, args.seeds,
                                 lambda checkout, seed: run_once(spec, checkout, args.workload, seed))
     try:
@@ -112,7 +138,11 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: parent [quartiles] -> change")
     print("\n".join(lines))
-    return 2 if past else 0
+    met = True
+    if claimed:
+        met, line = claim(parent, change, claimed[0])
+        print(line)
+    return 2 if past else 0 if met else 3
 
 
 if __name__ == "__main__":
