@@ -9,18 +9,21 @@ alpha = 0 is exposed for diagnostics only.
 
 Every classical divergence goes through classical_renyi_divergences, with one support
 rule for every order: entries at or below EIG_ZERO count as zeros, both in p and in the
-reference q; orders above _POW_SAFE go by log-sum-exp.  The quantum divergences take
-the kernel of the reference from its eigenvalues below SUPPORT_TOL.
+reference q; orders above _POW_SAFE go by log-sum-exp.  A classical object's free energies,
+delta_F_alpha's and the deciders' alike, come from one row table, _Rows.  The quantum
+divergences take the kernel of the reference from its eigenvalues below SUPPORT_TOL.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassicalObject, _gibbs_matrix, _ptrace_matrix, classical_to_object
+from .core import (ClassicalObject, _gibbs_matrix, _ptrace_matrix, check_tensor_dim,
+                   classical_to_object, gibbs_weights)
 
 INF = float("inf")
 # Eigenvalues below this are treated as exact zeros in entropy sums.
@@ -260,17 +263,68 @@ def _sandwiched(rhos: list, sigma: np.ndarray, decomposed, listed: list) -> list
     return values
 
 
+class _Rows:
+    """The one source of classical rows and their free energies: row m * len(objs) + k holds the
+    probabilities of bases[m] (x) objs[k] (objs[k] alone where bases[m] is None), zero-padded to
+    the widest row, and gibbs(cat_dim) their Gibbs weights beside cat_dim zero-energy catalyst
+    levels (level i * cat_dim + k), one gibbs_weights call per base and object dimension, once."""
+
+    def __init__(self, objs, beta: float, bases=(None,)):
+        dims = [c.dim for c in objs]
+        self.dims = dims if bases == (None,) else [b.dim * dim for b in bases for dim in dims]
+        if bases != (None,):  # the cap is on tensor products, not on an object alone
+            check_tensor_dim(max(self.dims))
+        self.beta, self._gibbs = beta, {}
+        if bases == (None,) and dims.count(dims[0]) == len(dims):  # one group, no grouping loop
+            self._rows, self.probs = [slice(None)], np.array([c.probs for c in objs])
+            self._energies = [np.array([c.energies for c in objs])]
+            self._gibbs[1] = gibbs_weights(self._energies[0], beta)
+            return
+        self._rows, self._energies, at_dim = [], [], {}
+        self.probs = np.zeros((len(self.dims), max(self.dims)))
+        for k, dim in enumerate(dims):
+            at_dim.setdefault(dim, []).append(k)
+        for m, base in enumerate(bases):
+            for at in at_dim.values():
+                p = np.array([objs[k].probs for k in at])
+                e = np.array([objs[k].energies for k in at])
+                if base is not None:
+                    p = (base.probs[:, None] * p[:, None, :]).reshape(len(at), -1)
+                    e = (base.energies[:, None] + e[:, None, :]).reshape(len(at), -1)
+                self._rows.append([m * len(dims) + k for k in at])
+                self._energies.append(e)
+                self.probs[self._rows[-1], :p.shape[1]] = p
+
+    def gibbs(self, cat_dim: int = 1) -> np.ndarray:
+        if cat_dim not in self._gibbs:
+            g = self._gibbs[cat_dim] = np.zeros((len(self.dims), max(self.dims) * cat_dim))
+            for rows, e in zip(self._rows, self._energies):
+                g[rows, :e.shape[1] * cat_dim] = gibbs_weights(
+                    e if cat_dim == 1 else np.repeat(e, cat_dim, 1), self.beta)
+        return self._gibbs[cat_dim]
+
+    def free(self, orders, rows=slice(None)) -> np.ndarray:
+        """delta_F of ``rows`` at ``orders`` in one kernel call, a row each, (rows, orders)."""
+        return np.divide(classical_renyi_divergences(self.probs[rows], self.gibbs()[rows],
+                                                     orders), self.beta)
+
+    def pairs(self, src, dst, cat_dim: int) -> tuple:
+        """The probabilities and gibbs(cat_dim) of rows ``src``, then of ``dst``, one width."""
+        w, g = max(self.dims[n] for n in itertools.chain(src, dst)), self.gibbs(cat_dim)
+        return self.probs[src, :w], g[src, :w * cat_dim], self.probs[dst, :w], g[dst, :w * cat_dim]
+
+
 def delta_F_alpha(p, ctx, alpha: float) -> float:
     """Free-energy difference to the Gibbs object:
     (1/beta) S_alpha(rho || omega_{H,beta}).
 
     Nonnegative for alpha > 0, zero exactly on Gibbs objects, and invariant
     under identity shifts of the Hamiltonian.  Accepts thermal or classical
-    objects; classical inputs use the classical formula directly.
+    objects; a classical one is read from its one-row _Rows table.
     """
     beta = as_beta(ctx)
     if isinstance(p, ClassicalObject):
-        return classical_renyi_divergence(p.probs, p.gibbs_weights(beta), alpha) / beta
+        return _Rows([p], beta).free((alpha,)).item()
     return renyi_divergence(p.state, _gibbs_matrix(p.hamiltonian, beta), alpha) / beta
 
 

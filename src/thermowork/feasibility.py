@@ -33,19 +33,12 @@ from .core import (
     check_unitary,
     check_tensor_dim,
     classical_tensor,
-    gibbs_weights,
     local_sum,
     object_to_classical,
     partial_trace,
     tensor,
 )
-from .divergences import (
-    INF,
-    _check_alphas,
-    as_beta,
-    _sandwiched,
-    classical_renyi_divergences,
-)
+from .divergences import INF, _check_alphas, _Rows, _sandwiched, as_beta
 
 MAJORIZE_TOL = 1e-10
 LP_FEAS_TOL = 1e-9
@@ -169,12 +162,15 @@ class ThermoCurve:
         return [f"{x!r},{y!r}" for x, y in self.breakpoints]
 
 
+def _checked(obj):
+    """obj, if a classical or quantum object; TypeError on anything else."""
+    if not isinstance(obj, (ClassicalObject, ThermoObject)):
+        raise TypeError(f"expected a classical or diagonal object, got {type(obj).__name__}")
+    return obj
+
+
 def _as_classical(obj) -> ClassicalObject:
-    if isinstance(obj, ClassicalObject):
-        return obj
-    if isinstance(obj, ThermoObject):
-        return object_to_classical(obj)
-    raise TypeError(f"expected a classical or diagonal object, got {type(obj).__name__}")
+    return obj if isinstance(_checked(obj), ClassicalObject) else object_to_classical(obj)
 
 
 def _classified(src, dst):
@@ -187,7 +183,13 @@ def _classified(src, dst):
 
 def thermo_curve(c: ClassicalObject, ctx) -> ThermoCurve:
     """Thermomajorization curve of a classical object at inverse temperature beta."""
-    return ThermoCurve(tuple(zip(*_Rows([_as_classical(c)], as_beta(ctx)).curve(0).T.tolist())))
+    points = _row_curve(_Rows([_as_classical(c)], as_beta(ctx)), 0)
+    return ThermoCurve(tuple(zip(*points.T.tolist())))
+
+
+def _row_curve(rows: _Rows, n: int) -> np.ndarray:
+    """_curve of row n of the table ``rows``, on the row's own levels."""
+    return _curve(rows.probs[n, :rows.dims[n]], rows.gibbs()[n, :rows.dims[n]])
 
 
 #: Rows of at most this many levels take _curve's list path, which sums a merged run as
@@ -274,7 +276,7 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
     first crossing point.
     """
     rows = _Rows([_as_classical(src), _as_classical(dst)], as_beta(ctx))
-    return _curve_dominance(rows.curve(0), rows.curve(1))
+    return _curve_dominance(_row_curve(rows, 0), _row_curve(rows, 1))
 
 
 def _curve_dominance(src_c: np.ndarray, dst_c: np.ndarray) -> FeasibilityVerdict:
@@ -299,61 +301,6 @@ def _curve_dominance(src_c: np.ndarray, dst_c: np.ndarray) -> FeasibilityVerdict
         "min_margin": float((sv - dv).min()),
         "checked_points": len(xs),
     })
-
-
-class _Rows:
-    """The deciders' one source of classical rows: row m * len(objs) + k holds the probabilities
-    of bases[m] (x) objs[k] (objs[k] alone where bases[m] is None), zero-padded to the widest
-    row, and gibbs(cat_dim) their Gibbs weights beside cat_dim zero-energy catalyst levels (level
-    i * cat_dim + k), one gibbs_weights call per base and object dimension, made once."""
-
-    def __init__(self, objs, beta: float, bases=(None,)):
-        dims = [c.dim for c in objs]
-        self.dims = dims if bases == (None,) else [b.dim * dim for b in bases for dim in dims]
-        if bases != (None,):  # the cap is on tensor products, not on an object alone
-            check_tensor_dim(max(self.dims))
-        self.beta, self._gibbs = beta, {}
-        if bases == (None,) and dims.count(dims[0]) == len(dims):  # one group, no grouping loop
-            self._rows, self.probs = [slice(None)], np.array([c.probs for c in objs])
-            self._energies = [np.array([c.energies for c in objs])]
-            self._gibbs[1] = gibbs_weights(self._energies[0], beta)
-            return
-        self._rows, self._energies, at_dim = [], [], {}
-        self.probs = np.zeros((len(self.dims), max(self.dims)))
-        for k, dim in enumerate(dims):
-            at_dim.setdefault(dim, []).append(k)
-        for m, base in enumerate(bases):
-            for at in at_dim.values():
-                p = np.array([objs[k].probs for k in at])
-                e = np.array([objs[k].energies for k in at])
-                if base is not None:
-                    p = (base.probs[:, None] * p[:, None, :]).reshape(len(at), -1)
-                    e = (base.energies[:, None] + e[:, None, :]).reshape(len(at), -1)
-                self._rows.append([m * len(dims) + k for k in at])
-                self._energies.append(e)
-                self.probs[self._rows[-1], :p.shape[1]] = p
-
-    def gibbs(self, cat_dim: int = 1) -> np.ndarray:
-        if cat_dim not in self._gibbs:
-            g = self._gibbs[cat_dim] = np.zeros((len(self.dims), max(self.dims) * cat_dim))
-            for rows, e in zip(self._rows, self._energies):
-                g[rows, :e.shape[1] * cat_dim] = gibbs_weights(
-                    e if cat_dim == 1 else np.repeat(e, cat_dim, 1), self.beta)
-        return self._gibbs[cat_dim]
-
-    def curve(self, n: int) -> np.ndarray:
-        """Row n's _curve."""
-        return _curve(self.probs[n, :self.dims[n]], self.gibbs()[n, :self.dims[n]])
-
-    def free(self, orders, rows=slice(None)) -> np.ndarray:
-        """delta_F of ``rows`` at ``orders`` in one kernel call, delta_F_alpha's to the bit."""
-        return np.array(classical_renyi_divergences(self.probs[rows], self.gibbs()[rows],
-                                                    orders)) / self.beta
-
-    def pairs(self, src, dst, cat_dim: int) -> tuple:
-        """The probabilities and gibbs(cat_dim) of rows ``src``, then of ``dst``, one width."""
-        w, g = max(self.dims[n] for n in itertools.chain(src, dst)), self.gibbs(cat_dim)
-        return self.probs[src, :w], g[src, :w * cat_dim], self.probs[dst, :w], g[dst, :w * cat_dim]
 
 
 class _Prepared:
@@ -547,6 +494,7 @@ def _necessary(src, dst, beta: float, grid: tuple, classical) -> FeasibilityVerd
 def _pair(src, dst, beta: float) -> tuple:
     """src and dst for _pair_free: a classical one as a one-row _Rows, a quantum one as _Prepared,
     twins (Hamiltonians equal bit for bit, not just by ==) sharing one Gibbs state."""
+    src, dst = _checked(src), _checked(dst)
     if isinstance(src, ClassicalObject) or isinstance(dst, ClassicalObject):
         return tuple(_Rows([x], beta) if isinstance(x, ClassicalObject) else _Prepared(x, beta)
                      for x in (src, dst))
@@ -660,7 +608,7 @@ def catalytic_bruteforce(src, dst, ctx, max_cat_dim: int = _BUDGET[0],
     beta = as_beta(ctx)
     _check_cost_guards(max_cat_dim, grid_steps)
     rows = _Rows([_as_classical(src), _as_classical(dst)], beta)
-    direct = _curve_dominance(rows.curve(0), rows.curve(1))
+    direct = _curve_dominance(_row_curve(rows, 0), _row_curve(rows, 1))
     if direct.is_feasible:
         return feasible({
             "kind": "catalyst",
@@ -827,7 +775,7 @@ def decide_catalytic(src, dst, ctx, max_cat_dim: int = _BUDGET[0], grid_steps: i
 def _decide(rows: _Rows, max_cat_dim: int = _BUDGET[0], grid_steps: int = _BUDGET[1],
             grid: tuple = DEFAULT_ALPHA_GRID) -> FeasibilityVerdict:
     """decide_catalytic on a two-row table of a classical pair, a checked order grid and budget."""
-    direct = _curve_dominance(rows.curve(0), rows.curve(1))
+    direct = _curve_dominance(_row_curve(rows, 0), _row_curve(rows, 1))
     return direct if direct.is_feasible else _pair_stages(rows, grid, max_cat_dim, grid_steps)
 
 
@@ -846,7 +794,8 @@ def _decide_pairs(src_m: ClassicalObject, dst_m: ClassicalObject, cands: list, i
     batch), the first order read from the table and the rest once per distinct row."""
     table, half = _Rows(cands, beta, (src_m, dst_m)), len(cands)  # source rows, then target rows
     xs, ys = _joint_curves(table.probs, table.gibbs())
-    f, curve = table.free((DEFAULT_ALPHA_GRID[0], INF)), functools.cache(table.curve)
+    f = table.free((DEFAULT_ALPHA_GRID[0], INF))
+    curve = functools.cache(functools.partial(_row_curve, table))
     xs, ys, xd, yd, fs, fd = xs[:half], ys[:half], xs[half:], ys[half:], f[:half], f[half:]
 
     def settle(at) -> dict:  # _decide's verdicts on kept pairs ``at``, direct check failed

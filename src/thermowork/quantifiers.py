@@ -31,14 +31,12 @@ from .core import (
     partial_trace,
     trace_norm,
 )
-from .divergences import (BetaContext, INF, _check_alphas, as_beta,
-                          classical_renyi_divergences, delta_F_alpha)
+from .divergences import BetaContext, INF, _check_alphas, _Rows, as_beta, delta_F_alpha
 from .feasibility import (
     MONOTONE_TOL,
     FeasibilityVerdict,
     Status,
     _as_classical,
-    _Rows,
     _decide_pairs,
     _json_safe,
     decide_catalytic,
@@ -102,12 +100,10 @@ class RenyiFreeEnergy(Monotone):
         return delta_F_alpha(obj, self.ctx, self.alpha)
 
     def _values(self, objs) -> np.ndarray:
-        """For classical objects one row call, each value that of self(c) to the bit."""
+        """For classical objects one table, each value that of self(c) to the bit."""
         if not all(isinstance(c, ClassicalObject) for c in objs):
             return super()._values(objs)
-        rows = _Rows(objs, as_beta(self.ctx))
-        values = classical_renyi_divergences(rows.probs, rows.gibbs(), (self.alpha,))
-        return np.array(values)[:, 0] / rows.beta
+        return _Rows(objs, as_beta(self.ctx)).free((self.alpha,))[:, 0]
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from thermowork.core import (
     partial_trace,
     tensor,
 )
-from thermowork.divergences import INF, delta_F_alpha
-from thermowork import feasibility
+from thermowork.divergences import INF, _Rows, delta_F_alpha
+from thermowork import divergences, feasibility
 from thermowork.feasibility import (
     DEFAULT_ALPHA_GRID,
     MAX_CAT_DIM,
@@ -50,7 +50,7 @@ from thermowork.feasibility import (
     thermo_majorizes,
 )
 from thermowork.feasibility import _catalyst_probs, _curve, _interp_rows, _LIST_LEVELS, _Prepared
-from thermowork.feasibility import _pair, _Rows, _screen, _search
+from thermowork.feasibility import _pair, _row_curve, _screen, _search
 from thermowork.quantifiers import (
     EpsilonDet,
     MeanEnergy,
@@ -405,7 +405,7 @@ class TestThermoCurve:
         rng = rng_from_seed(9)
         for d in (1, 2, 5, 64, 1024):
             c = random_classical_object(rng, d, energy_scale=2.0)
-            points = _Rows([c], 1.0).curve(0)
+            points = _row_curve(_Rows([c], 1.0), 0)
             assert not points.flags.writeable
             curve = thermo_curve(c, 1.0)
             assert curve.breakpoints == tuple(map(tuple, points.tolist()))
@@ -1133,6 +1133,16 @@ class TestPipeline:
         excited = ThermoObject(np.diag([0.0, 1.0]), HamiltonianClass(np.diag([0.0, 1.0])))
         verdict = decide_catalytic(p, excited, 1.0)
         assert verdict.status in (Status.INFEASIBLE, Status.UNDETERMINED)
+
+    def test_every_decider_refuses_a_non_interacting_object_with_one_type_error(self):
+        obj = classical_to_object(ClassicalObject([0.4, 0.1, 0.1, 0.4], np.zeros(4)))
+        zero = HamiltonianClass(np.zeros((2, 2)))
+        ni = NonInteractingObject(obj, (2, 2), (zero, zero))
+        message = "expected a classical or diagonal object, got NonInteractingObject"
+        for decider in (thermo_majorizes, decide_free, decide_catalytic, catalytic_necessary):
+            for src, dst in ((ni, obj), (obj, ni), (ni, ni)):
+                with pytest.raises(TypeError, match=message):
+                    decider(src, dst, 1.0)
 
     def test_decide_free_matches_majorization(self):
         rng = rng_from_seed(11)
@@ -1877,11 +1887,11 @@ class TestRowTable:
         dst = ClassicalObject([0.45, 0.41, 0.14], np.ones(3))
         shapes = []
 
-        def counted(energies, beta, _f=feasibility.gibbs_weights):
+        def counted(energies, beta, _f=divergences.gibbs_weights):
             shapes.append(np.shape(energies))
             return _f(energies, beta)
 
-        monkeypatch.setattr(feasibility, "gibbs_weights", counted)
+        monkeypatch.setattr(divergences, "gibbs_weights", counted)
         # the direct check, every order and the catalyst search leave it open
         assert decide_catalytic(src, dst, 1.0).is_undetermined
         assert shapes == [(2, 3), (2, 6)]  # both rows alone, then beside a qubit catalyst
@@ -1930,11 +1940,11 @@ class TestClassicalPairGrid:
         # one two-row call at the first order, then one for the rest of the grid
         calls = []
 
-        def counted(p, q, alphas, _f=feasibility.classical_renyi_divergences):
+        def counted(p, q, alphas, _f=divergences.classical_renyi_divergences):
             calls.append((np.ndim(p), len(alphas)))
             return _f(p, q, alphas)
 
-        monkeypatch.setattr(feasibility, "classical_renyi_divergences", counted)
+        monkeypatch.setattr(divergences, "classical_renyi_divergences", counted)
         rng = rng_from_seed(51)
         energies = rng.uniform(0.0, 3.0, 4)
         src = ClassicalObject(rng.dirichlet(np.ones(4)), energies)
@@ -2086,8 +2096,10 @@ class TestStageRunner:
             return call
 
         monkeypatch.setattr(feasibility, "_stages", stages)
-        for name in ("_search", "_pair_free", "classical_renyi_divergences", "_sandwiched"):
-            monkeypatch.setattr(feasibility, name, watched(name, getattr(feasibility, name)))
+        for module, name in ((feasibility, "_search"), (feasibility, "_pair_free"),
+                             (divergences, "classical_renyi_divergences"),
+                             (feasibility, "_sandwiched")):
+            monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
         return log
 
     def test_every_entry_point_reaches_the_grid_and_the_search_only_through_it(self, monkeypatch):
@@ -2134,8 +2146,10 @@ class TestStageRunner:
         got = work_value(quantifier, EpsilonDet(0.1, 1.0), fuel, 1.0, grid=32)
         assert json.dumps(got["tested"]) == json.dumps(want["tested"])
         assert got["certificate"].to_json() == want["certificate"].to_json()
-        # outside a run only the screen's two orders, on the whole candidate table
+        # outside a run only the monotone's order on the fuel and the screen's two orders,
+        # on the whole candidate table
         assert [(name, tuple(args[2])) for name, args in log["outside"]] == [
+            ("classical_renyi_divergences", (1.0,)),
             ("classical_renyi_divergences", (DEFAULT_ALPHA_GRID[0], INF))]
         assert [(r["grid"], r["max_cat_dim"]) for r in log["runs"]] == [(DEFAULT_ALPHA_GRID, 2)]
         assert log["runs"][0]["pairs"] > 1 and log["runs"][0]["free"] == 2

@@ -107,3 +107,27 @@ def test_import_and_help_load_no_scipy_solver():
     out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+_LOADED_ABOVE_DIVERGENCES = """
+import sys
+import types
+package = types.ModuleType("thermowork")
+package.__path__ = [sys.argv[1]]
+sys.modules["thermowork"] = package
+from thermowork.core import ClassicalObject
+from thermowork.divergences import delta_F_alpha
+delta_F_alpha(ClassicalObject([0.5, 0.5], [0.0, 1.0]), 1.0, 2.0)
+print(sorted(name for name in sys.modules if name.startswith("thermowork.")))
+"""
+
+
+def test_divergences_loads_neither_feasibility_nor_quantifiers():
+    # the row table lives under its readers: divergences, and a classical delta_F_alpha
+    # call, must not reach up into the deciders or the quantifiers.  The package's
+    # __init__ imports every module, so a bare package object stands in for it.
+    out = subprocess.run([sys.executable, "-c", _LOADED_ABOVE_DIVERGENCES, str(PACKAGE)],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = ast.literal_eval(out.splitlines()[-1])
+    assert "thermowork.divergences" in loaded
+    assert not {"thermowork.feasibility", "thermowork.quantifiers"} & set(loaded)

@@ -16,7 +16,7 @@ from thermowork.core import (
     classical_tensor,
     classical_to_object,
 )
-from thermowork.divergences import BetaContext, INF, delta_F_alpha
+from thermowork.divergences import BetaContext, INF, _Rows, delta_F_alpha
 from thermowork import feasibility
 from thermowork.feasibility import (
     DEFAULT_ALPHA_GRID,
@@ -26,7 +26,7 @@ from thermowork.feasibility import (
     decide_free,
     thermo_majorizes,
 )
-from thermowork.feasibility import _decide, _decide_pairs, _dropped, _joint_curves, _Rows
+from thermowork.feasibility import _decide, _decide_pairs, _dropped, _joint_curves
 from thermowork.quantifiers import (
     AssistedSequence,
     CustomTable,
