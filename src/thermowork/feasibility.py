@@ -2,8 +2,8 @@
 
 For commuting (classical) objects at fixed inverse temperature the
 reachability order of thermal operations is decided exactly by curve
-dominance (thermomajorization) and, equivalently, by feasibility of a
-Gibbs-stochastic linear program.  Catalytic reachability is attacked from
+dominance (thermomajorization), which a Gibbs-stochastic map built from the
+two curves or a Farkas vector witnesses.  Catalytic reachability is attacked from
 both sides: free-energy monotones give sound infeasibility certificates,
 and a brute-force grid search over small catalysts gives sound feasibility
 certificates.  Quantum (non-commuting) inputs only get monotone
@@ -41,8 +41,6 @@ from .core import (
 from .divergences import INF, _check_alphas, _Rows, _sandwiched, as_beta
 
 MAJORIZE_TOL = 1e-10
-LP_FEAS_TOL = 1e-9
-_LP_CHECK_TOL = 10 * math.sqrt(1e-9)  # linprog's result check, at its tol of 1e-9
 MONOTONE_TOL = 1e-9
 COMMUTATION_TOL = 1e-9
 MAX_CAT_DIM = 4
@@ -317,109 +315,111 @@ class _Prepared:
                                     _check_alphas(orders))) / self.beta
 
 
-def _stack_constraints(src: ClassicalObject, dst: ClassicalObject, beta: float):
-    """a_eq as a CSC matrix, column i * ds + j for G[i, j] holding 1 (column
-    stochasticity, row j), the Gibbs weight (row ds + i) and the probability
-    (row ds + dd + i) of level j, each without its zeros, as scipy keeps a
-    dense array's nonzeros; and b_eq."""
-    from scipy import sparse
-
-    ds, dd = src.dim, dst.dim
-    g = _Rows([src, dst], beta).gibbs()
-    i, j = np.divmod(np.arange(dd * ds, dtype=np.int32), ds)  # scipy's index type
-    rows = np.stack([j, ds + i, ds + dd + i], axis=1)
-    data = np.stack([np.ones(dd * ds), np.tile(g[0, :ds], dd), np.tile(src.probs, dd)], axis=1)
-    kept = data != 0.0
-    indptr = np.cumsum(np.concatenate(([0], np.add.reduce(kept, 1))), dtype=np.int32)
-    a_eq = sparse.csc_array((data[kept], rows[kept], indptr), shape=(ds + 2 * dd, dd * ds))
-    b_eq = np.concatenate([np.ones(ds), g[1, :dd], dst.probs])
-    return a_eq, b_eq
-
-
 def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
-    """LP feasibility of a Gibbs-stochastic map taking src to dst.
-
-    Searches for a column-stochastic G >= 0 with G g_src = g_dst and
-    G p_src = p_dst.  Feasible verdicts carry G; Infeasible verdicts carry
-    the phase-1 gap together with a Farkas certificate when one validates.
-    Solver failures yield Undetermined, never a silently wrong answer.
-    scipy's HiGHS gets the model and options of ``linprog(method="highs")``,
-    so it returns linprog's vertex, checked by linprog's rule, without
-    linprog's Python glue.  Presolve is off only where no coefficient was dropped
-    and none, nor any right-hand side, is under 10x HiGHS's primal feasibility
-    tolerance: with a slack pair per row it then removes nothing, and HiGHS
-    solves an unreduced model as passed.  scipy is imported on the first call.
-    """
-    from scipy.optimize._highspy import _core as highs
-
-    beta = as_beta(ctx)
-    src = _as_classical(src)
-    dst = _as_classical(dst)
-    a_eq, b_eq = _stack_constraints(src, dst, beta)
-    m, n = a_eq.shape
-    # Phase-1 form: minimize the total slack of A x + s+ - s- = b over
-    # x, s+, s- >= 0; a zero optimum certifies feasibility of A x = b, x >= 0.
-    # Column n + k is s+ of row k (+1), column n + m + k its s- (-1).  HiGHS
-    # copies the numpy arrays in one go; integrality 0 means continuous.
-    cols, rows = n + 2 * m, np.arange(m, dtype=np.int32)
-    model = (cols, m, a_eq.nnz + 2 * m, int(highs.MatrixFormat.kColwise),
-             int(highs.ObjSense.kMinimize), 0.0, np.concatenate([np.zeros(n), np.ones(2 * m)]),
-             np.zeros(cols), np.full(cols, np.inf), b_eq, b_eq,
-             np.concatenate([a_eq.indptr[:-1], a_eq.nnz + np.arange(2 * m, dtype=np.int32)]),
-             np.concatenate([a_eq.indices, rows, rows]),
-             np.concatenate([a_eq.data, np.ones(m), -np.ones(m)]), np.zeros(cols, np.int32))
-    options = highs.HighsOptions()
-    floor = 10 * options.primal_feasibility_tolerance
-    unreducible = a_eq.nnz == 3 * n and min(a_eq.data.min(), b_eq.min()) >= floor
-    options.presolve = "off" if unreducible else "on"
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = options.log_to_console = False
-    solver = highs._Highs()
-    solver.passOptions(options)
-    error = highs.HighsStatus.kError
-    if (solver.passModel(*model) == error or solver.run() == error
-            or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
-        return UNDETERMINED  # iteration cap or numerical trouble: refuse to guess
-    solution = solver.getSolution()
-    x = np.array(solution.col_value)
-    gap = float(solver.getInfo().objective_function_value)
-    # linprog's check of a solution: no NaN, x >= -tol and |b - A x| <= tol
-    if (math.isnan(gap) or not np.all(x >= -_LP_CHECK_TOL)
-            or not np.all(np.abs(b_eq - np.array(solution.row_value)) <= _LP_CHECK_TOL)):
+    """Whether a Gibbs-stochastic map takes src to dst: G >= 0, column-stochastic, with
+    G g_src = g_dst and G p_src = p_dst.  It exists iff the source curve dominates the
+    target's (Horodecki & Oppenheim, arXiv:1111.3834; Renes, arXiv:1510.03695).  Feasible
+    carries _transport's G (``matrix``) and its L1 residual (``phase1_gap``); Infeasible,
+    _farkas's y (``farkas``; rows: source column sums, target Gibbs rows, target probability
+    rows) and ``gap`` = b . y / max(1, |y|_inf), by weak duality a lower bound on the phase-1
+    optimum.  Undetermined where revalidate_gibbs_stochastic rejects G, or where an entry of
+    A^T y exceeds 1e-12 or b . y <= 0: nothing guesses."""
+    beta, src, dst = as_beta(ctx), _as_classical(src), _as_classical(dst)
+    rows = _Rows([src, dst], beta)
+    (p, q), (g, h) = ([x[n, :rows.dims[n]] for n in (0, 1)] for x in (rows.probs, rows.gibbs()))
+    if _curve_dominance(_curve(p, g), _curve(q, h)).is_feasible:
+        t_map = _transport(p, g, q, h)
+        verdict = feasible({"kind": "gibbs_stochastic_map", "matrix": t_map, "phase1_gap": sum(
+            float(np.abs(got - want).sum())
+            for got, want in ((t_map.sum(axis=0), 1.0), (t_map @ g, h), (t_map @ p, q)))})
+        return verdict if revalidate_gibbs_stochastic(verdict, src, dst, beta) else UNDETERMINED
+    y = _farkas(p, g, q, h)
+    u, v, w = np.split(y, [len(p), len(p) + len(q)])
+    b_y = float(u.sum() + v @ h + w @ q)
+    if (u + v[:, None] * g + w[:, None] * p).max() > 1e-12 or not b_y > 0:
         return UNDETERMINED
-    if gap <= LP_FEAS_TOL:
-        g_mat = np.clip(x[:n].reshape(dst.dim, src.dim), 0.0, None)
-        return feasible({
-            "kind": "gibbs_stochastic_map",
-            "matrix": g_mat,
-            "phase1_gap": gap,
-        })
-    witness = {"kind": "lp_phase1_gap", "gap": gap}
-    duals = np.array(solution.row_dual)  # linprog's eqlin marginals
-    for sign in (1.0, -1.0):
-        y = sign * duals
-        if float(np.max(a_eq.T @ y)) <= 1e-7 and float(b_eq @ y) >= 0.5 * gap:
-            witness["farkas"] = y
-            break
-    return infeasible(witness)
+    return infeasible({"kind": "lp_phase1_gap", "gap": b_y / max(1.0, float(np.abs(y).max())),
+                       "farkas": y})
+
+
+def _farkas(p, g, q, h) -> np.ndarray:
+    """y = (-(p - t g)_+, -t w, w), w = 1[q > t h], at the finite ratio t of either side with the
+    largest b . y = E_t(q||h) - E_t(p||g), E_t(a||c) = sum (a - t c)_+; A^T y <= 0 entrywise."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ts = np.concatenate([p / g, q / h])
+        ts = ts[np.isfinite(ts), None]
+        t = ts[(np.maximum(q - ts * h, 0).sum(1) - np.maximum(p - ts * g, 0).sum(1)).argmax(), 0]
+    w = (q > t * h).astype(float)
+    return np.concatenate([np.minimum(t * g - p, 0.0), np.where(w > 0, -t, 0.0), w])
+
+
+def _transport(p, g, q, h) -> np.ndarray:
+    """A Gibbs-stochastic map from (p, g) to (q, h) under a dominating source curve: merge . mix
+    . split on cells cutting [0, 1] at both curves' x breakpoints (partial Gibbs sums in ratio
+    order, clipped at 1), cell 0 of zero width at x = 0.  split: a level goes to the cells in
+    its x interval by width, a zero-width one to the cell at its x; mix: _mix; merge: a cell
+    goes to the target level holding it, cell 0 to those of zero width at 0 by probability."""
+    cuts = []
+    for probs, gibbs in ((p, g), (q, h)):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as in _curve
+            order = (-(probs / gibbs)).argsort(kind="stable")
+        cuts.append((order, np.r_[np.minimum(gibbs[order][:-1].cumsum(), 1.0), 1.0]))
+    edges = np.unique(np.concatenate([[0.0], cuts[0][1], cuts[1][1]]))
+    ell = np.diff(edges, prepend=0.0)  # cell k is (edges[k] - ell[k], edges[k]]
+    splits = []  # each side's split, cells by levels, and the levels holding cells 1, 2, ...
+    for order, x in cuts:
+        width, holder = np.diff(x, prepend=0.0), np.searchsorted(x, edges[1:])
+        split = np.zeros((len(edges), len(x)))
+        split[np.arange(1, len(edges)), order[holder]] = ell[1:] / width[holder]
+        split[np.searchsorted(edges, x[width == 0]), order[width == 0]] = 1.0
+        splits.append((split, order[holder]))
+    (mixed, _), (split, holder) = splits
+    for j, k, s, t in _mix((mixed @ p).tolist(), (split @ q).tolist(), ell.tolist()):
+        moved = s * mixed[j] - t * mixed[k]
+        mixed[j] -= moved
+        mixed[k] += moved
+    t_map, zero = np.zeros((len(q), len(p))), split[0] * q
+    np.add.at(t_map, holder, mixed[1:])
+    first = np.eye(len(q))[cuts[1][0][0]]
+    return t_map + np.outer(zero / zero.sum() if zero.any() else first, mixed[0])
+
+
+def _mix(a: list, b: list, ell: list) -> list:
+    """T-transforms (j, k, s, t) in Muirhead order taking cell contents a to b, widths ell kept,
+    for a dominating b and b / ell falling: cell j sends the share s of its content to k > j and
+    takes the share t of k's, s ell_j = t ell_k.  j is the last cell with a_j > b_j, k the first
+    after it with a_k < b_k; moving min(a_j - b_j, b_k - a_k) settles one, snapped to b for good,
+    so there are fewer steps than cells off b, if any.  Rounding past [0, 1] is clipped."""
+    steps, deficits = [], []  # the cells after j with a_k < b_k, the nearest last
+    for j in range(len(a) - 1, -1, -1):
+        if a[j] < b[j]:
+            deficits.append(j)
+        while a[j] > b[j] and deficits:
+            k = deficits[-1]  # ell[k] > 0: only cell 0 has zero width
+            over, under = a[j] - b[j], b[k] - a[k]
+            room = a[j] - a[k] * ell[j] / ell[k]  # ell_j (a_j / ell_j - a_k / ell_k)
+            s = min(1.0, min(over, under) / room) if room > 0 else 0.0
+            steps.append((j, k, s, min(1.0, s * ell[j] / ell[k])))
+            if over >= under:
+                deficits.pop()
+                a[j], a[k] = b[j] if over == under else a[j] - under, b[k]
+            else:
+                a[j], a[k] = b[j], a[k] + over
+    return steps
 
 
 def revalidate_gibbs_stochastic(verdict: FeasibilityVerdict, src, dst, ctx,
                                 tol: float = 1e-8) -> bool:
-    """Check an LP witness against the constraints it claims to satisfy."""
+    """Check a Gibbs-stochastic map witness against the constraints it claims to satisfy."""
     if not verdict.is_feasible or verdict.witness.get("kind") != "gibbs_stochastic_map":
         return False
-    beta = as_beta(ctx)
-    src = _as_classical(src)
-    dst = _as_classical(dst)
+    beta, src, dst = as_beta(ctx), _as_classical(src), _as_classical(dst)
     g_mat = np.asarray(verdict.witness["matrix"], dtype=float)
     if g_mat.shape != (dst.dim, src.dim) or np.min(g_mat) < -tol:
         return False
-    ok_cols = np.allclose(g_mat.sum(axis=0), 1.0, atol=tol, rtol=0)
-    ok_gibbs = np.allclose(g_mat @ src.gibbs_weights(beta), dst.gibbs_weights(beta), atol=tol, rtol=0)
-    ok_probs = np.allclose(g_mat @ src.probs, dst.probs, atol=tol, rtol=0)
-    return bool(ok_cols and ok_gibbs and ok_probs)
+    return all(np.allclose(got, want, atol=tol, rtol=0) for got, want in (
+        (g_mat.sum(axis=0), 1.0), (g_mat @ src.gibbs_weights(beta), dst.gibbs_weights(beta)),
+        (g_mat @ src.probs, dst.probs)))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def test_criterion_02_gibbs_ground_probability():
 
 
 def test_criterion_03_oracle_equivalence():
-    """thermo_majorizes and the Gibbs-stochastic LP agree on 300 random
+    """thermo_majorizes and the Gibbs-stochastic map oracle agree on 300 random
     same-Hamiltonian instances (dims 2..6), zero disagreements, < 30 s."""
     start = time.monotonic()
     rng = rng_from_seed(303)

@@ -147,7 +147,9 @@ def _chain(top: float, length: int, step) -> np.ndarray:
 
 
 def _loop_constraints(src, dst, beta):
-    """LP constraint rows built one at a time: the reference for _stack_constraints."""
+    """The Gibbs-stochastic LP's constraint rows A, b, built one at a time: one column sum per
+    source level, then one Gibbs row and one probability row per target level, for the map's
+    entry (i, j) at column i * ds + j."""
     ds, dd = src.dim, dst.dim
     rows, rhs = [], []
     for j in range(ds):
@@ -165,34 +167,35 @@ def _loop_constraints(src, dst, beta):
     return np.array(rows), np.array(rhs)
 
 
+#: The phase-1 optimum at or under which the linprog reference says Feasible.
+_LP_FEAS_TOL = 1e-9
+
+
 def _linprog_verdict(src, dst, beta) -> FeasibilityVerdict:
-    """The LP oracle through ``linprog(method="highs")``: the reference for the
-    direct HiGHS call in gibbs_stochastic_feasible, which must match it byte
-    for byte.  A scipy upgrade that changes linprog's model or options shows
-    here."""
-    from scipy import sparse
+    """The phase-1 LP on _loop_constraints through ``linprog(method="highs")``: minimize the
+    total slack of A x + s+ - s- = b over x, s+, s- >= 0.  The reference whose statuses
+    gibbs_stochastic_feasible's curve check and constructed witnesses must give."""
     from scipy.optimize import linprog
 
-    a_eq, b_eq = feasibility._stack_constraints(src, dst, beta)
+    a_eq, b_eq = _loop_constraints(src, dst, beta)
     m, n = a_eq.shape
-    eye = sparse.eye_array(m, format="csc")
-    a_full = sparse.hstack([a_eq, eye, -eye], format="csc")
-    cost = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    res = linprog(cost, A_eq=a_full, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(np.concatenate([np.zeros(n), np.ones(2 * m)]),
+                  A_eq=np.hstack([a_eq, np.eye(m), -np.eye(m)]), b_eq=b_eq, bounds=(0, None),
+                  method="highs")
     if res.status != 0:
         return UNDETERMINED
     gap = float(res.fun)
-    if gap <= feasibility.LP_FEAS_TOL:
-        g_mat = np.clip(res.x[:n].reshape(dst.dim, src.dim), 0.0, None)
-        return feasibility.feasible({"kind": "gibbs_stochastic_map", "matrix": g_mat,
-                                     "phase1_gap": gap})
-    witness = {"kind": "lp_phase1_gap", "gap": gap}
-    for sign in (1.0, -1.0):
-        y = sign * np.asarray(res.eqlin.marginals, dtype=float)
-        if float(np.max(a_eq.T @ y)) <= 1e-7 and float(b_eq @ y) >= 0.5 * gap:
-            witness["farkas"] = y
-            break
-    return feasibility.infeasible(witness)
+    if gap <= _LP_FEAS_TOL:
+        return feasibility.feasible({"kind": "gibbs_stochastic_map", "phase1_gap": gap,
+                                     "matrix": res.x[:n].reshape(dst.dim, src.dim)})
+    return feasibility.infeasible({"kind": "lp_phase1_gap", "gap": gap})
+
+
+def _farkas_holds(y, src, dst, beta) -> bool:
+    """A^T y <= 1e-12 and b . y > 0 on _loop_constraints: y certifies that no map exists."""
+    a_eq, b_eq = _loop_constraints(src, dst, beta)
+    y = np.asarray(y, dtype=float)
+    return float(np.max(a_eq.T @ y)) <= 1e-12 and float(b_eq @ y) > 0
 
 
 def _thermalized_image(rng, src: ClassicalObject, beta: float, layers: int = 3):
@@ -215,45 +218,9 @@ def _thermalized_image(rng, src: ClassicalObject, beta: float, layers: int = 3):
     return ClassicalObject(p / p.sum(), src.energies)
 
 
-#: One spoiled solver result per check that gibbs_stochastic_feasible keeps from
-#: linprog: (solver method, field of its result or None for the result itself,
-#: the spoiled value from the old one, whether the verdicts stay decisive).
-#: linprog's tolerance on x and on the residual is 10 * sqrt(1e-9) ~ 3.2e-4.
-_LP_FAULTS = {
-    "not optimal": ("getModelStatus", None, lambda status: type(status).kIterationLimit, False),
-    "residual above tolerance": ("getSolution", "row_value", lambda v: [r + 1e-3 for r in v],
-                                 False),
-    "residual below tolerance": ("getSolution", "row_value", lambda v: [r + 1e-4 for r in v],
-                                 True),
-    "negative x": ("getSolution", "col_value", lambda v: [-1e-3] + v[1:], False),
-    "nan in x": ("getSolution", "col_value", lambda v: [math.nan] + v[1:], False),
-    "nan objective": ("getInfo", "objective_function_value", lambda v: math.nan, False),
-}
-
-
-def _recording_highs(monkeypatch) -> list:
-    """Make every HiGHS solver record (options.presolve, the model arrays) in
-    the returned list when it is handed its model."""
-    from scipy.optimize._highspy import _core
-
-    handed = []
-
-    class Recording(_core._Highs):
-        def passOptions(self, options):
-            self.presolve = options.presolve
-            return super().passOptions(options)
-
-        def passModel(self, *model):
-            handed.append((self.presolve, model))
-            return super().passModel(*model)
-
-    monkeypatch.setattr(_core, "_Highs", Recording)
-    return handed
-
-
 def _presolve_corpus() -> list:
-    """(src, dst, beta) shaped like the LP's traffic, with values at and under
-    presolve's reach: the golden LP pairs; random pairs at three temperatures,
+    """(src, dst, beta) shaped like the LP's traffic, with small values on either side:
+    the golden LP pairs; random pairs at three temperatures,
     with Gibbs sources and targets, trivial Hamiltonians, a catalyst, energies
     up to 12, entries set to 1e-6..1e-5 and target levels set to 1e-8 and 1e-7
     (before renormalizing); and benchmark-shaped pairs at d = 16 and 32 in
@@ -636,6 +603,57 @@ class TestThermoMajorizes:
             assert thermo_majorizes(ba, ab, 1.0).is_feasible
 
 
+#: Item 1's pair (ROADMAP): Feasible, with a Gibbs weight of e^-40 / Z.
+_PAST_ONE = (ClassicalObject([0.0, 1.0, 0.0], [0.0, 31.0, 40.0]),
+             ClassicalObject([1 - 1e-12, 0.0, 1e-12], [0.0, 31.0, 40.0]), 1.0)
+
+
+#: Where the parts of _presolve_corpus() lie: the golden LP pairs, random pairs at three
+#: temperatures, and benchmark-shaped pairs at d = 16 and 32.
+_LP_PARTS = {"golden": slice(0, 187), "random": slice(187, 583), "thermalized": slice(583, None),
+             "edges": None}
+
+
+@functools.cache
+def _lp_agreement_corpus() -> dict:
+    """598 pairs by part: _presolve_corpus() split by _LP_PARTS, and as "edges" six pairs with a
+    Gibbs weight that underflows to 0 or a single level, and item 1's pair."""
+    cases = _presolve_corpus()
+    energies = [0.0, 1.0, 1e4]  # exp(-1e4) underflows to 0
+    parts = {part: cases[at] for part, at in _LP_PARTS.items() if at is not None}
+    parts["edges"] = [
+        (ClassicalObject([0.5, 0.5, 0.0], energies), ClassicalObject([0.0, 1.0, 0.0], energies),
+         1.0),
+        (ClassicalObject([0.5, 0.5, 0.0], energies), ClassicalObject([0.2, 0.3, 0.5], energies),
+         1.0),
+        (ClassicalObject([0.0, 0.2, 0.8], energies), ClassicalObject([1.0, 0.0], [0.0, 2.0]), 1.0),
+        (ClassicalObject([1.0], [0.0]), ClassicalObject([0.3, 0.7], [0.0, 0.1]), 2.0),
+        (ClassicalObject([0.3, 0.7], [0.0, 0.1]), ClassicalObject([1.0], [0.0]), 2.0),
+        (ClassicalObject([1.0], [0.0]), ClassicalObject([1.0], [5.0]), 1.0),
+        _PAST_ONE]
+    return parts
+
+
+def _first_plus(delta: float):
+    """A copy of an array with ``delta`` added to its first entry."""
+    def spoil(x: np.ndarray) -> np.ndarray:
+        x = x.copy()
+        x.flat[0] += delta
+        return x
+    return spoil
+
+
+#: One spoiled witness per check of gibbs_stochastic_feasible: (the builder it comes from,
+#: the spoiling).  A map is re-validated at 1e-8; a Farkas vector needs A^T y <= 1e-12 and
+#: b . y > 0.
+_SPOILS = {
+    "negative entry": ("_transport", _first_plus(-2.0)),
+    "column sum off": ("_transport", _first_plus(1e-7)),
+    "A^T y above 1e-12": ("_farkas", _first_plus(1e-9)),
+    "b . y zero": ("_farkas", np.zeros_like),
+}
+
+
 class TestGibbsStochasticLP:
     def test_identity_transition(self):
         c = ClassicalObject([0.6, 0.3, 0.1], [0.0, 0.5, 1.5])
@@ -672,18 +690,9 @@ class TestGibbsStochasticLP:
         assert verdict.witness["gap"] > 1e-9
         if "farkas" in verdict.witness:
             y = np.asarray(verdict.witness["farkas"], dtype=float)
-            a_eq, b_eq = _constraints_for(omega, target, 1.0)
+            a_eq, b_eq = _loop_constraints(omega, target, 1.0)
             assert float(np.max(a_eq.T @ y)) <= 1e-7
             assert float(b_eq @ y) > 0
-
-    def test_constraints_match_row_by_row_build(self):
-        rng = rng_from_seed(12)
-        for _ in range(50):
-            src = random_classical_object(rng, int(rng.integers(1, 7)))
-            dst = random_classical_object(rng, int(rng.integers(1, 7)))
-            a_eq, b_eq = _constraints_for(src, dst, 0.7)
-            for got, want in zip((a_eq.toarray(), b_eq), _loop_constraints(src, dst, 0.7)):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_agreement_with_curve_oracle(self):
         rng = rng_from_seed(7)
@@ -710,158 +719,170 @@ class TestGibbsStochasticLP:
             verdict = gibbs_stochastic_feasible(joint, p, 1.0)
             assert verdict.is_feasible
 
-    def test_solver_gets_the_csc_of_the_dense_constraints(self, monkeypatch):
-        # the phase-1 matrix handed to HiGHS is the CSC scipy builds from the dense
-        # array, as linprog would hand it; a zero probability and a Gibbs weight
-        # that underflows to 0 leave no explicit zero behind
-        from scipy.sparse import csc_array
-
-        handed = _recording_highs(monkeypatch)
-        energies = [0.0, 1.0, 1e4]  # exp(-1e4) underflows to 0
-        cases = [(ClassicalObject([0.5, 0.5, 0.0], energies),
-                  ClassicalObject([0.0, 1.0, 0.0], energies), 1.0),
-                 (ClassicalObject([0.0, 0.2, 0.8], energies),
-                  ClassicalObject([1.0, 0.0], [0.0, 2.0]), 1.0),
-                 (ClassicalObject([1.0], [0.0]), ClassicalObject([0.3, 0.7], [0.0, 0.1]), 2.0)]
-        rng = rng_from_seed(13)
-        cases += [(random_classical_object(rng, int(rng.integers(1, 7))),
-                   random_classical_object(rng, int(rng.integers(1, 7))), 0.8) for _ in range(20)]
-        dropped = 0
-        for src, dst, beta in cases:
-            gibbs_stochastic_feasible(src, dst, beta)
-            a_eq, b_eq = _loop_constraints(src, dst, beta)
-            m = len(a_eq)
-            want = csc_array(np.hstack([a_eq, np.eye(m), -np.eye(m)]))
-            model = handed.pop()[1]
-            cols, rows, nnz = model[:3]
-            row_lower, row_upper, start, index, value, integrality = model[9:]
-            assert (rows, cols) == want.shape
-            # HiGHS takes the column starts without the closing nnz
-            indptr = np.append(start, np.int32(nnz))
-            for mine, theirs in ((indptr, want.indptr), (index, want.indices), (value, want.data)):
-                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-            assert integrality.shape == (cols,) and not integrality.any()
-            assert row_lower.tobytes() == row_upper.tobytes() == b_eq.tobytes()
-            dropped += want.nnz < 3 * a_eq.shape[1] + 2 * m
-        assert dropped >= 2
-
-    def test_presolve_is_off_only_where_it_reduces_nothing(self, monkeypatch):
-        # HiGHS solves a model its presolve does not reduce exactly as passed, so
-        # skipping presolve keeps the vertex only where presolve would find nothing
-        from scipy.optimize._highspy import _core
-
-        highs = _core._Highs
-        handed = _recording_highs(monkeypatch)
-        for src, dst, beta in _presolve_corpus():
-            gibbs_stochastic_feasible(src, dst, beta)
-        reduced = {"off": 0, "on": 0}  # models presolve reduces, by the option sent
-        for presolve, model in handed:
-            options = _core.HighsOptions()
-            options.output_flag = options.log_to_console = False
-            solver = highs()
-            solver.passOptions(options)
-            solver.passModel(*model)
-            solver.presolve()
-            reduced[presolve] += (solver.getModelPresolveStatus()
-                                  != _core.HighsPresolveStatus.kNotReduced)
-        offs = sum(presolve == "off" for presolve, _ in handed)
-        assert reduced["off"] == 0, reduced
-        # the corpus reaches both sides of the rule
-        assert offs >= len(handed) // 2 and reduced["on"] >= 10, (offs, reduced, len(handed))
-        del handed[:]
-        levels = [0.0, 0.5, 1.0]
-        src = ClassicalObject([0.2, 0.3, 0.5], levels)
-        for dst in (ClassicalObject([0.1, 0.4, 0.5], levels),  # control: nothing small
-                    ClassicalObject([0.0, 0.5, 0.5], levels),  # a zero probability
-                    ClassicalObject([1e-8, 0.5, 0.5 - 1e-8], levels)):  # a target level at 1e-8
-            gibbs_stochastic_feasible(src, dst, 1.0)
-        # a Gibbs weight that underflows to 0
-        gibbs_stochastic_feasible(ClassicalObject([0.2, 0.3, 0.5], [0.0, 1.0, 1e4]),
-                                  ClassicalObject([0.4, 0.6], [0.0, 1.0]), 1.0)
-        assert [presolve for presolve, _ in handed] == ["off", "on", "on", "on"]
-
-    def test_verdicts_without_presolve_are_those_of_linprog(self, monkeypatch):
-        # the zero-free traffic that skips presolve still gets linprog's verdict,
-        # witness bytes included
-        handed = _recording_highs(monkeypatch)
-        rng = rng_from_seed(22)
-        cases = []
-        for d in (16, 32):
-            src = random_classical_object(rng, d, energy_scale=3.0)
-            dst = _thermalized_image(rng, src, 1.0)
-            cases += [(src, dst, 1.0), (dst, src, 1.0)]
-        energies = np.sort(rng.uniform(0.0, 2.0, 8))
-        cases.append((classical_gibbs(energies, 1.0), random_classical_object(rng, 8), 1.0))
-        uniform = ClassicalObject(np.full(6, 1 / 6), np.zeros(6))
-        other = ClassicalObject(random_classical_object(rng, 6).probs, np.zeros(6))
-        cases += [(uniform, other, 1.0), (other, uniform, 1.0)]
-        got = [gibbs_stochastic_feasible(src, dst, beta) for src, dst, beta in cases]
-        assert [presolve for presolve, _ in handed] == ["off"] * len(cases)
-        for verdict, (src, dst, beta) in zip(got, cases):
-            want = _linprog_verdict(src, dst, beta)
-            assert json.dumps(verdict.to_json()) == json.dumps(want.to_json())
-        assert {verdict.status for verdict in got} == {Status.FEASIBLE, Status.INFEASIBLE}
-
-    def test_verdicts_are_those_of_linprog(self, capfd):
-        # the direct HiGHS call gives linprog's verdict, witness bytes included,
-        # and like linprog it logs nothing
-        import test_golden_verdicts as golden
-
-        cases = [(src, dst, beta) for _, src, dst, beta in golden.corpus()
-                 if src.dim * dst.dim <= golden.LP_MAX_DIM ** 2]
-        energies = [0.0, 1.0, 1e4]  # exp(-1e4) underflows to 0
-        cases += [(ClassicalObject([0.5, 0.5, 0.0], energies),
-                   ClassicalObject([0.0, 1.0, 0.0], energies), 1.0),
-                  (ClassicalObject([0.5, 0.5, 0.0], energies),
-                   ClassicalObject([0.2, 0.3, 0.5], energies), 1.0),
-                  (ClassicalObject([0.0, 0.2, 0.8], energies),
-                   ClassicalObject([1.0, 0.0], [0.0, 2.0]), 1.0),
-                  (ClassicalObject([1.0], [0.0]), ClassicalObject([0.3, 0.7], [0.0, 0.1]), 2.0),
-                  (ClassicalObject([0.3, 0.7], [0.0, 0.1]), ClassicalObject([1.0], [0.0]), 2.0),
-                  (ClassicalObject([1.0], [0.0]), ClassicalObject([1.0], [5.0]), 1.0)]
-        rng = rng_from_seed(15)
-        cases += [(random_classical_object(rng, int(rng.integers(1, 7))),
-                   random_classical_object(rng, int(rng.integers(1, 7))), 0.8) for _ in range(20)]
-        src = random_classical_object(rng, 64, energy_scale=3.0)
-        dst = _thermalized_image(rng, src, 1.0)
-        cases += [(src, dst, 1.0), (dst, src, 1.0)]
+    @pytest.mark.parametrize("part", sorted(_LP_PARTS))
+    def test_statuses_are_those_of_linprog(self, part):
+        # every Feasible map re-validates at 1e-8, and every Farkas vector holds
         statuses = []
-        for src, dst, beta in cases:
+        for src, dst, beta in _lp_agreement_corpus()[part]:
             got = gibbs_stochastic_feasible(src, dst, beta)
-            want = _linprog_verdict(src, dst, beta)
-            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            assert got.status is _linprog_verdict(src, dst, beta).status, (src, dst, beta)
+            if got.is_feasible:
+                assert revalidate_gibbs_stochastic(got, src, dst, beta, tol=1e-8)
+            else:
+                assert _farkas_holds(got.witness["farkas"], src, dst, beta)
             statuses.append(got.status)
         assert set(statuses) == {Status.FEASIBLE, Status.INFEASIBLE}
-        assert statuses[-2:] == [Status.FEASIBLE, Status.INFEASIBLE]
-        assert capfd.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("fault", sorted(_LP_FAULTS))
-    def test_a_solve_that_fails_linprog_checks_is_undetermined(self, monkeypatch, fault):
-        from scipy.optimize._highspy import _core
+    def test_the_agreement_corpus_holds_the_golden_lp_pairs_and_598_in_all(self):
+        import test_golden_verdicts as golden
 
+        parts = _lp_agreement_corpus()
+        assert {part: len(cases) for part, cases in parts.items()} == {
+            "golden": 187, "random": 396, "thermalized": 8, "edges": 7}
+        lp_pairs = [(src, dst, beta) for _, src, dst, beta in golden.corpus()
+                    if src.dim * dst.dim <= golden.LP_MAX_DIM ** 2]
+        assert [(src.probs.tolist(), dst.probs.tolist(), beta) for src, dst, beta in lp_pairs] == [
+            (src.probs.tolist(), dst.probs.tolist(), beta) for src, dst, beta in parts["golden"]]
+
+    def test_gap_is_a_lower_bound_on_the_phase1_optimum(self):
+        # weak duality: b . y / max(1, |y|_inf) is the value of a feasible dual of the phase-1 LP
+        infeasible = 0
+        for src, dst, beta in _lp_agreement_corpus()["golden"]:
+            got = gibbs_stochastic_feasible(src, dst, beta)
+            if got.is_infeasible:
+                infeasible += 1
+                optimum = _linprog_verdict(src, dst, beta).witness["gap"]
+                assert 0 < got.witness["gap"] <= optimum + 1e-9, (got.witness["gap"], optimum)
+        assert infeasible == 64
+
+    @pytest.mark.parametrize("spoil", sorted(_SPOILS))
+    def test_a_witness_that_fails_its_check_gives_undetermined(self, monkeypatch, spoil):
         c = ClassicalObject([0.6, 0.3, 0.1], [0.0, 0.5, 1.5])
         pairs = [(c, c), (classical_gibbs(c.energies, 1.0), c)]  # feasible, infeasible
         assert [gibbs_stochastic_feasible(*pair, 1.0).status for pair in pairs] == [
             Status.FEASIBLE, Status.INFEASIBLE]
-        method, field, spoil, decisive = _LP_FAULTS[fault]
-        solve = getattr(_core._Highs, method)
-
-        def spoiled(highs):
-            out = solve(highs)
-            if field is None:
-                return spoil(out)
-            setattr(out, field, spoil(getattr(out, field)))
-            return out
-
-        monkeypatch.setattr(_core, "_Highs", type("Spoiled", (_core._Highs,), {method: spoiled}))
+        name, spoiled = _SPOILS[spoil]
+        built = getattr(feasibility, name)
+        monkeypatch.setattr(feasibility, name, lambda *rows: spoiled(built(*rows)))
         got = [gibbs_stochastic_feasible(*pair, 1.0).status for pair in pairs]
-        assert got == ([Status.FEASIBLE, Status.INFEASIBLE] if decisive
-                       else [Status.UNDETERMINED] * 2)
+        assert got == ([Status.UNDETERMINED, Status.INFEASIBLE] if name == "_transport"
+                       else [Status.FEASIBLE, Status.UNDETERMINED])
 
+    def test_a_source_level_of_zero_width_goes_to_the_cell_at_its_x(self):
+        # the third Gibbs weight underflows to 0, so that level (p = 0.8, ratio inf) has no
+        # x interval: it goes whole to the zero-width cell at x = 0, then on to the target
+        src = ClassicalObject([0.0, 0.2, 0.8], [0.0, 1.0, 1e4])
+        dst = ClassicalObject([1.0, 0.0], [0.0, 2.0])
+        assert src.gibbs_weights(1.0)[2] == 0.0
+        verdict = gibbs_stochastic_feasible(src, dst, 1.0)
+        assert verdict.is_feasible and revalidate_gibbs_stochastic(verdict, src, dst, 1.0)
+        np.testing.assert_allclose(verdict.witness["matrix"][:, 2], [1.0, 0.0], atol=1e-15)
 
-def _constraints_for(src, dst, beta):
-    from thermowork.feasibility import _stack_constraints
-    return _stack_constraints(src, dst, beta)
+    def test_a_target_level_of_zero_width_takes_the_cell_at_zero(self):
+        # a level whose Gibbs weight underflows, on both sides: the target's takes the
+        # zero-width cell at x = 0, which holds the source's
+        for obj in (ClassicalObject([0.5, 0.5], [0.0, 1e4]),
+                    ClassicalObject([0.0, 0.2, 0.8], [0.0, 1.0, 1e4])):
+            verdict = gibbs_stochastic_feasible(obj, obj, 1.0)
+            assert verdict.is_feasible and revalidate_gibbs_stochastic(verdict, obj, obj, 1.0)
+        src = ClassicalObject([0.2, 0.3, 0.5], [0.0, 1e4, 1e4])
+        dst = ClassicalObject([0.4, 0.2, 0.4], [0.0, 1e4, 1e4])
+        verdict = gibbs_stochastic_feasible(src, dst, 1.0)
+        assert verdict.is_feasible and revalidate_gibbs_stochastic(verdict, src, dst, 1.0)
+
+    def test_a_level_under_the_rounding_of_its_partial_sum_goes_to_the_last_cell(self):
+        # item 1's pair: the source's e^-40 / Z level comes after a partial sum of 1, which it
+        # does not move, so its interval is [1, 1]
+        src, dst, beta = _PAST_ONE
+        assert np.cumsum(src.gibbs_weights(beta)[[1, 0]]).tolist() == [
+            src.gibbs_weights(beta)[1], 1.0]
+        verdict = gibbs_stochastic_feasible(src, dst, beta)
+        assert verdict.is_feasible and revalidate_gibbs_stochastic(verdict, src, dst, beta)
+        assert verdict.witness["matrix"][:, 2].tolist() == [0.0, 1.0, 0.0]
+
+    def test_partial_gibbs_sums_past_one_are_clipped(self):
+        # in ratio order the first four Gibbs weights sum to 1 + 2.2e-16, past the curve's end;
+        # clipped at 1, the e^-40 / Z level after them has zero width and no cut passes 1
+        energies = [0.0, 2.6, 2.9, 2.9, 40.0]
+        src = ClassicalObject([0.9, 0.05, 0.03, 0.02, 0.0], energies)
+        g = src.gibbs_weights(1.0)
+        assert (np.argsort(-src.probs / g, kind="stable") == np.arange(5)).all()
+        assert np.cumsum(g)[3] > 1.0
+        rng = rng_from_seed(32)
+        for dst in (src, ClassicalObject(random_gibbs_stochastic(rng, energies, 1.0) @ src.probs,
+                                         energies)):
+            verdict = gibbs_stochastic_feasible(src, dst, 1.0)
+            assert verdict.is_feasible and revalidate_gibbs_stochastic(verdict, src, dst, 1.0)
+
+    def test_settled_cells_are_snapped_so_the_steps_stay_within_the_cells(self):
+        # rounding residue leaves cells a hair off their targets; a settled cell is snapped to
+        # b and left alone, so each step settles a cell that started off its target, the last
+        # step leaves one of those unsettled or settles two, and replaying the steps takes a
+        # to b and keeps the widths
+        rng = rng_from_seed(31)
+        cases = [  # a, b, ell, steps: unsnapped, a cell left an ulp over b takes one more step
+            ([0.0, 0.8474407281826969, 0.13833218720565166, 0.014227084611651439],
+             [0.0, 0.7611632276646014, 0.009590565470875794, 0.22924620686452274],
+             [0.0, 0.5644387028084689, 0.008906088686429727, 0.42665520850510147], 2),
+            ([0.0, 0.24544290572008076, 0.6169157552197051, 0.13445626999363303,
+              0.0031850690665811993],
+             [0.0, 0.2405384505625716, 0.014528090923814858, 0.7368439342895232,
+              0.00808952422409037],
+             [0.0, 0.16903211968976337, 0.012253944339120762, 0.8065121444932829,
+              0.01220179147783299], 2)]
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            ell = np.concatenate([[0.0], rng.dirichlet(np.ones(n))])  # cell 0 has zero width
+            b = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, n))[::-1]]) * ell
+            b /= b.sum()  # densities b / ell falling
+            a = b.copy()
+            for _ in range(int(rng.integers(0, 4))):  # mass moved to earlier cells dominates
+                j, k = np.sort(rng.choice(np.arange(1, n + 1), 2)) if n > 1 else (1, 1)
+                move = rng.uniform(0, a[k]) * (j != k)
+                a[j], a[k] = a[j] + move, a[k] - move
+            a[rng.integers(1, n + 1)] *= 1 + 1e-15 * rng.uniform(-1, 1)  # rounding residue
+            cases.append((a.tolist(), b.tolist(), ell.tolist(), None))
+        for a, b, ell, want in cases:
+            a, b, ell = np.array(a), np.array(b), np.array(ell)
+            steps = feasibility._mix(a.tolist(), b.tolist(), ell.tolist())
+            assert len(steps) <= max(0, np.count_nonzero(a != b) - 1)
+            assert want is None or len(steps) == want
+            width = ell.copy()
+            for j, k, s, t in steps:
+                assert 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0
+                for v in (a, width):
+                    v[j], v[k] = (1 - s) * v[j] + t * v[k], s * v[j] + (1 - t) * v[k]
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(width, ell, rtol=0, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.sampled_from(["map", "zero", "same"]))
+    def test_images_of_gibbs_stochastic_maps_get_a_map_in_at_most_2n_steps(self, d, seed, kind):
+        rng = rng_from_seed(seed)
+        src = random_classical_object(rng, d, energy_scale=3.0)
+        if kind == "zero" and d > 1:
+            probs = src.probs.copy()
+            probs[rng.integers(d)] = 0.0
+            src = ClassicalObject(probs / probs.sum(), src.energies)
+        dst = src
+        if kind != "same" and d > 1:
+            dst = ClassicalObject(random_gibbs_stochastic(rng, src.energies, 1.0) @ src.probs,
+                                  src.energies)
+        counted, mix = [], feasibility._mix
+
+        def mix_counted(a, b, ell):
+            steps = mix(a, b, ell)
+            counted.append((len(steps), len(a)))
+            return steps
+
+        feasibility._mix = mix_counted
+        try:
+            verdict = gibbs_stochastic_feasible(src, dst, 1.0)
+        finally:
+            feasibility._mix = mix
+        assert verdict.is_feasible and revalidate_gibbs_stochastic(verdict, src, dst, 1.0)
+        ((steps, cells),) = counted
+        assert steps <= 2 * cells
 
 
 class TestThermalOperations:

@@ -28,7 +28,8 @@ from thermowork.sampling import random_classical_object, random_gibbs_stochastic
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
 SEED = 20130604
 BETAS = (0.5, 1.0, 2.0)
-#: The dense LP has d_src * d_dst variables; larger pairs skip it.
+#: Pairs with more than LP_MAX_DIM ** 2 map entries skip gibbs_stochastic_feasible, as they did
+#: when it solved a dense LP.
 LP_MAX_DIM = 64
 FLOAT_TOL = 1e-9
 #: Floats under these keys must match exactly; strings and ints always do.

@@ -1,6 +1,7 @@
 """Every top-level import in a library module is used by that module, every
 private module-level function or class is used somewhere in the package, and
-importing the package (or asking the CLI for help) loads no scipy.
+importing the package (or asking the CLI for help) loads no scipy, nor does
+deciding a Gibbs-stochastic map either way.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library instead.  ``__init__.py`` is exempt from the import
@@ -102,11 +103,33 @@ print(sorted(name for name in sys.modules if name.split(".")[:2] in
 
 
 def test_import_and_help_load_no_scipy_solver():
-    # scipy.optimize is most of a cold import; only the LP needs it
+    # scipy.optimize is most of a cold import, and nothing in the package needs it
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+_LOADED_BY_THE_MAP_ORACLE = """
+import sys
+from thermowork.core import ClassicalObject, classical_gibbs
+from thermowork.feasibility import gibbs_stochastic_feasible
+c = ClassicalObject([0.6, 0.3, 0.1], [0.0, 0.5, 1.5])
+verdicts = [gibbs_stochastic_feasible(src, dst, 1.0)
+            for src, dst in ((c, c), (classical_gibbs(c.energies, 1.0), c))]
+print([v.status.value for v in verdicts], [v.witness["kind"] for v in verdicts])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_gibbs_stochastic_oracle_loads_no_scipy():
+    # the map is built from the two curves and the Farkas vector from one hockey-stick
+    # slope: neither path solves a linear program, so scipy stays out of the process
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _LOADED_BY_THE_MAP_ORACLE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out.splitlines()[-2:] == [
+        "['Feasible', 'Infeasible'] ['gibbs_stochastic_map', 'lp_phase1_gap']", "[]"]
 
 
 _LOADED_ABOVE_DIVERGENCES = """
