@@ -13,6 +13,7 @@ reachability problem is out of scope.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -278,27 +279,71 @@ def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
 
 
 def _curve_dominance(src_c: np.ndarray, dst_c: np.ndarray) -> FeasibilityVerdict:
-    """thermo_majorizes on two _curve breakpoint arrays."""
-    xs = np.concatenate((src_c[:, 0], dst_c[:, 0]))
-    xs.sort()
-    xs = np.concatenate((xs[:1], xs[1:][xs[1:] != xs[:-1]]))  # np.unique's, without its wrappers
-    sv, dv = (np.interp(xs, c[:, 0], c[:, 1]) for c in (src_c, dst_c))
-    deficit = dv - sv
-    bad = deficit > MAJORIZE_TOL
-    if bad.any():
-        k = int(bad.argmax())
+    """thermo_majorizes on two _curve breakpoint arrays.
+
+    Curves of at most _LIST_LEVELS + 1 breakpoints each are checked on Python floats, with
+    the bytes of the array code, which checks the longer ones: the grid is the sorted
+    distinct x of both (never nan nor -0.0) and _interp reads each curve there.  Both
+    curves are finite, so no value is nan, and at each x one of them sits at a breakpoint,
+    so no margin is inf - inf.  A margin is -0.0 only beside a curve whose y is -0.0, which
+    takes a row without a positive probability, so np.min's choice between 0.0 and -0.0
+    never shows."""
+    listed = len(src_c) <= _LIST_LEVELS + 1 >= len(dst_c)
+    if listed:
+        (sx, sy), (tx, ty) = src_c.T.tolist(), dst_c.T.tolist()
+        xs = sorted(set(sx + tx))
+        sv, dv = _interp(xs, sx, sy), _interp(xs, tx, ty)
+        k = next((k for k, (s, d) in enumerate(zip(sv, dv)) if d - s > MAJORIZE_TOL), None)
+    else:
+        xs = np.concatenate((src_c[:, 0], dst_c[:, 0]))
+        xs.sort()
+        xs = np.concatenate((xs[:1], xs[1:][xs[1:] != xs[:-1]]))  # np.unique's, without its wrappers
+        sv, dv = (np.interp(xs, c[:, 0], c[:, 1]) for c in (src_c, dst_c))
+        bad = dv - sv > MAJORIZE_TOL
+        k = int(bad.argmax()) if bad.any() else None
+    if k is not None:
         return infeasible({
             "kind": "curve_crossing",
             "x": float(xs[k]),
             "src_y": float(sv[k]),
             "dst_y": float(dv[k]),
-            "deficit": float(deficit[k]),
+            "deficit": float(dv[k] - sv[k]),
         })
     return feasible({
         "kind": "curve_dominance",
-        "min_margin": float((sv - dv).min()),
+        "min_margin": min(map(operator.sub, sv, dv)) if listed else float((sv - dv).min()),
         "checked_points": len(xs),
     })
+
+
+def _interp(xs: list, xp: list, fp: list) -> list:
+    """np.interp(xs, xp, fp).tolist() to the bit, for sorted xs without nan that hold every
+    point of xp (as _curve_dominance's grid does), and xp nondecreasing but perhaps at its
+    last point (a curve's end snapped to (1, 1)).  numpy reads fp[-1] past xp[-1] and fp[0]
+    before xp[0].  Else its segment j is the first i >= 1 with x < xp[i], less one, or the
+    last point: there it reads fp[j] if xp[j] == x, and else takes the slope of segment j
+    alone, so a segment of zero width, which never holds x, is never divided by."""
+    out, first, top, last = [], xp[0], xp[-1], len(xp) - 1
+    for x in xs:
+        if x > top:
+            y = fp[-1]
+        elif x < first:
+            y = fp[0]
+        else:
+            j = bisect.bisect_right(xp, x, 0, last) - 1  # the sorted points before the last
+            if j == last - 1 and x == top:
+                y = fp[-1]
+            elif xp[j] == x:
+                y = fp[j]
+            else:
+                slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+                y = slope * (x - xp[j]) + fp[j]
+                if y != y:  # numpy retries from the right end, then takes fp[j] on a flat segment
+                    y = slope * (x - xp[j + 1]) + fp[j + 1]
+                    if y != y and fp[j] == fp[j + 1]:
+                        y = fp[j]
+        out.append(y)
+    return out
 
 
 class _Prepared:

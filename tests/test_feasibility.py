@@ -538,6 +538,125 @@ class TestOnePassCurve:
             assert built.to_csv_rows() == rebuilt.to_csv_rows()
 
 
+def _array_dominance(src_c, dst_c):
+    """_curve_dominance on its array path, whatever the lengths of the curves."""
+    bound, feasibility._LIST_LEVELS = feasibility._LIST_LEVELS, -1
+    try:
+        return feasibility._curve_dominance(src_c, dst_c)
+    finally:
+        feasibility._LIST_LEVELS = bound
+
+
+def _witness_reprs(verdict) -> tuple:
+    return verdict.status, {key: repr(value) for key, value in verdict.witness.items()}
+
+
+# a row: weights normalized to probabilities (or scaled off 1), energies, and a Gibbs weight
+# set to a subnormal or to zero
+_WEIGHTS = st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 1e-300, 5e-324])
+_ENERGIES = st.sampled_from([0.0, 0.0, 1.0, 2.0, 30.0, 40.0, 745.0, 800.0])
+_ROW = st.tuples(st.lists(st.tuples(_WEIGHTS, _ENERGIES), min_size=1, max_size=10),
+                 st.sampled_from([1.0, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 1.0 - 1e-8]),
+                 st.sampled_from([None, None, 5e-324, 1e-310, 0.0]))
+
+
+def _row(drawn) -> tuple:
+    levels, scale, gibbs = drawn
+    w = np.array([weight for weight, _ in levels])
+    p = (w / w.sum() if w.sum() else np.full(len(w), 1.0 / len(w))) * scale
+    g = gibbs_weights(np.array([energy for _, energy in levels]), 1.0)
+    if gibbs is not None and len(g) > 1:
+        g[-1] = gibbs
+    return p, g
+
+
+class TestListedDominance:
+    """_curve_dominance on Python floats for curves of up to _LIST_LEVELS + 1 breakpoints,
+    against its array path, by repr on every witness field."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_ROW, _ROW, st.sampled_from(["drawn", "same", "touching", "one level"]))
+    def test_list_and_array_paths_give_the_same_witness(self, src, dst, how):
+        p, g = _row(src)
+        q, h = _row(dst)
+        if how == "same":
+            q, h = p, g
+        elif how == "touching" and len(p) > 1:  # two levels of equal Gibbs weight mixed
+            q, h = p.copy(), g.copy()
+            h[1] = h[0]
+            q[:2] = (q[0] + q[1]) / 2
+        elif how == "one level":
+            q, h = np.array([1.0]), np.array([1.0])
+        curves = feasibility._curve(p, g), feasibility._curve(q, h)
+        for a, b in (curves, curves[::-1]):
+            want = _array_dominance(a, b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = feasibility._curve_dominance(a, b)
+            assert _witness_reprs(got) == _witness_reprs(want)
+
+    @pytest.mark.parametrize(("src", "dst"), [
+        # Gibbs weight 0 at E = 800: the curve rises on a segment of zero width at x = 0, on
+        # which a first list path, taking every slope up front, divided by zero
+        (([0.5, 0.5], [0.0, 800.0]), ([0.5, 0.5], [0.0, 1.0])),
+        (([0.5, 0.5], [0.0, 1.0]), ([0.5, 0.5], [0.0, 800.0])),
+        (([0.5, 0.2, 0.2, 0.1, 0.0], [0.0, 800.0, 900.0, 900.0, 950.0]), ([1.0], [0.0])),
+        (([0.5, 0.5], [0.0, 745.0]), ([0.9, 0.1], [0.0, 745.0])),  # a subnormal Gibbs weight
+        (([1.0], [0.0]), ([1.0], [3.0])),  # one level each
+        (([0.0, 1.0, 0.0], [0.0, 31.0, 40.0]), ([1 - 1e-12, 0.0, 1e-12], [0.0, 31.0, 40.0])),
+    ])
+    def test_pinned_pairs(self, src, dst):
+        curves = [_row_curve(_Rows([ClassicalObject(*x)], 1.0), 0) for x in (src, dst)]
+        for a, b in (curves, curves[::-1]):
+            got = feasibility._curve_dominance(a, b)
+            assert _witness_reprs(got) == _witness_reprs(_array_dominance(a, b))
+
+    @pytest.mark.parametrize(("levels", "ties", "listed"), [
+        (8, 0, True), (9, 0, False), (12, 4, True), (13, 4, False)])
+    def test_curves_of_up_to_9_breakpoints_take_the_list_path(self, monkeypatch, levels, ties,
+                                                               listed):
+        # levels of distinct ratios, save a run of ties + 1 levels of probability 2: a curve of
+        # levels - ties + 1 breakpoints
+        probs = np.r_[np.full(ties, 2.0), np.arange(levels - ties, 0, -1.0)]
+        c = feasibility._curve(probs / probs.sum(), np.full(levels, 1.0 / levels))
+        assert len(c) == levels - ties + 1
+        small = feasibility._curve(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        calls, listed_interp, array_interp = [], feasibility._interp, np.interp
+        monkeypatch.setattr(feasibility, "_interp",
+                            lambda *a: calls.append("list") or listed_interp(*a))
+        monkeypatch.setattr(np, "interp", lambda *a: calls.append("array") or array_interp(*a))
+        for pair in ((c, small), (small, c)):
+            calls.clear()
+            feasibility._curve_dominance(*pair)
+            assert calls == ["list" if listed else "array"] * 2
+
+    def test_numpy_interpolates_as_the_list_path_does(self):
+        # _interp replays np.interp's arithmetic: fp[-1] past xp[-1], fp[0] before xp[0], fp[j]
+        # at a breakpoint (the last of equal ones), else the slope of the segment holding x
+        # alone, and where that gives nan, the same from the right end, then fp[j] if flat;
+        # at xp of up to 8 points numpy scans, from 9 on it bisects from the last segment found
+        rng = rng_from_seed(11)
+        points = [0.0, 5e-324, 1e-310, 0.1, 0.25, 0.5, 0.5, 1 - 2 ** -53, 1.0, 1 + 3.4e-14]
+        values = [0.0, 0.2, 0.5, 1.0, 1e308, -1e308, math.inf, -math.inf]
+        cases = [([0.0, 1.0], [-math.inf, 1.0]), ([0.0, 1.0], [math.inf, math.inf]),
+                 ([0.0, 1.0], [-math.inf, math.inf]), ([0.0, 0.0, 1.0], [0.0, 0.5, 1.0]),
+                 ([0.0, 0.5, 1 + 3.4e-14, 1.0], [0.0, 0.7, 1.0, 1.0]), ([0.5], [2.0])]
+        for n in range(1, 13):
+            for _ in range(300):
+                xp = sorted(rng.choice(points, n).tolist())
+                if n > 1 and rng.random() < 0.3:  # the last point below the one before it
+                    xp[-1] = float(rng.choice([0.0, 1.0, xp[-2] - 2 ** -52, xp[-2] / 2]))
+                cases.append((xp, rng.choice(values, n, p=[.2, .2, .2, .2, .05, .05, .05, .05])
+                               .tolist()))
+        for xp, fp in cases:
+            # every point of xp among the queries, as in _curve_dominance's grid
+            xs = sorted({*xp, *rng.choice(points + [-1.0, 0.3, 2.0], 4).tolist()})
+            want = np.interp(xs, xp, fp).tolist()
+            assert repr(feasibility._interp(xs, xp, fp)) == repr(want), (
+                f"np.interp no longer computes as feasibility._interp does, on x={xs}, xp={xp}, "
+                f"fp={fp}: drop _curve_dominance's list path")
+
+
 class TestThermoMajorizes:
     def test_anything_reaches_its_gibbs(self):
         rng = rng_from_seed(2)
