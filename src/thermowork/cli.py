@@ -28,6 +28,7 @@ from .core import (
 from .divergences import BetaContext, delta_F_alpha
 from .feasibility import _BUDGET, _as_classical, decide_catalytic, decide_free
 from .quantifiers import (
+    SUPERADD_TOL,
     CheckReport,
     MeanEnergy,
     RenyiFreeEnergy,
@@ -74,14 +75,19 @@ class SystemExit2(Exception):
     """Usage/IO failure carrying a message; mapped to exit code 1."""
 
 
-def _validate_run_config(cfg: dict) -> dict:
+def _validate_run_config(cfg, path: str) -> dict:
+    if not isinstance(cfg, dict):
+        raise SystemExit2(f"{path} must hold a JSON object, got {type(cfg).__name__}")
     if "seed" not in cfg:
         raise SystemExit2("config must carry an explicit seed (no wall-clock default)")
     if cfg.get("schema", 1) != 1:
         raise SystemExit2(f"unsupported config schema {cfg.get('schema')}")
-    for name, value in cfg.get("tolerances", {}).items():
-        if not (1e-14 <= float(value) <= 1e-3):
-            raise SystemExit2(f"tolerance {name}={value} outside [1e-14, 1e-3]")
+    if "tolerances" in cfg:
+        raise SystemExit2('a run config takes no "tolerances" block: each tolerance is a '
+                          "module constant, listed in the README's Conventions table")
+    blocks = cfg.get("scenarios", [])
+    if not isinstance(blocks, list) or not all(isinstance(b, dict) for b in blocks):
+        raise SystemExit2(f'"scenarios" in {path} must be a list of JSON objects')
     if not (float(cfg.get("beta", 1.0)) > 0):
         raise SystemExit2("beta must be positive")
     return cfg
@@ -128,7 +134,7 @@ def _run_scenario(name: str, body: dict, outdir: Path):
 
 def cmd_scenario(args) -> int:
     print(HEADER)
-    cfg = _validate_run_config(_load_json(args.config)) if args.config else None
+    cfg = _validate_run_config(_load_json(args.config), args.config) if args.config else None
     outdir = _output_dir(args, cfg)
     results = [_run_scenario(name, body, outdir) for name, body in _scenario_blocks(args, cfg)]
     breached = False
@@ -176,6 +182,8 @@ def _sample_free_pairs(args, rng):
 def cmd_check(args) -> int:
     if args.samples < 1:
         raise SystemExit2(f"--samples must be at least 1, got {args.samples}")
+    if args.checker in ("lemma2", "superadd") and args.quantifier == "wdet":
+        raise SystemExit2(f"check {args.checker} needs a monotone: --quantifier dfalpha or mean")
     print(HEADER)
     ctx = BetaContext(args.beta)
     rng = rng_from_seed(args.seed)
@@ -202,7 +210,7 @@ def cmd_check(args) -> int:
     elif args.checker == "superadd":
         mono = quantifier.monotone
         report = CheckReport(checker="superadditivity", samples=args.samples,
-                             tolerances={"gap": 1e-9})
+                             tolerances={"gap": SUPERADD_TOL})
         worst = math.inf
         for _ in range(args.samples):
             probs = rng.dirichlet(np.ones(4))
@@ -299,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--spacing", type=float, default=None)
     sc.add_argument("--grid-steps", dest="grid_steps", type=int, default=None)
     sc.add_argument("--seed", type=int, default=None)
-    sc.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; scenarios run one after another")
     sc.add_argument("--output-dir", dest="output_dir", default=None)
     sc.set_defaults(func=cmd_scenario)
 
@@ -341,6 +347,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as err:  # argparse's usage error exits 2, a violation's code here
+        if err.code:
+            return EXIT_USAGE
+        raise
+    try:
         result = args.func(args)
         return EXIT_OK if result is None else int(result)
     except SystemExit2 as err:

@@ -25,6 +25,8 @@ PROB_CLAMP = 1e-12
 OBJECT_EQ_TOL = 1e-8
 GIBBS_TOL = 1e-8
 UNITARITY_TOL = 1e-9
+#: The largest off-diagonal entry, of state or Hamiltonian, of an object read as classical.
+_DIAGONAL_TOL = 1e-10
 # Dense matrices only; tensor products beyond this dimension are refused.
 MAX_TENSOR_DIM = 4096
 
@@ -366,7 +368,7 @@ def classical_to_object(c: ClassicalObject) -> ThermoObject:
     return ThermoObject(np.diag(c.probs).astype(complex), HamiltonianClass(np.diag(c.energies)))
 
 
-def object_to_classical(p: ThermoObject, tol: float = 1e-10) -> ClassicalObject:
+def object_to_classical(p: ThermoObject, tol: float = _DIAGONAL_TOL) -> ClassicalObject:
     """Inverse of classical_to_object for objects diagonal in the computational basis."""
     def off_diagonal(mat: np.ndarray) -> float:
         (a := np.abs(mat)).flat[::p.dim + 1] = 0.0

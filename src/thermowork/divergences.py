@@ -74,7 +74,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     of renyi_divergences.
 
     Returns +inf when the state has support outside the support of the
-    reference (kernel defined by eigenvalues of sigma below 1e-12).
+    reference (kernel defined by eigenvalues of sigma below SUPPORT_TOL).
     """
     return renyi_divergences(rho, sigma, (1.0,))[0]
 

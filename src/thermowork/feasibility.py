@@ -44,6 +44,19 @@ from .divergences import INF, _check_alphas, _Rows, _sandwiched, as_beta
 MAJORIZE_TOL = 1e-10
 MONOTONE_TOL = 1e-9
 COMMUTATION_TOL = 1e-9
+#: A curve's levels in descending ratio order r0 >= r share one breakpoint when
+#: r0 - r <= _TIE_ATOL + _TIE_RTOL |r0| (np.isclose's rule; runs as in _joined).
+_TIE_ATOL = 1e-12
+#: The relative part of the tie rule; see _TIE_ATOL.
+_TIE_RTOL = 1e-9
+#: A curve whose end is within this of (1, 1) in both coordinates ends at (1, 1).
+_END_SNAP = 1e-9
+#: gibbs_stochastic_feasible's Infeasible needs every entry of A^T y at most this.
+_FARKAS_TOL = 1e-12
+#: revalidate_gibbs_stochastic's default: the slack on G >= 0 and on each of its equalities.
+_MAP_TOL = 1e-8
+#: ThermoCurve.is_concave's default: how far a slope may rise above the one before it.
+_CONCAVE_TOL = 1e-12
 MAX_CAT_DIM = 4
 MAX_GRID_STEPS = 64
 #: The catalyst budget (max_cat_dim, grid_steps) of every decider and of the CLI, unless given.
@@ -152,7 +165,7 @@ class ThermoCurve:
     def value(self, x) -> np.ndarray:
         return np.interp(x, self.xs(), self.ys())
 
-    def is_concave(self, tol: float = 1e-12) -> bool:
+    def is_concave(self, tol: float = _CONCAVE_TOL) -> bool:
         xs, ys = self.xs(), self.ys()
         slopes = np.diff(ys) / np.maximum(np.diff(xs), 1e-300)
         return bool(np.all(np.diff(slopes) <= tol))
@@ -210,7 +223,7 @@ def _curve(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
         ratios = probs / g
         order = (-ratios).argsort(kind="stable")
         rs = ratios[order]
-        tol = np.where(np.isfinite(rs), 1e-12 + 1e-9 * np.abs(rs), 0.0)
+        tol = np.where(np.isfinite(rs), _TIE_ATOL + _TIE_RTOL * np.abs(rs), 0.0)
         tied = (rs[:-1] - rs[1:] <= tol[:-1]) | (rs[1:] == rs[:-1])
     gs, ps = g[order], probs[order]
     joins = tied.nonzero()[0]
@@ -220,7 +233,7 @@ def _curve(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
     points = np.zeros((len(gs) + 1, 2))
     np.add.accumulate(gs, out=points[1:, 0])
     np.add.accumulate(ps, out=points[1:, 1])
-    if abs(points[-1, 0] - 1) < 1e-9 and abs(points[-1, 1] - 1) < 1e-9:  # close to (1, 1)
+    if abs(points[-1, 0] - 1) < _END_SNAP and abs(points[-1, 1] - 1) < _END_SNAP:
         points[-1] = 1.0
     points.flags.writeable = False
     return points
@@ -230,7 +243,7 @@ def _joined(rs: list, joins) -> list:
     """The levels of the descending ratios ``rs`` that join the run before them.
 
     A run takes each next ratio r with (r0 - r <= tol0) | (r == r0) for its first ratio r0
-    (np.isclose, rtol 1e-9, atol 1e-12; tol0 = 0 where r0 is not finite).  A ratio not
+    (tol0 = _TIE_ATOL + _TIE_RTOL |r0|, 0 where r0 is not finite).  A ratio not
     tied so with its predecessor is not with a larger r0 either, save by rounding at the
     edge; so a walk may start only at the levels ``joins`` tied with their predecessor (any
     superset, such as every level, gives the same runs), and runs on until the rule fails."""
@@ -238,7 +251,7 @@ def _joined(rs: list, joins) -> list:
     for k in joins:
         if k >= stop:
             r0 = rs[k - 1]  # at stop - 1, or at a level not tied with its predecessor
-            tol = 1e-12 + 1e-9 * abs(r0) if math.isfinite(r0) else 0.0
+            tol = _TIE_ATOL + _TIE_RTOL * abs(r0) if math.isfinite(r0) else 0.0
             while k < len(rs) and (r0 - rs[k] <= tol or rs[k] == r0):
                 taken.append(k)
                 k += 1
@@ -260,7 +273,7 @@ def _listed_curve(ps: list, gs: list) -> np.ndarray:
                    for s, e in zip([0] + ends, ends)] for v in (gs, ps))
     flat = [0.0, 0.0, *itertools.chain.from_iterable(
         zip(itertools.accumulate(gs), itertools.accumulate(ps)))]
-    if abs(flat[-2] - 1) < 1e-9 and abs(flat[-1] - 1) < 1e-9:  # close to (1, 1)
+    if abs(flat[-2] - 1) < _END_SNAP and abs(flat[-1] - 1) < _END_SNAP:
         flat[-2:] = 1.0, 1.0
     points = np.array(flat).reshape(-1, 2)
     points.flags.writeable = False
@@ -269,7 +282,7 @@ def _listed_curve(ps: list, gs: list) -> np.ndarray:
 
 def thermo_majorizes(src, dst, ctx) -> FeasibilityVerdict:
     """Curve-dominance test: Feasible iff the source curve lies on or above
-    the target curve at every breakpoint of either (tolerance 1e-10).
+    the target curve at every breakpoint of either, up to MAJORIZE_TOL.
 
     Boundary equality counts as Feasible; the Infeasible witness carries the
     first crossing point.
@@ -368,7 +381,7 @@ def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
     _farkas's y (``farkas``; rows: source column sums, target Gibbs rows, target probability
     rows) and ``gap`` = b . y / max(1, |y|_inf), by weak duality a lower bound on the phase-1
     optimum.  Undetermined where revalidate_gibbs_stochastic rejects G, or where an entry of
-    A^T y exceeds 1e-12 or b . y <= 0: nothing guesses."""
+    A^T y exceeds _FARKAS_TOL or b . y <= 0: nothing guesses."""
     beta, src, dst = as_beta(ctx), _as_classical(src), _as_classical(dst)
     rows = _Rows([src, dst], beta)
     (p, q), (g, h) = ([x[n, :rows.dims[n]] for n in (0, 1)] for x in (rows.probs, rows.gibbs()))
@@ -381,7 +394,7 @@ def gibbs_stochastic_feasible(src, dst, ctx) -> FeasibilityVerdict:
     y = _farkas(p, g, q, h)
     u, v, w = np.split(y, [len(p), len(p) + len(q)])
     b_y = float(u.sum() + v @ h + w @ q)
-    if (u + v[:, None] * g + w[:, None] * p).max() > 1e-12 or not b_y > 0:
+    if (u + v[:, None] * g + w[:, None] * p).max() > _FARKAS_TOL or not b_y > 0:
         return UNDETERMINED
     return infeasible({"kind": "lp_phase1_gap", "gap": b_y / max(1.0, float(np.abs(y).max())),
                        "farkas": y})
@@ -454,7 +467,7 @@ def _mix(a: list, b: list, ell: list) -> list:
 
 
 def revalidate_gibbs_stochastic(verdict: FeasibilityVerdict, src, dst, ctx,
-                                tol: float = 1e-8) -> bool:
+                                tol: float = _MAP_TOL) -> bool:
     """Check a Gibbs-stochastic map witness against the constraints it claims to satisfy."""
     if not verdict.is_feasible or verdict.witness.get("kind") != "gibbs_stochastic_map":
         return False
@@ -706,11 +719,12 @@ def _screen(sp: np.ndarray, sg: np.ndarray, dp: np.ndarray, dg: np.ndarray, lo: 
     (tie-merged) curve both are linear, so an accepted catalyst has deficit at most
     MAJORIZE_TOL everywhere.  A screened curve sorts its levels by the same ratios (ties
     in any order, zero padding last), so it exceeds the exact one only inside a run of
-    merged ties, by at most the run's ratio spread (1e-12 + 1e-9 r) times its Gibbs mass.
-    A catalyst of k < top levels, zero-padded, beside Gibbs weights k / top times those
-    beside k levels has ratios top / k times theirs: each side's curve is the k-level one
-    with x scaled by k / top, then flat at its end, so the deficit is the k-level one
-    rescaled, 0 on the tail.  _SCREEN_SLACK covers the ties and rounding (1e-16 a level)."""
+    merged ties, by at most the run's ratio spread (_TIE_ATOL + _TIE_RTOL r) times its
+    Gibbs mass.  A catalyst of k < top levels, zero-padded, beside Gibbs weights k / top
+    times those beside k levels has ratios top / k times theirs: each side's curve is the
+    k-level one with x scaled by k / top, then flat at its end, so the deficit is the
+    k-level one rescaled, 0 on the tail.  _SCREEN_SLACK covers the ties and rounding
+    (1e-16 a level)."""
     table, where = _catalyst_table(lo, top, grid_steps)
     levels = sp.shape[1] * top
     rows = max(1, _SCREEN_LEVELS // (2 * levels))  # joint rows per side
@@ -742,7 +756,7 @@ def _joint_curves(joint: np.ndarray, g: np.ndarray):
     xs, ys = np.zeros((n, joint.shape[1] + 1)), np.zeros((n, joint.shape[1] + 1))
     g[rows, order].cumsum(axis=1, out=xs[:, 1:])
     joint[rows, order].cumsum(axis=1, out=ys[:, 1:])
-    end = (np.abs(xs[:, -1] - 1) < 1e-9) & (np.abs(ys[:, -1] - 1) < 1e-9)
+    end = (np.abs(xs[:, -1] - 1) < _END_SNAP) & (np.abs(ys[:, -1] - 1) < _END_SNAP)
     xs[end, -1] = ys[end, -1] = 1.0
     return xs, ys
 

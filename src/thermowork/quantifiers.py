@@ -48,6 +48,17 @@ ADDITIVITY_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
 SUPERADD_TOL = 1e-9
 FREE_WORK_TOL = 1e-10
+#: A restriction set's level e matches a wanted level w when |e - w| <= _LEVEL_ATOL +
+#: _LEVEL_RTOL |w| (np.isclose's rule): a qubit's gap in the epsilon balls, MeanLadder's levels.
+_LEVEL_ATOL = 1e-9
+#: The relative part of the level rule; see _LEVEL_ATOL.
+_LEVEL_RTOL = 1e-5
+#: An epsilon ball holds a qubit this close to an eigenstate, the closed one this past 2 epsilon.
+_BALL_EDGE = 1e-12
+#: The most |M(empty)| a CustomTable may hold.
+_EMPTY_VALUE_TOL = 1e-12
+#: Entrywise tolerance at which a cycle of classical objects, or an assistant chain, closes.
+_CLOSE_TOL = 1e-10
 
 
 def _is_empty(obj) -> bool:
@@ -137,7 +148,7 @@ class CustomTable(Monotone):
         self.name = name
         self.entries = list(entries)
         for obj, value in self.entries:
-            if _is_empty(obj) and abs(value) > 1e-12:
+            if _is_empty(obj) and abs(value) > _EMPTY_VALUE_TOL:
                 raise ValueError(f"M(empty) must be 0, table has {value}")
         if not any(_is_empty(obj) for obj, _ in self.entries):
             self.entries.append((EMPTY_CLASSICAL, 0.0))
@@ -212,12 +223,12 @@ def _eigenstate_distances(obj) -> tuple:
 def _qubit_distances(obj, delta: float):
     """Trace-norm distances of a qubit object to the two energy eigenstates,
     or None if the object is not a qubit with Hamiltonian diag(0, delta).  A
-    classical qubit's gap is tested by np.isclose's rule (atol 1e-9, rtol 1e-5)
-    on floats."""
+    classical qubit's gap is matched by the rule of _LEVEL_ATOL on floats."""
     if isinstance(obj, ClassicalObject):
         e0, e1 = obj.energies.tolist() if obj.dim == 2 else (0.0, math.nan)  # nan: no match
         gap = abs(e1 - e0)
-        ok = gap == delta or math.isfinite(delta) and abs(gap - delta) <= 1e-9 + 1e-5 * abs(delta)
+        ok = gap == delta or (math.isfinite(delta)
+                              and abs(gap - delta) <= _LEVEL_ATOL + _LEVEL_RTOL * abs(delta))
     else:
         ok = (isinstance(obj, ThermoObject) and obj.dim == 2
               and obj.hamiltonian == HamiltonianClass(np.diag([0.0, delta])))
@@ -286,7 +297,7 @@ class _EpsilonBall(RestrictionSet):
             return False
         d = min(dists)
         radius = 2.0 * self.epsilon
-        return d <= 1e-12 or (d <= radius + 1e-12 if self.closed else d < radius)
+        return d <= _BALL_EDGE or (d <= radius + _BALL_EDGE if self.closed else d < radius)
 
     def candidates(self, anchors=(), grid: int = 32) -> list:
         return [EMPTY_CLASSICAL, *_epsilon_grid(self.epsilon, self.delta, grid, self.closed)]
@@ -317,7 +328,8 @@ class MeanLadder(RestrictionSet):
             return True
         if isinstance(obj, ClassicalObject):
             return obj.dim == self.levels and bool(np.allclose(
-                obj.energies - np.min(obj.energies), self.energies(), atol=1e-9))
+                obj.energies - np.min(obj.energies), self.energies(),
+                rtol=_LEVEL_RTOL, atol=_LEVEL_ATOL))
         if isinstance(obj, ThermoObject):
             return obj.hamiltonian == HamiltonianClass(np.diag(self.energies()))
         return False
@@ -384,14 +396,14 @@ class AssistedSequence:
             raise ValueError("one assistant pair per step required")
         first = self.assistants[0][0]
         last = self.assistants[-1][1]
-        if not _classical_close(first, last, 1e-10):
+        if not _classical_close(first, last):
             raise ValueError("assistant chain does not close")
 
 
-def _classical_close(a: ClassicalObject, b: ClassicalObject, tol: float) -> bool:
+def _classical_close(a: ClassicalObject, b: ClassicalObject) -> bool:
     return (a.dim == b.dim
-            and bool(np.allclose(a.probs, b.probs, atol=tol, rtol=0))
-            and bool(np.allclose(a.energies, b.energies, atol=tol, rtol=0)))
+            and bool(np.allclose(a.probs, b.probs, atol=_CLOSE_TOL, rtol=0))
+            and bool(np.allclose(a.energies, b.energies, atol=_CLOSE_TOL, rtol=0)))
 
 
 @dataclass
@@ -745,7 +757,7 @@ def swap_cycle_sequence(objects, ctx) -> tuple:
     """
     beta = as_beta(ctx)
     cycle = list(objects)
-    if len(cycle) < 2 or not _classical_close(cycle[0], cycle[-1], 1e-10):
+    if len(cycle) < 2 or not _classical_close(cycle[0], cycle[-1]):
         raise ValueError("cycle must close (last object equal to first)")
     n = len(cycle)
     cs = [functools.reduce(classical_tensor, cycle[:k - 1] + cycle[k:n - 1], EMPTY_CLASSICAL)

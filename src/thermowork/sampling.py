@@ -10,6 +10,10 @@ import numpy as np
 
 from .core import ClassicalObject, HamiltonianClass, ThermoObject, gibbs_weights
 
+#: Eigenvalues within this of each other are degenerate: the blocks of
+#: random_energy_conserving_unitary, the spectrum run_two_point_measurement refuses.
+_DEGENERACY_TOL = 1e-9
+
 
 def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -90,7 +94,7 @@ def random_gibbs_stochastic(rng: np.random.Generator, energies, beta: float,
 
 
 def random_energy_conserving_unitary(rng: np.random.Generator, h_total: np.ndarray,
-                                     degeneracy_tol: float = 1e-9) -> np.ndarray:
+                                     degeneracy_tol: float = _DEGENERACY_TOL) -> np.ndarray:
     """Haar-random unitary commuting with a Hermitian operator.
 
     Blocks of the spectrum within ``degeneracy_tol`` of each other are mixed

@@ -48,11 +48,27 @@ from .quantifiers import (
     work_cost,
     work_of_transition,
 )
-from .sampling import rng_from_seed
+from .sampling import _DEGENERACY_TOL, rng_from_seed
 
 LADDER_RESOLUTION_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 MEAN_BALANCE_TOL = 1e-9
+#: fig1 notes the boundary case d = exp(beta delta) when they differ by at most this.
+_BOUNDARY_TOL = 1e-9
+#: The least work of a value candidate that irreversibility counts as positive.
+_POSITIVE_WORK = 1e-12
+#: irreversibility's gap is strict when the work value plus this stays below Delta F_1.
+_STRICT_GAP = 1e-9
+#: superadditivity_violation_search takes a gap below minus this as a witness.
+_WITNESS_GAP = 1e-6
+#: The most a breach margin may differ from the gap it equals.
+_MARGIN_TOL = 1e-9
+#: Energies within this are equal: the ladder's origin, the work values of merged TPM events.
+_ENERGY_EQ_TOL = 1e-12
+#: TPM events of at most this probability are dropped.
+_EVENT_FLOOR = 1e-16
+#: The event-averaged ladder state is mixed when no population reaches 1 minus this.
+_PURE_TOL = 1e-12
 
 
 class LadderResolutionError(ValueError):
@@ -142,7 +158,7 @@ def run_fig1(beta: float, delta: float, d: int) -> ScenarioReport:
     report.add_verdict("ground_to_uniform_excited", verdict)
     threshold = math.exp(beta * delta)
     report.add_derived("reset_threshold_exp_beta_delta", threshold, "closed_form")
-    if abs(d - threshold) <= 1e-9:
+    if abs(d - threshold) <= _BOUNDARY_TOL:
         report.notes.append(
             "boundary case d == exp(beta*delta): curve dominance counts touching "
             "curves as Feasible; the strict-inequality convention would say Infeasible")
@@ -229,14 +245,14 @@ def run_irreversibility(beta: float, p_m: ClassicalObject, delta: float = 1.0,
         candidate_rows.append(f"{entry['work']!r},{entry['status']}")
     report.add_table("value_candidates", "work,status", candidate_rows)
     positive_undecided = [e for e in value["tested"]
-                          if e["work"] > 1e-12 and e["status"] != "Infeasible"]
+                          if e["work"] > _POSITIVE_WORK and e["status"] != "Infeasible"]
     report.add_derived("all_positive_candidates_infeasible",
                        not positive_undecided, "decide_catalytic")
     df1 = delta_F_alpha(p_m, beta, 1.0)
     report.add_derived("cost_lower_bound_delta_F1", df1, "delta_F_alpha")
     cost = work_cost(quantifier, restriction, p_m, beta, grid=grid)
     report.add_derived("work_cost_estimate", cost["cost"], "work_cost")
-    gap_ok = value["lower_bound"] + 1e-9 < df1
+    gap_ok = value["lower_bound"] + _STRICT_GAP < df1
     report.add_derived("strict_gap", bool(gap_ok), "second_law_check")
     if not gap_ok:
         report.add_breach("no strict gap between work value and cost bound",
@@ -286,7 +302,7 @@ def superadditivity_violation_search(alpha: float, dims=(2, 2), grid_steps: int 
     best_gap, witness = float(gaps[best]), states[best - 1] if best else None
     report.add_derived("states_tested", len(states), "grid_search")
     report.add_derived("min_gap", best_gap, "check_superadditivity")
-    if best_gap < -1e-6:
+    if best_gap < -_WITNESS_GAP:
         p_ab_obj = classical_to_object(ClassicalObject(witness, e_joint))
         locals_ = (HamiltonianClass(np.diag(e_a)), HamiltonianClass(np.diag(e_b)))
         ni = NonInteractingObject(p_ab_obj, (da, db), locals_)
@@ -297,9 +313,9 @@ def superadditivity_violation_search(alpha: float, dims=(2, 2), grid_steps: int 
         report.add_derived("breach", bounds["breach"], "correlated_second_law_bounds")
         report.add_derived("breach_margin_equals_gap",
                            bool(abs((bounds["value_lower"] - bounds["cost_upper"])
-                                    - (-best_gap)) <= 1e-9),
+                                    - (-best_gap)) <= _MARGIN_TOL),
                            "correlated_second_law_bounds")
-    report.add_derived("witness_found", best_gap < -1e-6, "grid_search")
+    report.add_derived("witness_found", best_gap < -_WITNESS_GAP, "grid_search")
     return report
 
 
@@ -454,7 +470,7 @@ def run_two_point_measurement(proc: TwoPointProcess) -> ScenarioReport:
     """
     h = proc.system_hamiltonian
     evals, evecs = np.linalg.eigh(h.matrix)
-    if np.min(np.diff(evals)) <= 1e-9:
+    if np.min(np.diff(evals)) <= _DEGENERACY_TOL:
         raise ValueError("system Hamiltonian must have a non-degenerate spectrum")
     report = ScenarioReport("two_point_measurement", {
         "dim": h.dim,
@@ -466,7 +482,7 @@ def run_two_point_measurement(proc: TwoPointProcess) -> ScenarioReport:
     amp = evecs.conj().T @ proc.process_unitary @ evecs
     cond = np.abs(amp) ** 2  # cond[f, i] = P(f | i)
     ladder_e = proc.ladder.energies
-    origin_hits = np.where(np.abs(ladder_e) <= 1e-12)[0]
+    origin_hits = np.where(np.abs(ladder_e) <= _ENERGY_EQ_TOL)[0]
     if len(origin_hits) == 0:
         raise LadderResolutionError("ladder has no zero-energy origin level")
     origin = int(origin_hits[0])
@@ -474,11 +490,11 @@ def run_two_point_measurement(proc: TwoPointProcess) -> ScenarioReport:
     for i in range(h.dim):
         for f in range(h.dim):
             prob = float(p_init[i] * cond[f, i])
-            if prob <= 1e-16:
+            if prob <= _EVENT_FLOOR:
                 continue
             w = float(evals[f] - evals[i])
             for key in events:
-                if abs(key - w) <= 1e-12:
+                if abs(key - w) <= _ENERGY_EQ_TOL:
                     w = key
                     break
             events[w] = events.get(w, 0.0) + prob
@@ -497,7 +513,7 @@ def run_two_point_measurement(proc: TwoPointProcess) -> ScenarioReport:
     total = float(sum(events.values()))
     report.add_derived("total_probability", total, "run_two_point_measurement")
     report.add_derived("n_outcomes", len(events), "run_two_point_measurement")
-    mixed = bool(np.max(ladder_mix) < 1.0 - 1e-12)
+    mixed = bool(np.max(ladder_mix) < 1.0 - _PURE_TOL)
     report.add_derived("event_averaged_ladder_state",
                        [float(x) for x in ladder_mix], "run_two_point_measurement")
     report.add_derived("averaged_state_outside_pure_ladder_set", mixed,

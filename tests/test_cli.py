@@ -78,11 +78,23 @@ class TestScenarioCommand:
         ]}
         cfg_path = outdir / "all.json"
         cfg_path.write_text(json.dumps(cfg))
-        code = main(["scenario", "all", "--config", str(cfg_path), "--jobs", "2",
+        code = main(["scenario", "all", "--config", str(cfg_path),
                      "--output-dir", str(outdir / "all-run")])
         assert code == 0
         assert list((outdir / "all-run").glob("fig1-*"))
         assert list((outdir / "all-run").glob("wbit_violation-*"))
+
+    @pytest.mark.parametrize(("doc", "message"), [
+        (["seed"], "JSON object"),
+        ({"schema": 1, "seed": 0, "scenarios": ["fig1"]}, "list of JSON objects"),
+        ({"schema": 1, "seed": 0, "scenarios": {"name": "fig1"}}, "list of JSON objects"),
+    ])
+    def test_config_of_the_wrong_shape_is_usage_error(self, outdir, capsys, doc, message):
+        cfg_path = outdir / "shape.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["scenario", "fig1", "--config", str(cfg_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_same_seed_byte_identical_reports(self, outdir):
         for sub in ("a", "b"):
@@ -148,6 +160,15 @@ class TestCheckCommand:
                      "--samples", "200", "--seed", "1",
                      "--output-dir", str(outdir / "sa1")])
         assert code == 0
+
+    @pytest.mark.parametrize("checker", ["lemma2", "superadd"])
+    def test_wdet_without_a_monotone_is_usage_error(self, outdir, capsys, checker):
+        code = main(["check", checker, "--quantifier", "wdet", "--samples", "2",
+                     "--output-dir", str(outdir / "chk")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dfalpha" in err and "mean" in err
+        assert not (outdir / "chk").exists()
 
     def test_csv_summary_written(self, outdir):
         main(["check", "axiom1", "--samples", "5", "--output-dir", str(outdir / "csv")])
@@ -284,3 +305,18 @@ class TestMalformedInput:
         assert code == 1
         assert "--samples" in capsys.readouterr().err
         assert not (outdir / "chk").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "bogus"],
+        ["feasible", "--src", "a.json"],
+        ["scenario", "fig1", "--jobs", "2"],
+    ])
+    def test_argparse_error_is_usage_error(self, capsys, argv):
+        # argparse exits 2, the code of a checker's violation; the CLI maps it to 1
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
