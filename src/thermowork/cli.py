@@ -88,8 +88,9 @@ def _validate_run_config(cfg, path: str) -> dict:
     blocks = cfg.get("scenarios", [])
     if not isinstance(blocks, list) or not all(isinstance(b, dict) for b in blocks):
         raise SystemExit2(f'"scenarios" in {path} must be a list of JSON objects')
-    if not (float(cfg.get("beta", 1.0)) > 0):
-        raise SystemExit2("beta must be positive")
+    beta = cfg.get("beta", 1.0)  # float() takes no null, list or object
+    if not isinstance(beta, (int, float, str)) or not float(beta) > 0:
+        raise SystemExit2(f"beta must be a positive number, got {json.dumps(beta)}")
     return cfg
 
 
@@ -102,7 +103,7 @@ def _scenario_blocks(args, cfg: dict | None) -> list:
         if value is not None:
             flags[key] = value
     if cfg is not None:
-        defaults = {k: cfg[k] for k in ("beta", "seed") if k in cfg}
+        defaults = {"beta": 1.0, **{k: cfg[k] for k in ("beta", "seed") if k in cfg}}
         blocks = cfg.get("scenarios", [])
         if args.name != "all":
             blocks = [b for b in blocks if b.get("name") == args.name]

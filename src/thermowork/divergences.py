@@ -191,11 +191,14 @@ def renyi_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
 def renyi_divergences(rho: np.ndarray, sigma: np.ndarray, alphas) -> list:
     """Sandwiched Renyi divergence of rho from sigma at each order of ``alphas``.
 
-    sigma is decomposed once, and its kernel (eigenvalues below SUPPORT_TOL), support
-    leak and support eigenvectors serve every order; the sandwiches of all orders but 0
-    and 1 go through stacked matmuls and eigvalsh, which work matrix by matrix, so a value
-    is that of its one-order call to the bit.  From alpha = 1 up (and at inf) a leak of
-    rho into the kernel makes the divergence +inf.  A power sum of inf or 0 goes by log-sum-exp.
+    sigma = V diag(lam) V^dagger is decomposed once, and its kernel (eigenvalues below
+    SUPPORT_TOL), support leak and support eigenvectors serve every order.  rho is rotated
+    once onto the support, rho' = V^dagger rho V, and the sandwich sigma^x rho sigma^x of
+    every order but 0 and 1 is (lam^x rho') lam^x, two diagonal scalings with the same
+    eigenvalues on the support; the rotation and eigvalsh are stacked calls, which work
+    matrix by matrix, so a value is that of its one-order call to the bit.  From alpha = 1
+    up (and at inf) a leak of rho into the kernel makes the divergence +inf.  A power sum of
+    inf or 0 goes by log-sum-exp.
     """
     listed = _check_alphas(alphas)
     rho = np.asarray(rho, dtype=complex)
@@ -216,25 +219,26 @@ def _powers(base: np.ndarray, exponents: list) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _sandwiched(rhos: list, sigma: np.ndarray, decomposed, listed: list) -> list:
     """renyi_divergences at checked orders for each state of the list ``rhos``, given
-    ``decomposed``, the eigh of sigma: each chunk of orders' sandwiches serves every state."""
+    ``decomposed``, the eigh of sigma: a group of states is rotated onto its support once."""
     s_evals, s_vecs = decomposed
     kernel = s_evals < SUPPORT_TOL
     projector = s_vecs[:, kernel] @ s_vecs[:, kernel].conj().T if kernel.any() else None
     leaks = [projector is not None and float(np.real(np.trace(rho @ projector))) > SUPPORT_TOL
              for rho in rhos]  # +inf from order 1 up: no sandwich there if every state leaks
-    lam, vecs = s_evals[~kernel], s_vecs[:, ~kernel]
+    lam, vecs = (s_evals[~kernel], s_vecs[:, ~kernel]) if kernel.any() else decomposed
     in_stack = [alpha not in (0.0, 1.0) and (alpha < 1.0 or not all(leaks)) for alpha in listed]
     generic = [alpha for alpha, stacked in zip(listed, in_stack) if stacked]
     table = _powers(lam, [-0.5 if alpha == INF else (1.0 - alpha) / (2.0 * alpha) for alpha in generic])
-    mu, d = np.empty((len(rhos), len(generic), len(sigma))), len(sigma)
-    n = min(len(rhos), max(1, (1 << 14) // (d * d)))  # states per call, orders per chunk:
-    step = max(1, (1 << 14) // (n * d * d))  # 2 ** 14 complex entries (256 KB), or one matrix
-    for k in range(0, len(generic), step):
-        chunk = ((vecs * table[k:k + step, None]) @ vecs.conj().T)[None]
-        for s in range(0, len(rhos), n):
-            mu[s:s + n, k:k + step] = np.linalg.eigvalsh(chunk @ np.array(rhos[s:s + n])[:, None] @ chunk)
+    mu, r = np.empty((len(rhos), len(generic), len(lam))), len(lam)
+    n = min(len(rhos), max(1, (1 << 14) // (r * r)))  # states per group, orders per chunk:
+    step = max(1, (1 << 14) // (n * r * r))  # 2 ** 14 complex entries (256 KB), or one matrix
+    for s in range(0, len(rhos), n):  # states outside: one group's rho' is live at a time
+        rotated = (vecs.conj().T @ np.array(rhos[s:s + n]) @ vecs)[:, None]
+        for k in range(0, len(generic), step):
+            scale = table[k:k + step]  # sigma^x rho sigma^x = V ((lam^x rho') lam^x) V^dagger
+            mu[s:s + n, k:k + step] = np.linalg.eigvalsh(scale[:, :, None] * rotated * scale[:, None])
     full, tops = (mu[..., 0] > EIG_ZERO).tolist(), mu[..., -1].tolist()  # eigvalsh ascends
-    sums = np.add.reduce(_powers(mu.reshape(-1, d), generic * len(rhos)), 1).reshape(mu.shape[:2])
+    sums = np.add.reduce(_powers(mu.reshape(-1, r), generic * len(rhos)), 1).reshape(mu.shape[:2])
     values = []
     for s, rho in enumerate(rhos):
         row, k = [], -1

@@ -96,6 +96,24 @@ class TestScenarioCommand:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", [None, [1.0], {"value": 1.0}, 0, -1.0])
+    def test_a_beta_that_is_no_positive_number_is_usage_error(self, outdir, capsys, beta):
+        cfg_path = outdir / "beta.json"
+        cfg_path.write_text(json.dumps({"schema": 1, "seed": 0, "beta": beta}))
+        code = main(["scenario", "fig1", "--config", str(cfg_path)])
+        assert code == 1
+        assert f"beta must be a positive number, got {json.dumps(beta)}" in capsys.readouterr().err
+
+    def test_a_config_without_beta_runs_at_beta_one(self, outdir, capsys):
+        reports = []
+        for name, beta in (("implicit", {}), ("explicit", {"beta": 1.0})):
+            cfg_path = outdir / f"{name}.json"
+            cfg_path.write_text(json.dumps({"seed": 1, **beta, "scenarios": [{"name": "fig1"}]}))
+            assert main(["scenario", "all", "--config", str(cfg_path),
+                         "--output-dir", str(outdir / name)]) == 0
+            reports.append(next((outdir / name).glob("fig1-*/report.json")).read_bytes())
+        assert reports[0] == reports[1]
+
     def test_same_seed_byte_identical_reports(self, outdir):
         for sub in ("a", "b"):
             main(["scenario", "superadditivity-search", "--beta", "1", "--seed", "11",

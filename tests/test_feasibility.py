@@ -26,7 +26,7 @@ from thermowork.core import (
     partial_trace,
     tensor,
 )
-from thermowork.divergences import INF, _Rows, delta_F_alpha
+from thermowork.divergences import INF, _Rows, delta_F_alpha, renyi_divergences
 from thermowork import divergences, feasibility
 from thermowork.feasibility import (
     DEFAULT_ALPHA_GRID,
@@ -1117,6 +1117,32 @@ class TestSandwichedLargeOrders:
             assert batch[DEFAULT_ALPHA_GRID.index(100.0)] == value
             checked += 1
         assert checked == 3
+
+
+def _mp_max_divergence(rho, sigma) -> float:
+    """The max-relative entropy ln lambda_max(sigma^-1/2 rho sigma^-1/2), with 40 digits."""
+    with mpmath.workdps(40):
+        lam, vecs = mpmath.eighe(mpmath.matrix(np.asarray(sigma).tolist()))
+        root = vecs * mpmath.diag([x ** mpmath.mpf(-0.5) for x in lam]) * vecs.H
+        mu, _ = mpmath.eighe(root * mpmath.matrix(np.asarray(rho).tolist()) * root)
+        return float(mpmath.log(max(mu)))
+
+
+class TestSandwichedAccuracy:
+    def test_orders_from_one_half_up_agree_with_40_digits(self):
+        # non-commuting pairs of d <= 12, of random references and of Gibbs states, at the
+        # grid's orders from 1/2 up but 1, whose relative entropy takes no sandwich
+        rng = rng_from_seed(61)
+        orders = [a for a in DEFAULT_ALPHA_GRID if 0.5 <= a and a not in (1.0, INF)]
+        pairs = [(random_density_matrix(rng, d), random_density_matrix(rng, d)) for d in (2, 4, 7, 12)]
+        pairs += [(random_density_matrix(rng, d), gibbs_state(random_hamiltonian(rng, d), 1.0).state)
+                  for d in (3, 6)]
+        for rho, sigma in pairs:
+            assert np.abs(rho @ sigma - sigma @ rho).max() > 1e-3
+            want = [_mp_sandwiched(rho, sigma, a) for a in orders] + [_mp_max_divergence(rho, sigma)]
+            assert renyi_divergences(rho, sigma, orders + [INF]) == [
+                pytest.approx(w, rel=1e-13, abs=0.0) for w in want]
+        assert len(orders) == 23
 
 
 class TestCatalyticNecessary:

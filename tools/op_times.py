@@ -15,9 +15,12 @@ on all alike.  Outputs are not checked; ``benchmarks/run.py`` does that.
 
 It prints one line per operation label: the number of operations with that
 label, then for each checkout the median over them of the best time over all
-rounds, in microseconds, and its change against the first checkout.  The last
-line, ``all``, does the same over every operation: the in-process counterpart
-of the benchmark's ``op_p50_ms``, without its correction for the host's speed.
+rounds, in microseconds, and its change against the first checkout, then for
+each checkout the median over them of the minor page faults per timed call
+(``ru_minflt``, read outside the timed region, as a mean over the rounds).  The
+last line, ``all``, does the same over every operation: the in-process
+counterpart of the benchmark's ``op_p50_ms``, without its correction for the
+host's speed.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,8 +51,8 @@ def round_order(checkouts: list, round_no: int) -> list:
 
 
 def child(checkout: Path, workload: str, seed: int, passes: int) -> list:
-    """[label, best seconds] of each operation of ``workload`` at ``seed``, in run order,
-    built and run from ``checkout``."""
+    """[label, best seconds, mean minor page faults per call] of each operation of
+    ``workload`` at ``seed``, in run order, built and run from ``checkout``."""
     sys.path.insert(0, str(checkout / "benchmarks"))
     import run  # first: it pins the BLAS threads before numpy loads
 
@@ -56,13 +60,15 @@ def child(checkout: Path, workload: str, seed: int, passes: int) -> list:
     ops = [op for block in blocks for op in block]
     for op in ops:
         op.call()
-    best = [float("inf")] * len(ops)
+    best, faults = [float("inf")] * len(ops), [0] * len(ops)
     for _ in range(passes):
         for k, op in enumerate(ops):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             op.call()
             best[k] = min(best[k], time.perf_counter() - t0)
-    return [[op.label, t] for op, t in zip(ops, best)]
+            faults[k] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return [[op.label, t, f / passes] for op, t, f in zip(ops, best, faults)]
 
 
 def run_child(checkout: Path, workload: str, seed: int, passes: int) -> list:
@@ -77,22 +83,26 @@ def run_child(checkout: Path, workload: str, seed: int, passes: int) -> list:
 
 def table(names: list, runs: dict) -> list:
     """Lines of the table from ``runs``: name -> the child() results of each round.  An
-    operation's time is its best over the rounds."""
-    labels = [label for label, _ in runs[names[0]][0]]
+    operation's time is its best over the rounds, its faults their mean over the rounds."""
+    labels = [row[0] for row in runs[names[0]][0]]
     for name in names:
-        if any([label for label, _ in r] != labels for r in runs[name]):
+        if any([row[0] for row in r] != labels for r in runs[name]):
             raise ValueError(f"{name} ran other operations than {names[0]}")
     best = {name: [min(r[k][1] for r in runs[name]) for k in range(len(labels))]
             for name in names}
+    faults = {name: [statistics.mean(r[k][2] for r in runs[name]) for k in range(len(labels))]
+              for name in names}
     by_label = {}
     for k, label in enumerate(labels):
         by_label.setdefault(label, []).append(k)
     width = max(map(len, [*by_label, "label"]))
-    lines = [f"{'label':<{width}}  {'ops':>4}  " + "  ".join(f"{n + ' us':>16}" for n in names)]
+    lines = [f"{'label':<{width}}  {'ops':>4}  " + "  ".join(f"{n + ' us':>16}" for n in names)
+             + "  " + "  ".join(f"{n + ' faults':>14}" for n in names)]
     for label, ks in [*sorted(by_label.items()), ("all", range(len(labels)))]:
         medians = [statistics.median(best[name][k] for k in ks) * 1e6 for name in names]
         cells = [f"{medians[0]:16.1f}"] + [f"{m:8.1f} {100 * (m / medians[0] - 1):+6.1f}%"
                                            for m in medians[1:]]
+        cells += [f"{statistics.median(faults[name][k] for k in ks):14.1f}" for name in names]
         lines.append(f"{label:<{width}}  {len(ks):>4}  " + "  ".join(cells))
     return lines
 
